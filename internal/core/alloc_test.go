@@ -11,10 +11,25 @@ import (
 
 // TestControllerSteadyStateAllocFree pins the §6.4 overhead claim at
 // the allocation level: once the fleet's agents, rows, and round
-// buffers exist, Select and Feedback must not allocate at all. Any
-// regression here shows up as a nonzero AllocsPerRun long before it is
-// visible in wall-clock benchmarks.
+// buffers exist, Select and Feedback must not allocate at all, whether
+// Q-tables are keyed by device or shared per category. Any regression
+// here shows up as a nonzero AllocsPerRun long before it is visible in
+// wall-clock benchmarks.
 func TestControllerSteadyStateAllocFree(t *testing.T) {
+	for _, shared := range []bool{false, true} {
+		name := "per-device"
+		if shared {
+			name = "shared-tables"
+		}
+		t.Run(name, func(t *testing.T) {
+			opts := DefaultOptions(92)
+			opts.SharedTables = shared
+			checkControllerAllocFree(t, New(opts))
+		})
+	}
+}
+
+func checkControllerAllocFree(t *testing.T, ctrl *Controller) {
 	cfg := sim.Config{
 		Workload:       workload.CNNMNIST(),
 		Params:         workload.GlobalParams{B: 16, E: 5, K: 8},
@@ -26,7 +41,6 @@ func TestControllerSteadyStateAllocFree(t *testing.T) {
 		TargetAccuracy: 1.1,
 	}
 	eng := sim.New(cfg)
-	ctrl := New(DefaultOptions(92))
 
 	// Warm up: materialize agents, visited-state rows, tie priorities,
 	// and every reusable buffer.

@@ -101,9 +101,13 @@ type Controller struct {
 	opts    Options
 	buckets Buckets
 	coder   StateCoder
-	actions []qlearn.Action            // fixed action ordering (index space)
-	agents  map[int]*qlearn.DenseAgent // keyed by device ID or category
+	actions []qlearn.Action // fixed action ordering (index space)
 	explore *rng.Stream
+
+	// slots holds each Q-learning agent with its value prior, indexed
+	// by device ID, or by performance category with SharedTables. A
+	// slot with a nil agent has not been used yet.
+	slots []agentSlot
 
 	// Pending round bookkeeping: one round's (S, A) pairs held until
 	// the next round's observation provides (S', A') for the Algorithm
@@ -131,14 +135,6 @@ type Controller struct {
 	refGlobalEnergy float64
 	refLocalEnergy  float64
 
-	// deviceValue is an exponential moving average of each device's
-	// rewards, used as the initialization prior for its Q-table rows:
-	// device-constant traits (data quality, hardware efficiency)
-	// generalize across the runtime-variance states, instead of a
-	// punished device looking neutral again the moment its co-runner
-	// bucket flips. Keyed like agents (device ID or category).
-	deviceValue map[int]float64
-
 	// stallStreak counts consecutive rounds without accuracy
 	// improvement. Eq (7)'s hard stalled branch applies only once the
 	// streak passes stallPatience: a single noisy round must not
@@ -150,7 +146,8 @@ type Controller struct {
 
 	rewardTrace []float64
 
-	// Reusable round buffers (sized to the fleet on first Select).
+	// Reusable round buffers (sized to the fleet on first Select; the
+	// ranking holds the top K only).
 	keys    []qlearn.StateKey
 	ranked  []ranked
 	selBuf  []sim.Selection
@@ -170,14 +167,24 @@ func New(opts Options) *Controller {
 		b = *opts.Buckets
 	}
 	return &Controller{
-		opts:        opts,
-		buckets:     b,
-		coder:       NewStateCoder(b),
-		actions:     Actions(),
-		agents:      make(map[int]*qlearn.DenseAgent),
-		explore:     rng.New(opts.Seed ^ 0xa07f1),
-		deviceValue: make(map[int]float64),
+		opts:    opts,
+		buckets: b,
+		coder:   NewStateCoder(b),
+		actions: Actions(),
+		explore: rng.New(opts.Seed ^ 0xa07f1),
 	}
+}
+
+// agentSlot is one Q-learning agent and its value prior.
+type agentSlot struct {
+	agent *qlearn.DenseAgent
+	// value is an exponential moving average of the slot's rewards,
+	// used as the initialization prior for its Q-table rows:
+	// device-constant traits (data quality, hardware efficiency)
+	// generalize across the runtime-variance states, instead of a
+	// punished device looking neutral again the moment its co-runner
+	// bucket flips.
+	value float64
 }
 
 // Name implements sim.Policy.
@@ -193,8 +200,10 @@ func (c *Controller) Explored() bool { return c.lastExplored }
 // MemoryBytes estimates the controller's Q-table footprint (§6.4).
 func (c *Controller) MemoryBytes() int {
 	total := 0
-	for _, a := range c.agents {
-		total += a.Table.MemoryBytes()
+	for _, s := range c.slots {
+		if s.agent != nil {
+			total += s.agent.Table.MemoryBytes()
+		}
 	}
 	return total
 }
@@ -203,8 +212,12 @@ func (c *Controller) MemoryBytes() int {
 // first use. With SharedTables, devices of the same performance
 // category share one agent.
 func (c *Controller) agentFor(ds *sim.DeviceState) *qlearn.DenseAgent {
-	key := c.agentKey(ds)
-	if _, ok := c.deviceValue[key]; !ok {
+	key := c.slotIndex(ds)
+	if key >= len(c.slots) {
+		c.slots = append(c.slots, make([]agentSlot, key+1-len(c.slots))...)
+	}
+	s := &c.slots[key]
+	if s.agent == nil {
 		// Informed prior: the FL protocol reports each device's
 		// data-class count to the server (paper footnote 3), and class
 		// coverage is the single strongest predictor of a device's
@@ -213,23 +226,22 @@ func (c *Controller) agentFor(ds *sim.DeviceState) *qlearn.DenseAgent {
 		// order that reward feedback then corrects for energy,
 		// interference and network behaviour. The scale matches a
 		// typical improving-round reward.
-		c.deviceValue[key] = 0.5 * ds.Data.ClassFraction
-	}
-	a, ok := c.agents[key]
-	if !ok {
-		a = qlearn.NewDenseAgent(len(c.actions), c.explore)
+		s.value = 0.5 * ds.Data.ClassFraction
+		a := qlearn.NewDenseAgent(len(c.actions), c.explore)
 		a.Epsilon = c.opts.Epsilon
 		a.LearningRate = c.opts.LearningRate
 		a.Discount = c.opts.Discount
-		a.Table.Init = func() float64 { return c.deviceValue[key] }
-		c.agents[key] = a
+		// Index on every call: growing c.slots moves the slot.
+		a.Table.Init = func() float64 { return c.slots[key].value }
+		s.agent = a
 	}
-	return a
+	return s.agent
 }
 
-func (c *Controller) agentKey(ds *sim.DeviceState) int {
+// slotIndex returns the index of the device's agent slot.
+func (c *Controller) slotIndex(ds *sim.DeviceState) int {
 	if c.opts.SharedTables {
-		return -1 - int(ds.Device.Category())
+		return int(ds.Device.Category())
 	}
 	return ds.Device.ID
 }
@@ -238,7 +250,6 @@ func (c *Controller) agentKey(ds *sim.DeviceState) int {
 func (c *Controller) ensureFleet(n int) {
 	if cap(c.keys) < n {
 		c.keys = make([]qlearn.StateKey, n)
-		c.ranked = make([]ranked, n)
 		c.permBuf = make([]int, n)
 		tp := make([]float64, n)
 		copy(tp, c.tiePriority)
@@ -247,7 +258,6 @@ func (c *Controller) ensureFleet(n int) {
 		c.tiePriority, c.tieDrawn = tp, td
 	}
 	c.keys = c.keys[:n]
-	c.ranked = c.ranked[:n]
 	c.permBuf = c.permBuf[:n]
 	c.tiePriority = c.tiePriority[:n]
 	c.tieDrawn = c.tieDrawn[:n]
@@ -262,7 +272,7 @@ func (c *Controller) stage(idx int, key qlearn.StateKey, act int) {
 }
 
 // Select implements Algorithm 1's decision step: with probability ε
-// pick K random participants and random actions; otherwise sort
+// pick K random participants and random actions; otherwise rank
 // devices by Q(S_global, S_local, A) and take the top K with their
 // argmax actions. It also completes the previous round's value update,
 // for which this round's states provide (S', A').
@@ -307,18 +317,23 @@ func (c *Controller) Select(ctx *sim.RoundContext) []sim.Selection {
 		return selections
 	}
 
-	// Exploitation: rank all devices by their best Q-value. Touch pins
-	// each state's row materialization to the decision step, so pure
-	// reads elsewhere never perturb the init stream.
+	// Exploitation: rank all devices by their best Q-value, keeping
+	// only the top K. Touch pins each state's row materialization to
+	// the decision step, so pure reads elsewhere never perturb the
+	// init stream.
+	k := min(ctx.Params.K, n)
+	if cap(c.ranked) < k {
+		c.ranked = make([]ranked, 0, k)
+	}
+	top := c.ranked[:0]
 	for i := range ctx.Devices {
 		agent := c.agentFor(&ctx.Devices[i])
 		row := agent.Table.Touch(c.keys[i])
 		action, value := agent.Table.BestAt(row)
-		c.ranked[i] = ranked{idx: i, value: value, tie: c.tieFor(i), action: int8(action)}
+		top = insertTopK(top, k, ranked{idx: i, value: value, tie: c.tieFor(i), action: int8(action)})
 	}
-	sortRanked(c.ranked)
 
-	for _, r := range c.ranked[:min(ctx.Params.K, n)] {
+	for _, r := range top {
 		target, step := DecodeAction(c.actions[r.action], ctx.Devices[r.idx].Device.Spec)
 		selections = append(selections, sim.Selection{Index: r.idx, Target: target, Step: step})
 		c.stage(r.idx, c.keys[r.idx], int(r.action))
@@ -345,20 +360,34 @@ func (c *Controller) tieFor(idx int) float64 {
 	return c.tiePriority[idx]
 }
 
-// sortRanked sorts descending by (value, tie) with an insertion sort:
-// fast for the ~200-device fleets this runs on.
-func sortRanked(r []ranked) {
-	less := func(a, b ranked) bool {
-		if a.value != b.value {
-			return a.value > b.value
-		}
-		return a.tie > b.tie
+// before reports whether a ranks strictly ahead of b: descending by
+// value, then by tie priority.
+func (a ranked) before(b ranked) bool {
+	if a.value != b.value {
+		return a.value > b.value
 	}
-	for i := 1; i < len(r); i++ {
-		for j := i; j > 0 && less(r[j], r[j-1]); j-- {
-			r[j], r[j-1] = r[j-1], r[j]
+	return a.tie > b.tie
+}
+
+// insertTopK adds r to top, a buffer of at most k entries ordered by
+// before, and returns the buffer. An entry that ties with one already
+// held goes after it, so feeding a ranking in order leaves top equal to
+// the first k entries of its stable sort — at O(k) per entry that
+// makes the cut, O(1) for the rest.
+func insertTopK(top []ranked, k int, r ranked) []ranked {
+	if len(top) == k {
+		if k == 0 || !r.before(top[k-1]) {
+			return top
 		}
+		top = top[:k-1]
 	}
+	j := len(top)
+	top = append(top, r)
+	for ; j > 0 && r.before(top[j-1]); j-- {
+		top[j] = top[j-1]
+	}
+	top[j] = r
+	return top
 }
 
 // Feedback implements the measurement step: compute the Eq (5)–(7)
@@ -464,10 +493,10 @@ func (c *Controller) Feedback(ctx *sim.RoundContext, res *sim.RoundResult) {
 		const valueEMA = 0.05
 		for j, idx := range c.pendIdx {
 			c.pendReward[j] -= mean
-			key := c.agentKey(&ctx.Devices[idx])
+			s := &c.slots[c.slotIndex(&ctx.Devices[idx])]
 			// The prior EMA moves slowly: single noisy rounds must
 			// not reshuffle the device ranking.
-			c.deviceValue[key] = (1-valueEMA)*c.deviceValue[key] + valueEMA*c.pendReward[j]
+			s.value = (1-valueEMA)*s.value + valueEMA*c.pendReward[j]
 		}
 	}
 }

@@ -303,17 +303,28 @@ func TestSharedTablesUseFewerAgents(t *testing.T) {
 	}())
 	sim.New(c).Run(perDevice)
 	sim.New(c).Run(shared)
-	if len(shared.agents) > device.NumCategories {
+	if n := numAgents(shared); n > device.NumCategories {
 		t.Errorf("shared-table mode created %d agents, want <= %d",
-			len(shared.agents), device.NumCategories)
+			n, device.NumCategories)
 	}
-	if len(perDevice.agents) <= device.NumCategories {
-		t.Errorf("per-device mode created only %d agents", len(perDevice.agents))
+	if n := numAgents(perDevice); n <= device.NumCategories {
+		t.Errorf("per-device mode created only %d agents", n)
 	}
 	if shared.MemoryBytes() >= perDevice.MemoryBytes() {
 		t.Errorf("shared tables (%dB) should use less memory than per-device (%dB)",
 			shared.MemoryBytes(), perDevice.MemoryBytes())
 	}
+}
+
+// numAgents counts the controller's materialized agents.
+func numAgents(c *Controller) int {
+	n := 0
+	for _, s := range c.slots {
+		if s.agent != nil {
+			n++
+		}
+	}
+	return n
 }
 
 func TestSharedTablesStillConverge(t *testing.T) {

@@ -150,6 +150,10 @@ func StateKey(global, local qlearn.State) qlearn.State {
 // most len(boundaries)+1), so distinct bucket combinations map to
 // distinct keys. TestStateCoderInjective enumerates the full cross
 // product to pin this.
+//
+// The per-device methods (Key, LocalKey, GlobalKey) take pointer
+// receivers: the controller calls them once per device per round, and
+// a value receiver would copy the whole layout on every call.
 type StateCoder struct {
 	buckets Buckets
 	// Global-feature radices (fixed package-level boundaries).
@@ -191,7 +195,7 @@ func (c StateCoder) StateSpace() uint64 {
 
 // GlobalKey packs the round-invariant state (the packed counterpart of
 // GlobalStateKey).
-func (c StateCoder) GlobalKey(w *workload.Model, p workload.GlobalParams) qlearn.StateKey {
+func (c *StateCoder) GlobalKey(w *workload.Model, p workload.GlobalParams) qlearn.StateKey {
 	conv, fc, rc := w.CountLayers()
 	k := uint64(dbscan.Bucket(float64(conv), convBoundaries))
 	k = k*c.nFC + uint64(dbscan.Bucket(float64(fc), fcBoundaries))
@@ -204,7 +208,7 @@ func (c StateCoder) GlobalKey(w *workload.Model, p workload.GlobalParams) qlearn
 
 // LocalKey packs one device's runtime-variance and data state (the
 // packed counterpart of LocalStateKey).
-func (c StateCoder) LocalKey(ds *sim.DeviceState) qlearn.StateKey {
+func (c *StateCoder) LocalKey(ds *sim.DeviceState) qlearn.StateKey {
 	k := uint64(bucketWithNone(ds.Load.CPUUtil, c.buckets.CoCPU))
 	k = k*c.nM + uint64(bucketWithNone(ds.Load.MemUtil, c.buckets.CoMem))
 	k = k*c.nN + uint64(dbscan.Bucket(ds.BandwidthMbps, c.buckets.NetworkMbps))
@@ -217,7 +221,7 @@ func (c StateCoder) LocalKey(ds *sim.DeviceState) qlearn.StateKey {
 // Key joins a packed global key with a device's packed local state —
 // the packed counterpart of StateKey(GlobalStateKey(…),
 // LocalStateKey(…)).
-func (c StateCoder) Key(global qlearn.StateKey, ds *sim.DeviceState) qlearn.StateKey {
+func (c *StateCoder) Key(global qlearn.StateKey, ds *sim.DeviceState) qlearn.StateKey {
 	return qlearn.StateKey(uint64(global)*c.localSpace) + c.LocalKey(ds)
 }
 

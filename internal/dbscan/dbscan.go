@@ -139,12 +139,18 @@ func Discretize(values []float64, eps float64, minPts int) []float64 {
 func NumBuckets(boundaries []float64) int { return len(boundaries) + 1 }
 
 // Bucket returns the index of the bucket that v falls into given sorted
-// ascending boundaries: the count of boundaries <= v.
+// ascending boundaries: the count of boundaries <= v. Boundary lists
+// hold a handful of entries, so a linear scan beats a binary search;
+// both give the same index on any sorted list, NaN v included.
 func Bucket(v float64, boundaries []float64) int {
-	idx := sort.SearchFloat64s(boundaries, v)
-	// SearchFloat64s returns the insertion point; values equal to a
-	// boundary belong to the bucket above it, matching the paper's
-	// ">=" bucket edges.
+	// Find the insertion point, the first boundary >= v, as
+	// sort.SearchFloat64s would ...
+	idx := 0
+	for idx < len(boundaries) && !(boundaries[idx] >= v) {
+		idx++
+	}
+	// ... then place values equal to a boundary in the bucket above
+	// it, matching the paper's ">=" bucket edges.
 	for idx < len(boundaries) && boundaries[idx] == v {
 		idx++
 	}

@@ -1,6 +1,8 @@
 package dbscan
 
 import (
+	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -204,6 +206,45 @@ func TestBucketMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// bucketReference is Bucket's former binary-search form.
+func bucketReference(v float64, boundaries []float64) int {
+	idx := sort.SearchFloat64s(boundaries, v)
+	for idx < len(boundaries) && boundaries[idx] == v {
+		idx++
+	}
+	return idx
+}
+
+// Property: the linear-scan Bucket agrees with the binary-search
+// reference on random sorted boundary lists of length 0–8, probed at
+// the boundaries themselves, their float neighbours, ±Inf and NaN.
+// Boundaries come from a small pool, so repeated boundaries are common.
+func TestBucketMatchesBinarySearch(t *testing.T) {
+	s := rng.New(13)
+	pool := []float64{-3, -1, -0.5, 0, 0.25, 0.5, 1, 2, 10, math.Inf(-1), math.Inf(1)}
+	for trial := 0; trial < 2000; trial++ {
+		boundaries := make([]float64, s.IntN(9))
+		for i := range boundaries {
+			if s.Bool(0.5) {
+				boundaries[i] = pool[s.IntN(len(pool))]
+			} else {
+				boundaries[i] = 20*s.Float64() - 10
+			}
+		}
+		sort.Float64s(boundaries)
+
+		probes := []float64{math.Inf(-1), math.Inf(1), math.NaN(), 0, math.Copysign(0, -1)}
+		for _, b := range boundaries {
+			probes = append(probes, b, math.Nextafter(b, math.Inf(-1)), math.Nextafter(b, math.Inf(1)))
+		}
+		for _, v := range probes {
+			if got, want := Bucket(v, boundaries), bucketReference(v, boundaries); got != want {
+				t.Fatalf("Bucket(%v, %v) = %d, binary search gives %d", v, boundaries, got, want)
+			}
+		}
 	}
 }
 

@@ -103,6 +103,31 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// gatedRunnerPair returns fakeRunners for two workers, each holding
+// every cell until the other worker has started one. Instant runners
+// let whichever worker links first drain the grid; the gate makes both
+// workers claim a cell on every run. A worker still waiting when gate
+// ends runs its cells anyway, so a coordinator that never dispatches to
+// the other worker fails the test's assertions instead of hanging it.
+func gatedRunnerPair(gate context.Context) (RunnerFor, RunnerFor) {
+	started := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	var once [2]sync.Once
+	runners := func(self int) RunnerFor {
+		return func(int, bool) sweep.Runner {
+			return func(ctx context.Context, c sweep.Cell, seed uint64) (sweep.Outcome, error) {
+				once[self].Do(func() { close(started[self]) })
+				select {
+				case <-started[1-self]:
+				case <-gate.Done():
+				case <-ctx.Done():
+				}
+				return fakeRunner(ctx, c, seed)
+			}
+		}
+	}
+	return runners(0), runners(1)
+}
+
 // TestLoopbackDistributedSweep is the core distributed guarantee: a
 // coordinator plus two in-process workers produce byte-identical
 // output to a serial local run, with every cell executed remotely.
@@ -113,8 +138,11 @@ func TestLoopbackDistributedSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w1 := startWorker(t, 2, fakeRunners)
-	w2 := startWorker(t, 2, fakeRunners)
+	gate, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	r1, r2 := gatedRunnerPair(gate)
+	w1 := startWorker(t, 2, r1)
+	w2 := startWorker(t, 2, r2)
 	re := &RemoteExecutor{Addrs: []string{w1.Addr(), w2.Addr()}, Rounds: 100}
 	dist, err := sweep.Run(context.Background(), g, noLocal(t), sweep.Options{Executor: re})
 	if err != nil {
@@ -132,6 +160,10 @@ func TestLoopbackDistributedSweep(t *testing.T) {
 	if total != g.Size() {
 		t.Errorf("per-worker counts sum to %d, want %d (counts: %v)", total, g.Size(), counts)
 	}
+	// A worker counts a cell as served after sending its result, so
+	// the coordinator can finish first: Close waits for the handlers.
+	w1.Close()
+	w2.Close()
 	if w1.Served()+w2.Served() != g.Size() {
 		t.Errorf("workers served %d+%d cells, want %d", w1.Served(), w2.Served(), g.Size())
 	}
@@ -561,13 +593,33 @@ func TestPoolExecutorWorkerDeathRequeues(t *testing.T) {
 	defer ln.Close()
 
 	src := newChanSource()
-	_, l1 := registerWorker(t, ln, "survivor", 2, fakeRunners)
+	// The survivor holds its cells until the dying worker has taken its
+	// third, so it cannot drain the grid before the death.
+	gate, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	dead := make(chan struct{})
+	survivorRunners := func(rounds int, traced bool) sweep.Runner {
+		return func(ctx context.Context, c sweep.Cell, seed uint64) (sweep.Outcome, error) {
+			select {
+			case <-dead:
+			case <-gate.Done():
+			case <-ctx.Done():
+			}
+			return fakeRunner(ctx, c, seed)
+		}
+	}
+	_, l1 := registerWorker(t, ln, "survivor", 2, survivorRunners)
 	var dying *Worker
 	var executed int32
 	dyingRunners := func(rounds int, traced bool) sweep.Runner {
 		return func(ctx context.Context, c sweep.Cell, seed uint64) (sweep.Outcome, error) {
 			if atomic.AddInt32(&executed, 1) == 3 {
+				// Die holding this cell: Close cancels ctx, and a worker
+				// drops results finished after cancellation, so the cell
+				// can only complete by re-queuing off the dead link.
+				close(dead)
 				go dying.Close()
+				<-ctx.Done()
 			}
 			return fakeRunner(ctx, c, seed)
 		}
