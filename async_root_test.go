@@ -165,6 +165,7 @@ func TestSweepCellRejectsBadExtensionValues(t *testing.T) {
 		cell sweep.Cell
 	}{
 		{"bad alpha", sweep.Cell{Mode: "async", Alpha: "fast"}},
+		{"NaN alpha", sweep.Cell{Mode: "async", Alpha: "NaN"}},
 		{"bad devices", sweep.Cell{Devices: "many"}},
 		{"sample without devices", sweep.Cell{Sample: "64"}},
 		{"bad mode", sweep.Cell{Mode: "turbo"}},

@@ -1,9 +1,9 @@
 package sim
 
 // This file is the asynchronous half of the engine: the ModeAsync and
-// ModeSemiAsync aggregation regimes. Where the synchronous path runs a
+// ModeSemiAsync aggregation regimes. Where the synchronous body runs a
 // barrier — every round waits for its cohort or the straggler deadline
-// — the async path dispatches selected devices and lets their
+// — the async body dispatches selected devices and lets their
 // completions become events on the virtual-time queue (vtime). Each
 // Step is one *aggregation*: ModeAsync applies the single next arrival
 // (FedAsync-style), ModeSemiAsync waits for a quorum of AggregateK
@@ -12,19 +12,19 @@ package sim
 // rolls into a later model version with higher staleness, discounted
 // by 1/(1+s)^α in the convergence model.
 //
-// Determinism mirrors the population engine's contract: all stochastic
-// draws come from the same sequential (legacy) or identity-keyed
-// (population) streams the synchronous path uses, and event ordering
-// is total via the queue's (time, push-order) comparison — so async
-// traces are a pure function of the config, independent of Shards,
-// GOMAXPROCS, and distributed execution.
+// One body serves the fleet and the sampled population: it shares the
+// round prologue (beginRound), the post-selection load draw
+// (actualLoad), the energy booking (charge), and the convergence step
+// (advance) with the synchronous body, so all stochastic draws come
+// from the same sequential (fleet) or identity-keyed (population)
+// streams. Event ordering is total via the queue's (time, push-order)
+// comparison, so async traces are a pure function of the config,
+// independent of Shards, GOMAXPROCS, and distributed execution.
 
 import (
 	"math"
 
-	"autofl/internal/interference"
 	"autofl/internal/power"
-	"autofl/internal/rng"
 	"autofl/internal/sim/vtime"
 )
 
@@ -62,7 +62,6 @@ type asyncState struct {
 	// staleness, surfaced to policies via DeviceState.Staleness.
 	lastStale []int8
 	inFlight  int
-	now       float64
 	// arrivals is the reused per-round applied-updates buffer.
 	arrivals []ArrivalUpdate
 	// clean is scratch for deriving the semi-async deadline from the
@@ -93,66 +92,23 @@ func (a *asyncState) alloc(f flight) int {
 // runRoundAsync executes one asynchronous aggregation step: observe,
 // dispatch selected idle devices (their completions become events),
 // then pop this step's arrivals from the queue and apply them with
-// staleness-discounted weights. It serves both the legacy-fleet and
-// the sampled-population paths.
+// staleness-discounted weights. It serves both the fleet and the
+// sampled population.
 func (e *Engine) runRoundAsync(pol Policy, round int, accuracy float64, sc *roundScratch) (*RoundContext, *RoundResult) {
 	a := e.async
-	p := e.pop
-
-	var ctx *RoundContext
-	if p != nil {
-		ctx = e.observePop(sc, round, accuracy)
-	} else {
-		ctx = e.observe(sc, round, accuracy)
-	}
-	selections := sanitize(sc, ctx, pol.Select(ctx))
-
-	traits := AggregationTraits{}
-	if tp, ok := pol.(TraitsPolicy); ok {
-		traits = tp.Traits()
-	}
-
-	k := len(ctx.Devices)
-	res := &sc.res
-	devRounds := res.Devices
-	if cap(devRounds) < k {
-		devRounds = make([]DeviceRound, k)
-	}
-	devRounds = devRounds[:k]
-	*res = RoundResult{
-		Round:        round,
-		PrevAccuracy: accuracy,
-		Devices:      devRounds,
-	}
-	for v := range res.Devices {
-		g := v
-		if p != nil {
-			g = int(sc.cand[v])
-		}
-		res.Devices[v] = DeviceRound{Index: g}
-	}
-	if e.batt != nil {
-		res.BatteryAvailable, res.BatteryDepleted, res.BatteryMeanFrac = battViewStats(ctx.Devices)
-	}
+	ctx, selections, traits, res := e.beginRound(pol, round, accuracy, sc)
 
 	// Dispatch: every selected device that is not already training
 	// starts now, up to Params.K updates in flight. Its completion is
 	// pushed as an event; its energy is charged at dispatch (the whole
 	// busy window belongs to this model version's work).
-	dispatched := 0
 	for _, sel := range selections {
 		dr := &res.Devices[sel.Index]
 		g := dr.Index
 		if a.busy[g] || a.inFlight >= ctx.Params.K {
 			continue
 		}
-		var actual interference.Load
-		if p != nil {
-			st := p.actRng.Seed(rng.Mix(p.actSeed, uint64(round), uint64(g)))
-			actual = e.cfg.Env.Interference.Actual(st, ctx.Devices[sel.Index].Load)
-		} else {
-			actual = e.cfg.Env.Interference.Actual(e.envRng, ctx.Devices[sel.Index].Load)
-		}
+		actual := e.actualLoad(round, g, ctx.Devices[sel.Index].Load)
 		comp, comm := ctx.estimateWithLoad(sel.Index, sel.Target, sel.Step, actual)
 		cleanComp, cleanComm := ctx.CleanCompletionTime(sel.Index)
 		dr.Selected = true
@@ -177,7 +133,8 @@ func (e *Engine) runRoundAsync(pol Policy, round int, accuracy float64, sc *roun
 		// Fleet energy counts the whole population idle for the round
 		// (added once roundSec is known) plus each dispatched device's
 		// energy above its own idle draw over its busy window.
-		res.EnergyTotalJ += activeJ - spec.IdleWatts()*busySec
+		extraJ := activeJ - spec.IdleWatts()*busySec
+		res.EnergyTotalJ += extraJ
 
 		slot := a.alloc(flight{
 			dev:      int32(g),
@@ -188,25 +145,12 @@ func (e *Engine) runRoundAsync(pol Policy, round int, accuracy float64, sc *roun
 			commSec:  comm,
 			cleanSec: cleanComp + cleanComm,
 		})
-		a.q.Push(a.now+busySec, int64(slot))
+		a.q.Push(e.vnow+busySec, int64(slot))
 		a.busy[g] = true
 		a.inFlight++
-		dispatched++
-
-		if p != nil {
-			p.extraJ[g] += activeJ - spec.IdleWatts()*busySec
-			p.lastStep[g] = int8(sel.Step)
-			p.lastTarget[g] = int8(sel.Target)
-		}
-		if e.batt != nil {
-			// The whole busy window's extra draw is charged at dispatch,
-			// mirroring the energy accounting above; the idle share
-			// arrives lazily via the next settle.
-			e.batt.model.Drain(g, activeJ-spec.IdleWatts()*busySec)
-			e.batt.participate(g)
-		}
+		res.Participants++
+		e.charge(g, sel.Target, sel.Step, extraJ)
 	}
-	res.Participants = dispatched
 
 	// Aggregate: pop this step's arrivals from the queue.
 	arrivals := a.arrivals[:0]
@@ -217,7 +161,7 @@ func (e *Engine) runRoundAsync(pol Policy, round int, accuracy float64, sc *roun
 		// completion.
 		res.Deadline = math.Inf(1)
 		if ev, ok := a.q.Pop(); ok {
-			roundSec = ev.Time - a.now
+			roundSec = ev.Time - e.vnow
 			arrivals = append(arrivals, e.takeFlight(ev.Payload, round))
 		} else {
 			roundSec = e.cfg.Env.Network.BaseLatencySec
@@ -241,8 +185,8 @@ func (e *Engine) runRoundAsync(pol Policy, round int, accuracy float64, sc *roun
 			}
 		}
 		res.Deadline = deadline
-		cutoff := a.now + deadline
-		last := a.now
+		cutoff := e.vnow + deadline
+		last := e.vnow
 		for len(arrivals) < e.cfg.AggregateK {
 			ev, ok := a.q.Peek()
 			if !ok || ev.Time > cutoff {
@@ -253,7 +197,7 @@ func (e *Engine) runRoundAsync(pol Policy, round int, accuracy float64, sc *roun
 			arrivals = append(arrivals, e.takeFlight(ev.Payload, round))
 		}
 		if len(arrivals) >= e.cfg.AggregateK {
-			roundSec = last - a.now
+			roundSec = last - e.vnow
 		} else {
 			roundSec = deadline
 		}
@@ -263,9 +207,8 @@ func (e *Engine) runRoundAsync(pol Policy, round int, accuracy float64, sc *roun
 	res.Kept = len(arrivals)
 	res.PendingUpdates = a.inFlight
 	res.RoundSec = roundSec
-	a.now += roundSec
-	e.vnow = a.now
-	res.VirtualSec = a.now
+	e.vnow += roundSec
+	res.VirtualSec = e.vnow
 
 	staleSum := 0
 	for i := range arrivals {
@@ -282,20 +225,15 @@ func (e *Engine) runRoundAsync(pol Policy, round int, accuracy float64, sc *roun
 	// records for undispatched view rows (observability only; totals
 	// are accounted above).
 	res.EnergyTotalJ += ctx.FleetIdleWatts() * roundSec
-	for v := range res.Devices {
-		dr := &res.Devices[v]
-		if !dr.Selected {
-			dr.EnergyJ = power.IdleEnergy(ctx.Devices[v].Device.Spec.IdleWatts(), roundSec)
-		}
-	}
-	if p != nil {
+	idleRecords(ctx, res, roundSec)
+	if p := e.pop; p != nil {
 		p.idleSec += roundSec
 	}
 	if e.batt != nil {
 		res.ParticipationJain = e.batt.jain()
 	}
 
-	res.Accuracy = e.advanceAsync(ctx, res, traits)
+	res.Accuracy = e.advance(res, traits)
 	return ctx, res
 }
 
@@ -322,117 +260,4 @@ func (e *Engine) takeFlight(slot int64, round int) ArrivalUpdate {
 		CompSec:       f.compSec,
 		CommSec:       f.commSec,
 	}
-}
-
-// advanceAsync is the convergence step over this round's arrivals: the
-// synchronous accuracy dynamics with each update's mass discounted by
-// its staleness weight — stale gradients both contribute less and slow
-// effective progress, the staleness penalty of async FedAvg.
-func (e *Engine) advanceAsync(ctx *RoundContext, res *RoundResult, traits AggregationTraits) float64 {
-	m := e.conv
-	p := e.pop
-	acc := res.PrevAccuracy
-
-	mass, qualMass, stability := 0.0, 0.0, 0.0
-	keptCount := 0
-	var orMask uint64
-	classCount := 0
-	if p == nil {
-		classSeen := m.classSeen
-		for i := range classSeen {
-			classSeen[i] = false
-		}
-		kept := m.kept
-		for i := range kept {
-			kept[i] = false
-		}
-	}
-	for i := range res.Arrivals {
-		ar := &res.Arrivals[i]
-		g := ar.Index
-		var samples, q float64
-		if p != nil {
-			samples = float64(p.part.Samples[g])
-			q = float64(p.part.Quality[g])
-			if traits.DivergenceDamping > 0 {
-				q += traits.DivergenceDamping * (1 - q)
-				if q > 1 {
-					q = 1
-				}
-			}
-			orMask |= p.part.Mask[g]
-			stability += p.emaAt(g, res.Round)
-			p.emaBump(g, res.Round)
-		} else {
-			d := &e.partition[g]
-			samples = float64(d.Samples)
-			q = quality(d, traits)
-			for _, c := range d.Classes {
-				if !m.classSeen[c] {
-					m.classSeen[c] = true
-					classCount++
-				}
-			}
-			m.kept[g] = true
-			stability += m.emaPart[g]
-		}
-		if traits.NormalizedWeights {
-			samples = float64(ctx.Workload.Dataset.SamplesPerDevice)
-		}
-		w := ar.Weight * float64(ctx.Params.E) * samples
-		mass += w
-		qualMass += w * q
-		keptCount++
-	}
-	if p == nil {
-		// Legacy participation memory: the eager decay sweep of the
-		// synchronous model, with this step's arrivals as the cohort.
-		for i := range m.emaPart {
-			w := m.emaPart[i] * emaDecay
-			if m.kept[i] {
-				w += 1 - emaDecay
-			}
-			if w < 1e-6 {
-				w = 0
-			}
-			m.emaPart[i] = w
-		}
-	}
-	if mass <= 0 {
-		return acc
-	}
-	meanQ := qualMass / mass
-	var coverage float64
-	if p != nil {
-		coverage = p.part.Coverage(orMask)
-	} else {
-		coverage = float64(classCount) / float64(m.classes)
-	}
-	stability /= float64(keptCount)
-	if stability > 1 {
-		stability = 1
-	}
-	roundQ := meanQ + (1-meanQ)*stabilityWeight*stability*coverage
-	effCeiling := m.floor + plateau(roundQ)*(m.ceiling-m.floor)
-	rate := m.baseRate * math.Pow(mass/m.referenceMass, massExponent)
-	rate *= math.Pow(roundQ, qualityRateExp)
-	rate *= 1 + e.accRng.Normal(0, m.noiseSigma)
-	if rate < 0 {
-		rate = 0
-	}
-	if rate > 0.5 {
-		rate = 0.5
-	}
-	if effCeiling > acc {
-		acc += rate * (effCeiling - acc)
-	} else {
-		acc -= regressFraction * rate * (acc - effCeiling)
-	}
-	if acc < m.floor {
-		acc = m.floor
-	}
-	if acc > m.ceiling {
-		acc = m.ceiling
-	}
-	return acc
 }

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -168,6 +169,10 @@ func TestAsyncConfigErrors(t *testing.T) {
 		{"quorum beyond cohort", func(c *sim.Config) { c.Mode = sim.ModeSemiAsync; c.AggregateK = c.Params.K + 1 }, "AggregateK"},
 		{"deadline with sync", func(c *sim.Config) { c.AggregateDeadlineSec = 10 }, "AggregateDeadlineSec"},
 		{"negative deadline", func(c *sim.Config) { c.Mode = sim.ModeSemiAsync; c.AggregateDeadlineSec = -1 }, "AggregateDeadlineSec"},
+		{"NaN alpha", func(c *sim.Config) { c.Mode = sim.ModeAsync; c.StalenessAlpha = math.NaN() }, "StalenessAlpha"},
+		{"infinite alpha", func(c *sim.Config) { c.Mode = sim.ModeAsync; c.StalenessAlpha = math.Inf(1) }, "StalenessAlpha"},
+		{"NaN deadline", func(c *sim.Config) { c.Mode = sim.ModeSemiAsync; c.AggregateDeadlineSec = math.NaN() }, "AggregateDeadlineSec"},
+		{"infinite deadline", func(c *sim.Config) { c.Mode = sim.ModeSemiAsync; c.AggregateDeadlineSec = math.Inf(1) }, "AggregateDeadlineSec"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

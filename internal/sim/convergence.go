@@ -1,9 +1,15 @@
 package sim
 
+// This file is the accuracy half of the engine: the analytic
+// convergence model and the one convergence step every round body
+// calls. Engine.advance folds the round's applied updates — kept
+// devices of a sync round or arrivals of an async step — through fold,
+// which reads the packed or the materialized partition, and
+// convergenceModel.step turns the folded mass into the next accuracy.
+
 import (
 	"math"
 
-	"autofl/internal/data"
 	"autofl/internal/rng"
 )
 
@@ -102,85 +108,123 @@ func newConvergenceModel(cfg *Config) *convergenceModel {
 	}
 }
 
-// quality returns the effective IID quality of one device's update
-// after aggregation-level damping.
-func quality(d *data.DeviceData, traits AggregationTraits) float64 {
-	q := d.IIDQuality()
-	if traits.DivergenceDamping > 0 {
-		q += traits.DivergenceDamping * (1 - q)
-	}
-	if q > 1 {
-		return 1
-	}
-	return q
-}
-
 // plateau maps a round's effective update quality to the fraction of
 // the floor→ceiling gap that FedAvg can asymptotically reach.
 func plateau(roundQuality float64) float64 {
 	return plateauBase + plateauRange/(1+math.Exp(-(roundQuality-plateauMid)/plateauScale))
 }
 
-// advance computes the post-round accuracy.
-func (m *convergenceModel) advance(s *rng.Stream, ctx *RoundContext, res *RoundResult, traits AggregationTraits) float64 {
-	acc := res.PrevAccuracy
+// updateMass accumulates one aggregation's applied updates: their
+// weighted sample mass, quality-weighted mass, summed participation
+// memory, and class coverage (a class count over the materialized
+// partition, a bucket mask over the packed one).
+type updateMass struct {
+	mass, qualMass, stability float64
+	kept, classes             int
+	mask                      uint64
+}
 
-	// Aggregate kept update mass, quality, coverage and stability.
-	mass, qualMass := 0.0, 0.0
-	kept := m.kept
-	for i := range kept {
-		kept[i] = false
-	}
-	classSeen := m.classSeen
-	for i := range classSeen {
-		classSeen[i] = false
-	}
-	keptCount, classCount := 0, 0
-	stability := 0.0
-	for i := range res.Devices {
-		dr := &res.Devices[i]
-		if dr.UpdateFraction <= 0 {
-			continue
+// advance is the convergence step of one aggregation. It folds every
+// applied update — the kept devices of a sync round, weighted by their
+// UpdateFraction, or the arrivals of an async step, weighted by their
+// staleness discount (stale gradients both contribute less and slow
+// effective progress) — and then steps the accuracy model.
+func (e *Engine) advance(res *RoundResult, traits AggregationTraits) float64 {
+	m := e.conv
+	var u updateMass
+	clear(m.kept)
+	clear(m.classSeen)
+	if e.async != nil {
+		for i := range res.Arrivals {
+			ar := &res.Arrivals[i]
+			e.fold(&u, ar.Index, ar.Weight, res.Round, traits)
 		}
-		d := ctx.Devices[i].Data
-		samples := float64(d.Samples)
-		if traits.NormalizedWeights {
-			samples = float64(ctx.Workload.Dataset.SamplesPerDevice)
-		}
-		w := dr.UpdateFraction * float64(ctx.Params.E) * samples
-		mass += w
-		qualMass += w * quality(d, traits)
-		kept[i] = true
-		keptCount++
-		stability += m.emaPart[i]
-		for _, c := range d.Classes {
-			if !classSeen[c] {
-				classSeen[c] = true
-				classCount++
+	} else {
+		for v := range res.Devices {
+			dr := &res.Devices[v]
+			if dr.UpdateFraction > 0 {
+				e.fold(&u, dr.Index, dr.UpdateFraction, res.Round, traits)
 			}
 		}
 	}
-	// Update the participation memory for every device. Weights that
-	// decay below the floor reset to zero (no recent participation).
-	for i := range res.Devices {
-		w := m.emaPart[i] * emaDecay
-		if kept[i] {
-			w += 1 - emaDecay
+	var coverage float64
+	if p := e.pop; p != nil {
+		coverage = p.part.Coverage(u.mask)
+	} else {
+		// Update the participation memory for every device. Weights
+		// that decay below the floor reset to zero (no recent
+		// participation).
+		for i, w := range m.emaPart {
+			w *= emaDecay
+			if m.kept[i] {
+				w += 1 - emaDecay
+			}
+			if w < 1e-6 {
+				w = 0
+			}
+			m.emaPart[i] = w
 		}
-		if w < 1e-6 {
-			w = 0
-		}
-		m.emaPart[i] = w
+		coverage = float64(u.classes) / float64(m.classes)
 	}
-	if mass <= 0 {
+	return m.step(e.accRng, res.PrevAccuracy, &u, coverage)
+}
+
+// fold adds global device g's update, weighted by weight, to the
+// aggregation. It reads the device's data from the packed partition
+// (population) or the materialized one (fleet); the population reads
+// and bumps its lazily decayed participation memory, the fleet marks
+// the device for the eager decay sweep in advance.
+func (e *Engine) fold(u *updateMass, g int, weight float64, round int, traits AggregationTraits) {
+	m := e.conv
+	var samples, q float64
+	if p := e.pop; p != nil {
+		samples = float64(p.part.Samples[g])
+		q = float64(p.part.Quality[g])
+		u.mask |= p.part.Mask[g]
+		u.stability += p.emaAt(g, round)
+		p.emaBump(g, round)
+	} else {
+		d := &e.partition[g]
+		samples = float64(d.Samples)
+		q = d.IIDQuality()
+		for _, c := range d.Classes {
+			if !m.classSeen[c] {
+				m.classSeen[c] = true
+				u.classes++
+			}
+		}
+		m.kept[g] = true
+		u.stability += m.emaPart[g]
+	}
+	// Update normalization / gradient correction recovers part of the
+	// quality lost to non-IID data.
+	if traits.DivergenceDamping > 0 {
+		q += traits.DivergenceDamping * (1 - q)
+	}
+	if q > 1 {
+		q = 1
+	}
+	if traits.NormalizedWeights {
+		samples = float64(e.cfg.Workload.Dataset.SamplesPerDevice)
+	}
+	w := weight * float64(e.cfg.Params.E) * samples
+	u.mass += w
+	u.qualMass += w * q
+	u.kept++
+}
+
+// step computes the post-aggregation accuracy from the folded update
+// mass and the cohort's class coverage, drawing the progress jitter
+// from s.
+func (m *convergenceModel) step(s *rng.Stream, acc float64, u *updateMass, coverage float64) float64 {
+	if u.mass <= 0 {
 		return acc // nothing aggregated; the model is unchanged
 	}
-	meanQ := qualMass / mass
-	coverage := float64(classCount) / float64(m.classes)
-	// stability is the mean recent-participation weight of today's
-	// cohort: ~1 for a fixed cohort, ~K/N for population resampling,
-	// and in between for rotation within a stable pool.
-	stability /= float64(keptCount)
+	meanQ := u.qualMass / u.mass
+	// stability is the mean recent-participation weight of the cohort:
+	// ~1 for a fixed cohort, ~K/N for population resampling, and in
+	// between for rotation within a stable pool.
+	stability := u.stability / float64(u.kept)
 	if stability > 1 {
 		stability = 1
 	}
@@ -195,7 +239,7 @@ func (m *convergenceModel) advance(s *rng.Stream, ctx *RoundContext, res *RoundR
 
 	// Per-round progress rate: diminishing returns in mass, slowed by
 	// client drift, jittered by SGD noise.
-	rate := m.baseRate * math.Pow(mass/m.referenceMass, massExponent)
+	rate := m.baseRate * math.Pow(u.mass/m.referenceMass, massExponent)
 	rate *= math.Pow(roundQ, qualityRateExp)
 	rate *= 1 + s.Normal(0, m.noiseSigma)
 	if rate < 0 {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"autofl/internal/battery"
 )
@@ -26,6 +27,40 @@ func (e *ConfigError) Error() string {
 
 func configErrf(field, format string, args ...any) error {
 	return &ConfigError{Field: field, Reason: fmt.Sprintf(format, args...)}
+}
+
+// checkFinite rejects NaN and ±Inf in every float field of the
+// caller's config. It runs before defaulting: NaN compares false
+// against every range check in validate, and defaulting would
+// silently replace a -Inf.
+func (c *Config) checkFinite() error {
+	type field struct {
+		name string
+		v    float64
+	}
+	fields := []field{
+		{"TargetAccuracy", c.TargetAccuracy},
+		{"StragglerFactor", c.StragglerFactor},
+		{"StalenessAlpha", c.StalenessAlpha},
+		{"AggregateDeadlineSec", c.AggregateDeadlineSec},
+	}
+	if b := c.Battery; b != nil {
+		fields = append(fields,
+			field{"Battery.CapacityJ", b.CapacityJ},
+			field{"Battery.ThresholdJ", b.ThresholdJ},
+			field{"Battery.InitialFrac", b.InitialFracLo},
+			field{"Battery.InitialFrac", b.InitialFracHi},
+			field{"Battery.HarvestW", b.HarvestW},
+			field{"Battery.ChargerFrac", b.ChargerFrac},
+			field{"Battery.DaySec", b.DaySec},
+		)
+	}
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return configErrf(f.name, "%g is not a finite number", f.v)
+		}
+	}
+	return nil
 }
 
 // validate rejects degenerate configurations. It runs on the defaulted

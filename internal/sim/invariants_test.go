@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
+	"autofl/internal/battery"
 	"autofl/internal/data"
 	"autofl/internal/device"
 	"autofl/internal/rng"
@@ -28,62 +31,149 @@ func (p *arbitraryPolicy) Select(ctx *RoundContext) []Selection {
 	return out
 }
 
-// Property: for any seed, environment, and arbitrary (even malformed)
-// policy output, every round satisfies the engine's accounting
-// invariants.
+// invariantConfig is the small engine the accounting property drives:
+// a 20-device fleet or a 3,000-device population sampled popShardMin
+// at a time, in the given aggregation mode, optionally with a battery
+// small enough to deplete within a few rounds. The population leaves
+// Shards at its default, so its observe pass fans out across
+// GOMAXPROCS shards (run the test with -cpu 1,2,4 to vary it).
+func invariantConfig(t *testing.T, source string, mode AggregationMode, batt bool) Config {
+	cfg := Config{
+		Workload:  workload.CNNMNIST(),
+		Params:    workload.GlobalParams{B: 16, E: 5, K: 10},
+		MaxRounds: 5,
+		Mode:      mode,
+	}
+	if source == "fleet" {
+		cfg.Fleet = device.NewFleet(3, 7, 10)
+	} else {
+		pop, err := device.NewPopulation(400, 900, 1700)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Population = pop
+		cfg.Sample = popShardMin
+	}
+	if batt {
+		cfg.Battery = &battery.Spec{CapacityJ: 500, Harvest: battery.ProfileSolar}
+	}
+	return cfg
+}
+
+// Property: on every engine path — fleet or sampled population; sync,
+// async, or semi-async; with or without batteries — and for any seed,
+// environment, and arbitrary (even malformed) policy output, every
+// round satisfies the engine's accounting invariants.
 func TestRoundInvariantsProperty(t *testing.T) {
 	envs := []Env{EnvIdeal(), EnvInterference(), EnvWeakNetwork(), EnvField()}
 	scenarios := data.Scenarios()
-	f := func(seedRaw uint16, envIdx, scIdx uint8) bool {
-		cfg := Config{
-			Workload:  workload.CNNMNIST(),
-			Params:    workload.GlobalParams{B: 16, E: 5, K: 10},
-			Fleet:     device.NewFleet(3, 7, 10),
-			Data:      scenarios[int(scIdx)%len(scenarios)],
-			Env:       envs[int(envIdx)%len(envs)],
-			Seed:      uint64(seedRaw),
-			MaxRounds: 5,
+	for _, source := range []string{"fleet", "pop"} {
+		for _, mode := range []AggregationMode{ModeSync, ModeAsync, ModeSemiAsync} {
+			for _, batt := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%s/battery=%t", source, mode, batt)
+				t.Run(name, func(t *testing.T) {
+					base := invariantConfig(t, source, mode, batt)
+					f := func(seedRaw uint16, envIdx, scIdx uint8) bool {
+						cfg := base
+						cfg.Data = scenarios[int(scIdx)%len(scenarios)]
+						cfg.Env = envs[int(envIdx)%len(envs)]
+						cfg.Seed = uint64(seedRaw)
+						eng := New(cfg)
+						p := &arbitraryPolicy{s: rng.New(uint64(seedRaw) + 1)}
+						acc, virtual := 0.1, 0.0
+						for round := 0; round < 5; round++ {
+							_, res := eng.RunRound(p, round, acc)
+							if err := checkRound(res, mode, cfg); err != "" {
+								t.Logf("seed %d env %s data %s round %d: %s", seedRaw, cfg.Env.Network.Name, cfg.Data.Name, round, err)
+								return false
+							}
+							if res.VirtualSec < virtual {
+								t.Logf("round %d: virtual clock went back from %v to %v", round, virtual, res.VirtualSec)
+								return false
+							}
+							acc, virtual = res.Accuracy, res.VirtualSec
+						}
+						return true
+					}
+					if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+						t.Error(err)
+					}
+				})
+			}
 		}
-		eng := New(cfg)
-		p := &arbitraryPolicy{s: rng.New(uint64(seedRaw) + 1)}
-		acc := 0.1
-		for round := 0; round < 5; round++ {
-			_, res := eng.RunRound(p, round, acc)
-			if res.Accuracy < 0 || res.Accuracy > 1 {
-				return false
-			}
-			if res.RoundSec < 0 || res.EnergyTotalJ < 0 {
-				return false
-			}
-			if res.EnergyParticipantsJ > res.EnergyTotalJ+1e-9 {
-				return false
-			}
-			selected, sum := 0, 0.0
-			for _, dr := range res.Devices {
-				if dr.EnergyJ < 0 || dr.UpdateFraction < 0 || dr.UpdateFraction > 1 {
-					return false
-				}
-				if dr.Dropped && !dr.Selected {
-					return false
-				}
-				if dr.Selected {
-					selected++
-				}
-				sum += dr.EnergyJ
-			}
-			if selected > cfg.Params.K {
-				return false
-			}
-			if diff := sum - res.EnergyTotalJ; diff > 1e-6 || diff < -1e-6 {
-				return false
-			}
-			acc = res.Accuracy
+	}
+}
+
+// checkRound returns the first accounting invariant res violates, or
+// "" when it satisfies them all.
+func checkRound(res *RoundResult, mode AggregationMode, cfg Config) string {
+	const tol = 1e-6
+	if res.Accuracy < 0 || res.Accuracy > 1 {
+		return fmt.Sprintf("accuracy %v outside [0, 1]", res.Accuracy)
+	}
+	if res.RoundSec < 0 || res.EnergyTotalJ < 0 || res.EnergyParticipantsJ < 0 {
+		return fmt.Sprintf("negative round time or energy (%v s, %v J, %v J)", res.RoundSec, res.EnergyTotalJ, res.EnergyParticipantsJ)
+	}
+	selected, sum := 0, 0.0
+	for _, dr := range res.Devices {
+		if dr.EnergyJ < 0 || dr.UpdateFraction < 0 || dr.UpdateFraction > 1 {
+			return fmt.Sprintf("device %d: energy %v J, update fraction %v", dr.Index, dr.EnergyJ, dr.UpdateFraction)
 		}
-		return true
+		if dr.Dropped && !dr.Selected {
+			return fmt.Sprintf("device %d dropped without being selected", dr.Index)
+		}
+		if dr.Selected {
+			selected++
+		}
+		sum += dr.EnergyJ
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
+	if selected != res.Participants || selected > cfg.Params.K {
+		return fmt.Sprintf("%d selected, %d participants, K=%d", selected, res.Participants, cfg.Params.K)
 	}
+	switch {
+	case mode == ModeSync && cfg.Fleet != nil:
+		// The fleet total is the index-order sum of the view itself.
+		if res.EnergyParticipantsJ > res.EnergyTotalJ+1e-9 {
+			return fmt.Sprintf("participant energy %v J exceeds fleet energy %v J", res.EnergyParticipantsJ, res.EnergyTotalJ)
+		}
+		if math.Abs(sum-res.EnergyTotalJ) > tol {
+			return fmt.Sprintf("fleet view energy %v J differs from the fleet total %v J", sum, res.EnergyTotalJ)
+		}
+	case mode == ModeSync:
+		// The population total is fleetIdle·roundSec − participant idle
+		// + participants: a different summation order, so the bounds
+		// are relative.
+		if res.EnergyParticipantsJ > res.EnergyTotalJ*(1+tol) {
+			return fmt.Sprintf("participant energy %v J exceeds fleet energy %v J", res.EnergyParticipantsJ, res.EnergyTotalJ)
+		}
+		if sum > res.EnergyTotalJ*(1+tol) {
+			return fmt.Sprintf("view energy %v J exceeds fleet energy %v J", sum, res.EnergyTotalJ)
+		}
+	default:
+		if res.Kept != len(res.Arrivals) {
+			return fmt.Sprintf("kept %d, %d arrivals", res.Kept, len(res.Arrivals))
+		}
+		if res.PendingUpdates > cfg.Params.K {
+			return fmt.Sprintf("%d updates in flight, K=%d", res.PendingUpdates, cfg.Params.K)
+		}
+		if res.MeanStaleness < 0 || res.MeanStaleness > float64(res.MaxStaleness) {
+			return fmt.Sprintf("mean staleness %v outside [0, %d]", res.MeanStaleness, res.MaxStaleness)
+		}
+		for _, ar := range res.Arrivals {
+			if ar.Weight <= 0 || ar.Weight > 1 {
+				return fmt.Sprintf("device %d: staleness weight %v outside (0, 1]", ar.Index, ar.Weight)
+			}
+		}
+	}
+	if cfg.Battery != nil {
+		if res.BatteryMeanFrac < 0 || res.BatteryMeanFrac > 1 {
+			return fmt.Sprintf("mean charge %v outside [0, 1]", res.BatteryMeanFrac)
+		}
+		if res.ParticipationJain < 0 || res.ParticipationJain > 1 {
+			return fmt.Sprintf("Jain index %v outside [0, 1]", res.ParticipationJain)
+		}
+	}
+	return ""
 }
 
 // Property: convergence-model accuracy is invariant to device energy

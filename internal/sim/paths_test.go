@@ -39,7 +39,15 @@ const (
 	pathSnapStride = 13
 )
 
-func pathConfig(tb testing.TB, source string, mode sim.AggregationMode, batt string, shards int) sim.Config {
+// pathFanSample is the 1,024-candidate threshold from which the
+// population observe pass fans out across shards (below it the pass
+// stays serial), and pathFanRounds keeps the shard check short.
+const (
+	pathFanSample = 1024
+	pathFanRounds = 20
+)
+
+func pathConfig(tb testing.TB, source string, mode sim.AggregationMode, batt string, sample, shards int) sim.Config {
 	tb.Helper()
 	cfg := sim.Config{
 		Workload:  workload.CNNMNIST(),
@@ -54,7 +62,7 @@ func pathConfig(tb testing.TB, source string, mode sim.AggregationMode, batt str
 		cfg.Fleet = device.DefaultFleet()
 	} else {
 		cfg.Population = tieredPopulation(tb, pathPopN)
-		cfg.Sample = pathSample
+		cfg.Sample = sample
 		cfg.Shards = shards
 	}
 	if batt == "solar" {
@@ -217,33 +225,47 @@ var pathFingerprints = map[string]string{
 
 // TestEnginePathFingerprints pins the output of every round body —
 // {fleet, sampled population} × {sync, async, semi-async} × {no
-// battery, solar battery} × six policies — byte for byte. Population
-// entries must also agree across shard counts, which makes the table a
-// check that the round bodies stay independent of the observe
-// partitioning.
+// battery, solar battery} × six policies — byte for byte.
 func TestEnginePathFingerprints(t *testing.T) {
 	for _, source := range pathSources {
-		shardCounts := []int{0}
-		if source == "pop" {
-			shardCounts = []int{1, 2, 8}
-		}
 		for _, mode := range pathModes {
 			for _, batt := range pathBattery {
 				for _, pol := range pathPolicies {
 					key := fmt.Sprintf("%s/%s/%s/%s", source, mode, batt, pol)
-					want, ok := pathFingerprints[key]
-					for _, shards := range shardCounts {
-						eng := mustEngine(t, pathConfig(t, source, mode, batt, shards))
-						got := pathFingerprint(eng, eng.Run(pathPolicy(t, pol, batt != "none")))
-						switch {
-						case !ok:
-							t.Errorf("no pinned fingerprint; capture:\n\t%q: %q,", key, got)
-						case got != want:
-							t.Errorf("%s (Shards=%d) drifted\n got %s\nwant %s", key, shards, got, want)
-						}
-						if !ok {
-							break
-						}
+					eng := mustEngine(t, pathConfig(t, source, mode, batt, pathSample, 1))
+					got := pathFingerprint(eng, eng.Run(pathPolicy(t, pol, batt != "none")))
+					switch want, ok := pathFingerprints[key]; {
+					case !ok:
+						t.Errorf("no pinned fingerprint; capture:\n\t%q: %q,", key, got)
+					case got != want:
+						t.Errorf("%s drifted\n got %s\nwant %s", key, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEnginePathFingerprintsAcrossShards checks that every population
+// path is independent of how the observe pass is partitioned: with a
+// candidate pool above the serial threshold, the default shard count
+// (which follows GOMAXPROCS) and Shards 2 and 8 each reproduce the
+// serial run's fingerprint.
+func TestEnginePathFingerprintsAcrossShards(t *testing.T) {
+	for _, mode := range pathModes {
+		for _, batt := range pathBattery {
+			for _, pol := range pathPolicies {
+				key := fmt.Sprintf("pop/%s/%s/%s", mode, batt, pol)
+				run := func(shards int) string {
+					cfg := pathConfig(t, "pop", mode, batt, pathFanSample, shards)
+					cfg.MaxRounds = pathFanRounds
+					eng := mustEngine(t, cfg)
+					return pathFingerprint(eng, eng.Run(pathPolicy(t, pol, batt != "none")))
+				}
+				serial := run(1)
+				for _, shards := range []int{0, 2, 8} {
+					if got := run(shards); got != serial {
+						t.Errorf("%s: Shards=%d gives %s, serial %s", key, shards, got, serial)
 					}
 				}
 			}

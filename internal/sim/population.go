@@ -1,14 +1,18 @@
 package sim
 
-// This file is the population half of the engine: the million-device
-// round path used when Config.Population is set with a positive
-// Sample. Where the legacy path walks a []*Device fleet exhaustively —
-// two RNG draws and a DeviceState per device per round — the
-// population path keeps the fleet as an archetype table plus packed
-// struct-of-arrays per-device state (~42 bytes/device resident), draws
-// a K'-candidate pool per round with an O(K') partial Fisher–Yates
-// sampler, and presents policies a candidate-sized RoundContext view,
-// so the whole round is O(Sample + participants), not O(fleet).
+// This file is the population half of the engine's state: what the
+// round bodies (runRound in sim.go, runRoundAsync in async.go) read
+// when Config.Population is set with a positive Sample. Where the
+// fleet is a []*Device walked exhaustively — two RNG draws and a
+// DeviceState per device per round — the population keeps an
+// archetype table plus packed struct-of-arrays per-device state (~42
+// bytes/device resident), draws a K'-candidate pool per round with an
+// O(K') partial Fisher–Yates sampler, and presents policies a
+// candidate-sized RoundContext view, so the whole round is O(Sample +
+// participants), not O(fleet). The round bodies branch on the source
+// only at four seams: the observe pass (observePop here), the
+// post-selection load draw (actualLoad), the fleet-energy total, and
+// the convergence fold's partition read (fold in convergence.go).
 //
 // Determinism is by construction: every per-device draw comes from a
 // stream keyed by rng.Mix(seedBase, round, deviceIndex), so results
@@ -25,7 +29,6 @@ import (
 	"autofl/internal/data"
 	"autofl/internal/device"
 	"autofl/internal/network"
-	"autofl/internal/power"
 	"autofl/internal/rng"
 )
 
@@ -235,200 +238,6 @@ func (e *Engine) fillView(shard, lo, hi, round int, cand []int32, devs []device.
 			e.observeBattery(&devices[v], g, devs[v].Spec.IdleWatts())
 		}
 	}
-}
-
-// runRoundPop is the population-mode round engine: the legacy round
-// logic specialized to a sampled candidate view with O(archetypes)
-// fleet-wide energy aggregation.
-func (e *Engine) runRoundPop(pol Policy, round int, accuracy float64, sc *roundScratch) (*RoundContext, *RoundResult) {
-	p := e.pop
-	ctx := e.observePop(sc, round, accuracy)
-	selections := sanitize(sc, ctx, pol.Select(ctx))
-	participants := len(selections)
-
-	traits := AggregationTraits{}
-	if tp, ok := pol.(TraitsPolicy); ok {
-		traits = tp.Traits()
-	}
-
-	k := len(ctx.Devices)
-	res := &sc.res
-	devRounds := res.Devices
-	if cap(devRounds) < k {
-		devRounds = make([]DeviceRound, k)
-	}
-	devRounds = devRounds[:k]
-	*res = RoundResult{
-		Round:        round,
-		Participants: participants,
-		PrevAccuracy: accuracy,
-		Devices:      devRounds,
-	}
-	for v := range res.Devices {
-		res.Devices[v] = DeviceRound{Index: int(sc.cand[v])}
-	}
-	if e.batt != nil {
-		res.BatteryAvailable, res.BatteryDepleted, res.BatteryMeanFrac = battViewStats(ctx.Devices)
-	}
-
-	// Post-selection actual loads, from per-(round, device) keyed
-	// streams: the surprise co-runner draw is a function of device
-	// identity, not of selection order.
-	for _, sel := range selections {
-		dr := &res.Devices[sel.Index]
-		dr.Selected = true
-		dr.Target = sel.Target
-		dr.Step = sel.Step
-		g := dr.Index
-		st := p.actRng.Seed(rng.Mix(p.actSeed, uint64(round), uint64(g)))
-		actual := e.cfg.Env.Interference.Actual(st, ctx.Devices[sel.Index].Load)
-		dr.CompSec, dr.CommSec = ctx.estimateWithLoad(sel.Index, sel.Target, sel.Step, actual)
-	}
-
-	// Straggler deadline from expected clean completion, as in the
-	// legacy path.
-	deadline := math.Inf(1)
-	if len(selections) > 0 {
-		clean := sc.clean[:0]
-		for _, sel := range selections {
-			comp, comm := ctx.CleanCompletionTime(sel.Index)
-			clean = append(clean, comp+comm)
-		}
-		sc.clean = clean
-		deadline = e.cfg.StragglerFactor * median(clean)
-	}
-	res.Deadline = deadline
-
-	roundSec := e.resolveBarrier(selections, res, deadline, traits)
-	if len(selections) == 0 {
-		roundSec = e.cfg.Env.Network.BaseLatencySec
-	}
-	res.RoundSec = roundSec
-	e.vnow += roundSec
-	res.VirtualSec = e.vnow
-
-	// Fleet-wide energy in O(participants): the idle baseline is the
-	// population idle draw for the round, minus the participants' own
-	// idle share, plus their measured round energy. Unselected
-	// candidates get their idle record filled for observability.
-	idleBase := p.fleetIdle * roundSec
-	for v := range res.Devices {
-		dr := &res.Devices[v]
-		if !dr.Selected {
-			dr.EnergyJ = power.IdleEnergy(ctx.Devices[v].Device.Spec.IdleWatts(), roundSec)
-		}
-	}
-	participantIdle := 0.0
-	for _, sel := range selections {
-		dr := &res.Devices[sel.Index]
-		ds := &ctx.Devices[sel.Index]
-		comp, comm := dr.CompSec, dr.CommSec
-		if dr.Dropped {
-			budget := math.Max(0, deadline-dr.CommSec)
-			comp = math.Min(comp, budget)
-			if !traits.PartialUpdates {
-				comm = math.Min(comm, deadline)
-			}
-		}
-		spec := ds.Device.Spec
-		setup := math.Min(spec.SetupSec, comp)
-		dr.EnergyJ = power.ParticipantRoundEnergy(spec, dr.Target, dr.Step, ds.Signal, power.Phases{
-			SetupSec:  setup,
-			CrunchSec: comp - setup,
-			CommSec:   comm,
-			RoundSec:  roundSec,
-		})
-		res.EnergyParticipantsJ += dr.EnergyJ
-		idle := spec.IdleWatts() * roundSec
-		participantIdle += idle
-		g := dr.Index
-		p.extraJ[g] += dr.EnergyJ - idle
-		p.lastStep[g] = int8(dr.Step)
-		p.lastTarget[g] = int8(dr.Target)
-		if e.batt != nil {
-			e.batt.model.Drain(g, dr.EnergyJ-idle)
-			e.batt.participate(g)
-		}
-	}
-	res.EnergyTotalJ = idleBase - participantIdle + res.EnergyParticipantsJ
-	p.idleSec += roundSec
-	if e.batt != nil {
-		res.ParticipationJain = e.batt.jain()
-	}
-
-	res.Accuracy = e.advancePop(ctx, res, traits)
-	return ctx, res
-}
-
-// advancePop is the convergence step over the candidate view: the same
-// accuracy dynamics as convergenceModel.advance, with class coverage
-// from OR-ed packed masks and selection stability from the lazy
-// participation memory — O(kept updates) instead of O(fleet).
-func (e *Engine) advancePop(ctx *RoundContext, res *RoundResult, traits AggregationTraits) float64 {
-	m := e.conv
-	p := e.pop
-	acc := res.PrevAccuracy
-
-	mass, qualMass, stability := 0.0, 0.0, 0.0
-	var orMask uint64
-	keptCount := 0
-	for v := range res.Devices {
-		dr := &res.Devices[v]
-		if dr.UpdateFraction <= 0 {
-			continue
-		}
-		g := dr.Index
-		samples := float64(p.part.Samples[g])
-		if traits.NormalizedWeights {
-			samples = float64(ctx.Workload.Dataset.SamplesPerDevice)
-		}
-		w := dr.UpdateFraction * float64(ctx.Params.E) * samples
-		mass += w
-		q := float64(p.part.Quality[g])
-		if traits.DivergenceDamping > 0 {
-			q += traits.DivergenceDamping * (1 - q)
-			if q > 1 {
-				q = 1
-			}
-		}
-		qualMass += w * q
-		keptCount++
-		orMask |= p.part.Mask[g]
-		stability += p.emaAt(g, res.Round)
-		p.emaBump(g, res.Round)
-	}
-	if mass <= 0 {
-		return acc
-	}
-	meanQ := qualMass / mass
-	coverage := p.part.Coverage(orMask)
-	stability /= float64(keptCount)
-	if stability > 1 {
-		stability = 1
-	}
-	roundQ := meanQ + (1-meanQ)*stabilityWeight*stability*coverage
-	effCeiling := m.floor + plateau(roundQ)*(m.ceiling-m.floor)
-	rate := m.baseRate * math.Pow(mass/m.referenceMass, massExponent)
-	rate *= math.Pow(roundQ, qualityRateExp)
-	rate *= 1 + e.accRng.Normal(0, m.noiseSigma)
-	if rate < 0 {
-		rate = 0
-	}
-	if rate > 0.5 {
-		rate = 0.5
-	}
-	if effCeiling > acc {
-		acc += rate * (effCeiling - acc)
-	} else {
-		acc -= regressFraction * rate * (acc - effCeiling)
-	}
-	if acc < m.floor {
-		acc = m.floor
-	}
-	if acc > m.ceiling {
-		acc = m.ceiling
-	}
-	return acc
 }
 
 // PackedData exposes the population-mode data partition (nil for

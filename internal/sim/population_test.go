@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"autofl/internal/battery"
 	"autofl/internal/data"
 	"autofl/internal/device"
 	"autofl/internal/policy"
@@ -141,6 +142,18 @@ func TestConfigValidation(t *testing.T) {
 			Population: pop,
 			Params:     workload.GlobalParams{B: 20, E: 5, K: 50},
 		}, "Params.K"},
+		{"NaN target", sim.Config{TargetAccuracy: math.NaN()}, "TargetAccuracy"},
+		{"infinite target", sim.Config{TargetAccuracy: math.Inf(1)}, "TargetAccuracy"},
+		{"NaN straggler factor", sim.Config{StragglerFactor: math.NaN()}, "StragglerFactor"},
+		{"-Inf straggler factor", sim.Config{StragglerFactor: math.Inf(-1)}, "StragglerFactor"},
+		{"NaN battery capacity", sim.Config{Battery: &battery.Spec{CapacityJ: math.NaN()}}, "Battery.CapacityJ"},
+		{"infinite battery capacity", sim.Config{Battery: &battery.Spec{CapacityJ: math.Inf(1)}}, "Battery.CapacityJ"},
+		{"NaN battery threshold", sim.Config{Battery: &battery.Spec{CapacityJ: 2000, ThresholdJ: math.NaN()}}, "Battery.ThresholdJ"},
+		{"NaN initial charge", sim.Config{Battery: &battery.Spec{CapacityJ: 2000, InitialFracLo: math.NaN(), InitialFracHi: 0.9}}, "Battery.InitialFrac"},
+		{"infinite initial charge", sim.Config{Battery: &battery.Spec{CapacityJ: 2000, InitialFracHi: math.Inf(1)}}, "Battery.InitialFrac"},
+		{"infinite harvest", sim.Config{Battery: &battery.Spec{CapacityJ: 2000, Harvest: battery.ProfileSolar, HarvestW: math.Inf(1)}}, "Battery.HarvestW"},
+		{"NaN charger fraction", sim.Config{Battery: &battery.Spec{CapacityJ: 2000, Harvest: battery.ProfileCharger, ChargerFrac: math.NaN()}}, "Battery.ChargerFrac"},
+		{"-Inf day", sim.Config{Battery: &battery.Spec{CapacityJ: 2000, Harvest: battery.ProfileSolar, DaySec: math.Inf(-1)}}, "Battery.DaySec"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

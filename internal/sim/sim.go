@@ -720,10 +720,14 @@ func New(cfg Config) *Engine {
 
 // NewEngine builds an engine, rejecting degenerate configurations
 // (empty fleet, K larger than the fleet, negative sample or shard
-// counts, a candidate sample smaller than K) with a *ConfigError.
+// counts, a candidate sample smaller than K, a NaN or infinite float)
+// with a *ConfigError.
 func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Fleet != nil && cfg.Population != nil {
 		return nil, configErrf("Population", "Fleet and Population are mutually exclusive; set one")
+	}
+	if err := cfg.checkFinite(); err != nil {
+		return nil, err
 	}
 	c := cfg.withDefaults()
 	if err := c.validate(); err != nil {
@@ -830,56 +834,113 @@ func (e *Engine) RunRound(p Policy, round int, accuracy float64) (*RoundContext,
 	return e.runRound(p, round, accuracy, new(roundScratch))
 }
 
-// runRound is the round engine proper, operating on caller-provided
-// scratch buffers.
-func (e *Engine) runRound(p Policy, round int, accuracy float64, sc *roundScratch) (*RoundContext, *RoundResult) {
-	if e.async != nil {
-		return e.runRoundAsync(p, round, accuracy, sc)
-	}
+// beginRound is the prologue every round body shares: it observes the
+// candidate view (the whole fleet, or the population's sampled pool),
+// sanitizes the policy's selections, reads the policy's aggregation
+// traits, resets the result with global device indices, and summarizes
+// the view's battery state.
+func (e *Engine) beginRound(pol Policy, round int, accuracy float64, sc *roundScratch) (*RoundContext, []Selection, AggregationTraits, *RoundResult) {
+	var ctx *RoundContext
 	if e.pop != nil {
-		return e.runRoundPop(p, round, accuracy, sc)
+		ctx = e.observePop(sc, round, accuracy)
+	} else {
+		ctx = e.observe(sc, round, accuracy)
 	}
-	ctx := e.observe(sc, round, accuracy)
-	selections := sanitize(sc, ctx, p.Select(ctx))
-	participants := len(selections)
+	selections := sanitize(sc, ctx, pol.Select(ctx))
 
 	traits := AggregationTraits{}
-	if tp, ok := p.(TraitsPolicy); ok {
+	if tp, ok := pol.(TraitsPolicy); ok {
 		traits = tp.Traits()
 	}
 
+	k := len(ctx.Devices)
 	res := &sc.res
 	devRounds := res.Devices
-	if cap(devRounds) < len(ctx.Devices) {
-		devRounds = make([]DeviceRound, len(ctx.Devices))
+	if cap(devRounds) < k {
+		devRounds = make([]DeviceRound, k)
 	}
-	devRounds = devRounds[:len(ctx.Devices)]
+	devRounds = devRounds[:k]
 	*res = RoundResult{
 		Round:        round,
-		Participants: participants,
 		PrevAccuracy: accuracy,
 		Devices:      devRounds,
 	}
-	for i := range res.Devices {
-		res.Devices[i] = DeviceRound{Index: i}
+	for v := range devRounds {
+		g := v
+		if e.pop != nil {
+			g = int(sc.cand[v])
+		}
+		devRounds[v] = DeviceRound{Index: g}
 	}
 	if e.batt != nil {
 		res.BatteryAvailable, res.BatteryDepleted, res.BatteryMeanFrac = battViewStats(ctx.Devices)
 	}
+	return ctx, selections, traits, res
+}
+
+// actualLoad draws the co-runner load in effect while global device g
+// executes round's work, given the load observed at selection: a
+// co-runner can appear (or quit) after selection — the surprise
+// variance no selector can observe away. The fleet draws from the
+// sequential environment stream in selection order; the population
+// from a per-(round, device) keyed stream, so the draw is a function
+// of device identity rather than of selection order.
+func (e *Engine) actualLoad(round, g int, observed interference.Load) interference.Load {
+	if p := e.pop; p != nil {
+		st := p.actRng.Seed(rng.Mix(p.actSeed, uint64(round), uint64(g)))
+		return e.cfg.Env.Interference.Actual(st, observed)
+	}
+	return e.cfg.Env.Interference.Actual(e.envRng, observed)
+}
+
+// charge books a participant's energy above its idle draw over the
+// window it worked: the battery drains it (the idle share arrives
+// lazily at the next settle, so the two together drain the device's
+// whole energy) and counts the participation, and the population
+// records it with the executed action for DeviceSnapshot.
+func (e *Engine) charge(g int, target device.Target, step int, extraJ float64) {
+	if p := e.pop; p != nil {
+		p.extraJ[g] += extraJ
+		p.lastStep[g] = int8(step)
+		p.lastTarget[g] = int8(target)
+	}
+	if e.batt != nil {
+		e.batt.model.Drain(g, extraJ)
+		e.batt.participate(g)
+	}
+}
+
+// idleRecords fills the energy record of every view row that did not
+// work this round with its idle draw over roundSec.
+func idleRecords(ctx *RoundContext, res *RoundResult, roundSec float64) {
+	for v := range res.Devices {
+		dr := &res.Devices[v]
+		if !dr.Selected {
+			dr.EnergyJ = power.IdleEnergy(ctx.Devices[v].Device.Spec.IdleWatts(), roundSec)
+		}
+	}
+}
+
+// runRound is the round engine proper, operating on caller-provided
+// scratch buffers. The asynchronous regimes have their own body
+// (async.go); this is the bulk-synchronous one, shared by the fleet
+// and the sampled population.
+func (e *Engine) runRound(pol Policy, round int, accuracy float64, sc *roundScratch) (*RoundContext, *RoundResult) {
+	if e.async != nil {
+		return e.runRoundAsync(pol, round, accuracy, sc)
+	}
+	ctx, selections, traits, res := e.beginRound(pol, round, accuracy, sc)
+	res.Participants = len(selections)
 
 	// Per-participant completion times, under the loads actually in
-	// effect during execution: a co-runner can appear (or quit) after
-	// selection — the surprise variance no selector can observe away.
+	// effect during execution.
 	for _, sel := range selections {
 		dr := &res.Devices[sel.Index]
 		dr.Selected = true
 		dr.Target = sel.Target
 		dr.Step = sel.Step
-		actual := e.cfg.Env.Interference.Actual(e.envRng, ctx.Devices[sel.Index].Load)
+		actual := e.actualLoad(round, dr.Index, ctx.Devices[sel.Index].Load)
 		dr.CompSec, dr.CommSec = ctx.estimateWithLoad(sel.Index, sel.Target, sel.Step, actual)
-		if e.batt != nil {
-			e.batt.participate(sel.Index)
-		}
 	}
 
 	// Straggler deadline: the server fixes a reporting deadline from
@@ -910,15 +971,13 @@ func (e *Engine) runRound(p Policy, round int, accuracy float64, sc *roundScratc
 	e.vnow += roundSec
 	res.VirtualSec = e.vnow
 
-	// Energy accounting for the whole fleet.
-	for i := range ctx.Devices {
-		dr := &res.Devices[i]
-		ds := &ctx.Devices[i]
-		if !dr.Selected {
-			dr.EnergyJ = power.IdleEnergy(ds.Device.Spec.IdleWatts(), roundSec)
-			res.EnergyTotalJ += dr.EnergyJ
-			continue
-		}
+	// Energy: idle records for the rest of the view, phase energy for
+	// each participant.
+	idleRecords(ctx, res, roundSec)
+	participantIdle := 0.0
+	for _, sel := range selections {
+		dr := &res.Devices[sel.Index]
+		ds := &ctx.Devices[sel.Index]
 		comp, comm := dr.CompSec, dr.CommSec
 		if dr.Dropped {
 			// Work stops at the deadline; communication of whatever
@@ -937,21 +996,34 @@ func (e *Engine) runRound(p Policy, round int, accuracy float64, sc *roundScratc
 			CommSec:   comm,
 			RoundSec:  roundSec,
 		})
-		res.EnergyTotalJ += dr.EnergyJ
-		res.EnergyParticipantsJ += dr.EnergyJ
-		if e.batt != nil {
-			// Drain the participant's energy above its idle draw: the
-			// idle share is integrated lazily at the next settle, so
-			// the two together drain exactly EnergyJ.
-			e.batt.model.Drain(i, dr.EnergyJ-ds.Device.Spec.IdleWatts()*roundSec)
+		idle := spec.IdleWatts() * roundSec
+		if e.pop != nil {
+			res.EnergyParticipantsJ += dr.EnergyJ
+			participantIdle += idle
+		}
+		e.charge(dr.Index, dr.Target, dr.Step, dr.EnergyJ-idle)
+	}
+	// Fleet-wide energy. The population adds the participants' measured
+	// energy, summed in selection order, to its O(archetypes) idle
+	// baseline, net of their own idle share. The fleet sums its whole
+	// view, and its participants, in index order.
+	if p := e.pop; p != nil {
+		res.EnergyTotalJ = p.fleetIdle*roundSec - participantIdle + res.EnergyParticipantsJ
+		p.idleSec += roundSec
+	} else {
+		for i := range res.Devices {
+			dr := &res.Devices[i]
+			res.EnergyTotalJ += dr.EnergyJ
+			if dr.Selected {
+				res.EnergyParticipantsJ += dr.EnergyJ
+			}
 		}
 	}
 	if e.batt != nil {
 		res.ParticipationJain = e.batt.jain()
 	}
 
-	// Advance the global model.
-	res.Accuracy = e.conv.advance(e.accRng, ctx, res, traits)
+	res.Accuracy = e.advance(res, traits)
 	return ctx, res
 }
 
