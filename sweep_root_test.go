@@ -342,14 +342,52 @@ func TestCrossHorizonCacheReuse(t *testing.T) {
 	// iid converges well inside 1000 rounds; noniid100 under Random
 	// stalls and runs the full horizon — both serving paths (converged
 	// entry, trace-prefix replay) are exercised.
-	g := sweep.Grid{
+	checkCrossHorizon(t, sweep.Grid{
 		Workloads: []string{string(CNNMNIST)},
 		Settings:  []string{string(S3)},
 		Data:      []string{string(IdealIID), string(NonIID100)},
 		Envs:      []string{string(EnvField)},
 		Policies:  []string{string(PolicyRandom), string(PolicyAutoFL)},
 		Seed:      99,
+	})
+}
+
+// TestCrossHorizonCacheReuseAsyncBattery extends the cross-horizon
+// contract to the trace arrays only some runs record: an async cell
+// (per-round staleness) and a solar-battery cell (per-round Jain index
+// and mean charge) must replay from a 1000-round cache at 200 rounds
+// byte-identically to a cold run.
+func TestCrossHorizonCacheReuseAsyncBattery(t *testing.T) {
+	base := sweep.Grid{
+		Workloads: []string{string(CNNMNIST)},
+		Settings:  []string{string(S3)},
+		Data:      []string{string(NonIID100)},
+		Envs:      []string{string(EnvField)},
+		Policies:  []string{string(PolicyRandom), string(PolicyAutoFL)},
+		Seed:      99,
 	}
+	async := base
+	async.Modes = []string{string(AsyncAggregation)}
+	async.Alphas = []string{"0.5"}
+	batt := base
+	batt.Batteries = []string{string(BatterySolar)}
+	for name, g := range map[string]sweep.Grid{"async": async, "battery": batt} {
+		t.Run(name, func(t *testing.T) {
+			// noniid100 under Random stalls for the whole horizon, so at
+			// least that cell is served by trace-prefix replay.
+			if st := checkCrossHorizon(t, g); st.PrefixHits == 0 {
+				t.Errorf("no cell was served by prefix replay: stats = %+v", st)
+			}
+		})
+	}
+}
+
+// checkCrossHorizon runs g at 1000 rounds into a fresh cache, then
+// re-queries it at 200 rounds (every cell served, bytes equal to a
+// cold 200-round sweep) and at 1000 rounds (every cell served). It
+// returns the 200-round cache's stats.
+func checkCrossHorizon(t *testing.T, g sweep.Grid) cache.Stats {
+	t.Helper()
 	dir := t.TempDir()
 	ctx := context.Background()
 
@@ -378,8 +416,12 @@ func TestCrossHorizonCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := short.Stats(); st.Hits != g.Size() || st.Misses != 0 {
+	shortStats := short.Stats()
+	if st := shortStats; st.Hits != g.Size() || st.Misses != 0 {
 		t.Errorf("200-round re-query executed cells: stats = %+v", st)
+	}
+	if n := served.Failed(); n != 0 {
+		t.Errorf("%d served cells failed", n)
 	}
 	cold, err := RunSweep(ctx, g, 200, sweep.Options{Parallel: 1})
 	if err != nil {
@@ -409,4 +451,5 @@ func TestCrossHorizonCacheReuse(t *testing.T) {
 	if st := full.Stats(); st.Hits != g.Size() || st.Misses != 0 {
 		t.Errorf("1000-round re-query executed cells: stats = %+v", st)
 	}
+	return shortStats
 }
