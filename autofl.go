@@ -391,19 +391,9 @@ type Report struct {
 }
 
 // BatteryReport is the end-of-run battery summary of a battery-enabled
-// scenario.
-type BatteryReport struct {
-	// ParticipationJain is Jain's fairness index over cumulative
-	// per-device participation counts: 1 when every device carried the
-	// same load, 1/n when one device carried everything.
-	ParticipationJain float64
-	// MeanCharge is the candidate view's mean state of charge in [0, 1]
-	// at the final round.
-	MeanCharge float64
-	// Available and Depleted count final-round candidate devices above
-	// the participation threshold and at zero charge.
-	Available, Depleted int
-}
+// scenario: Jain's participation-fairness index and the final round's
+// mean state of charge, available and depleted candidate counts.
+type BatteryReport = sim.BatteryStats
 
 func (s Scenario) simConfig() (sim.Config, error) {
 	cfg := sim.Config{Seed: s.Seed, MaxRounds: s.MaxRounds}
@@ -540,7 +530,7 @@ func (s Scenario) policy(p Policy) (sim.Policy, error) {
 // reportFromResult converts an engine-level result into the public
 // report.
 func reportFromResult(p Policy, res *sim.Result) *Report {
-	out := &Report{
+	return &Report{
 		Policy:          p,
 		Converged:       res.Converged,
 		ConvergedRound:  res.ConvergedRound,
@@ -551,18 +541,10 @@ func reportFromResult(p Policy, res *sim.Result) *Report {
 		LocalPPW:        res.LocalPPW(),
 		FinalAccuracy:   res.FinalAccuracy,
 		MeanStaleness:   res.MeanStaleness,
-		AccuracyTrace:   res.AccuracyTrace,
+		AccuracyTrace:   res.Trace.Accuracy,
 		RewardTrace:     res.RewardTrace,
+		Battery:         res.Battery,
 	}
-	if res.Battery != nil {
-		out.Battery = &BatteryReport{
-			ParticipationJain: res.Battery.ParticipationJain,
-			MeanCharge:        res.Battery.MeanFrac,
-			Available:         res.Battery.Available,
-			Depleted:          res.Battery.Depleted,
-		}
-	}
-	return out
 }
 
 // Run simulates the scenario under the given selection policy. It is

@@ -399,7 +399,7 @@ func (c *Controller) Feedback(ctx *sim.RoundContext, res *sim.RoundResult) {
 	}
 	if c.refGlobalEnergy == 0 {
 		// Anchor the energy scale to the first observed round.
-		c.refGlobalEnergy = res.EnergyTotalJ
+		c.refGlobalEnergy = res.EnergyJ
 		n := 0
 		for i := range res.Devices {
 			if res.Devices[i].Selected {
@@ -407,7 +407,7 @@ func (c *Controller) Feedback(ctx *sim.RoundContext, res *sim.RoundResult) {
 			}
 		}
 		if n > 0 {
-			c.refLocalEnergy = res.EnergyParticipantsJ / float64(n)
+			c.refLocalEnergy = res.ParticipantEnergyJ / float64(n)
 		}
 		if c.refGlobalEnergy == 0 {
 			c.refGlobalEnergy = 1
@@ -419,7 +419,7 @@ func (c *Controller) Feedback(ctx *sim.RoundContext, res *sim.RoundResult) {
 
 	accuracy := res.Accuracy * 100
 	deltaAcc := (res.Accuracy - res.PrevAccuracy) * 100
-	globalTerm := res.EnergyTotalJ / c.refGlobalEnergy
+	globalTerm := res.EnergyJ / c.refGlobalEnergy
 
 	if deltaAcc <= 0 {
 		c.stallStreak++

@@ -166,12 +166,12 @@ func Fig06DataHeterogeneity(o Options) *Figure {
 
 		// Downsample the accuracy trace to 10 points per scenario.
 		trace := Series{Label: "accuracy " + sc.Name}
-		step := len(res.AccuracyTrace) / 10
+		step := len(res.Trace.Accuracy) / 10
 		if step < 1 {
 			step = 1
 		}
-		for i := step - 1; i < len(res.AccuracyTrace); i += step {
-			trace.Points = append(trace.Points, Point{X: fmt.Sprintf("r%d", i+1), Y: res.AccuracyTrace[i]})
+		for i := step - 1; i < len(res.Trace.Accuracy); i += step {
+			trace.Points = append(trace.Points, Point{X: fmt.Sprintf("r%d", i+1), Y: res.Trace.Accuracy[i]})
 		}
 		f.Series = append(f.Series, trace)
 		conv := "did not converge"

@@ -132,8 +132,8 @@ func TestPerformanceAndPowerPolicies(t *testing.T) {
 		t.Errorf("Performance round (%.1fs) should beat Power round (%.1fs)",
 			resPerf.RoundSec, resPow.RoundSec)
 	}
-	perfPower := resPerf.EnergyParticipantsJ / resPerf.RoundSec
-	powPower := resPow.EnergyParticipantsJ / resPow.RoundSec
+	perfPower := resPerf.ParticipantEnergyJ / resPerf.RoundSec
+	powPower := resPow.ParticipantEnergyJ / resPow.RoundSec
 	if powPower >= perfPower {
 		t.Errorf("Power draw %.1fW should be below Performance %.1fW", powPower, perfPower)
 	}

@@ -129,12 +129,12 @@ func (e *Engine) runRoundAsync(pol Policy, round int, accuracy float64, sc *roun
 			RoundSec:  busySec,
 		})
 		dr.EnergyJ = activeJ
-		res.EnergyParticipantsJ += activeJ
+		res.ParticipantEnergyJ += activeJ
 		// Fleet energy counts the whole population idle for the round
 		// (added once roundSec is known) plus each dispatched device's
 		// energy above its own idle draw over its busy window.
 		extraJ := activeJ - spec.IdleWatts()*busySec
-		res.EnergyTotalJ += extraJ
+		res.EnergyJ += extraJ
 
 		slot := a.alloc(flight{
 			dev:      int32(g),
@@ -205,7 +205,7 @@ func (e *Engine) runRoundAsync(pol Policy, round int, accuracy float64, sc *roun
 	a.arrivals = arrivals
 	res.Arrivals = arrivals
 	res.Kept = len(arrivals)
-	res.PendingUpdates = a.inFlight
+	res.Pending = a.inFlight
 	res.RoundSec = roundSec
 	e.vnow += roundSec
 	res.VirtualSec = e.vnow
@@ -224,7 +224,7 @@ func (e *Engine) runRoundAsync(pol Policy, round int, accuracy float64, sc *roun
 	// Fleet-wide idle energy for the step's duration, plus idle
 	// records for undispatched view rows (observability only; totals
 	// are accounted above).
-	res.EnergyTotalJ += ctx.FleetIdleWatts() * roundSec
+	res.EnergyJ += ctx.FleetIdleWatts() * roundSec
 	idleRecords(ctx, res, roundSec)
 	if p := e.pop; p != nil {
 		p.idleSec += roundSec

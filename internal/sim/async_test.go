@@ -92,8 +92,8 @@ func TestAsyncStalenessObserved(t *testing.T) {
 		t.Errorf("async run mean staleness = %g, want > 0", res.MeanStaleness)
 	}
 	stale := 0
-	for _, r := range res.Trace {
-		if r.MeanStale > 0 {
+	for _, s := range res.Trace.Staleness {
+		if s > 0 {
 			stale++
 		}
 	}
@@ -109,9 +109,9 @@ func TestSyncStalenessZero(t *testing.T) {
 	if res.MeanStaleness != 0 {
 		t.Errorf("sync run mean staleness = %g, want 0", res.MeanStaleness)
 	}
-	for i, r := range res.Trace {
-		if r.MeanStale != 0 {
-			t.Fatalf("sync round %d traced staleness %g", i+1, r.MeanStale)
+	for i, s := range res.Trace.Staleness {
+		if s != 0 {
+			t.Fatalf("sync round %d traced staleness %g", i+1, s)
 		}
 	}
 }

@@ -101,14 +101,17 @@ func battViewStats(devices []DeviceState) (available, depleted int, meanFrac flo
 	return available, depleted, meanFrac
 }
 
-// BatteryStats is the end-of-run battery summary on Result.
+// BatteryStats is the end-of-run battery summary of a battery-enabled
+// run (Result.Battery; autofl.BatteryReport is this type).
 type BatteryStats struct {
 	// ParticipationJain is Jain's fairness index over cumulative
-	// per-device participation counts at the end of the run.
+	// per-device participation counts: 1 when every device carried the
+	// same load, 1/n when one device carried everything.
 	ParticipationJain float64
-	// MeanFrac is the final round's mean candidate state of charge.
-	MeanFrac float64
-	// Available and Depleted count the final round's candidate view.
-	Available int
-	Depleted  int
+	// MeanCharge is the candidate view's mean state of charge in
+	// [0, 1] at the final round.
+	MeanCharge float64
+	// Available and Depleted count final-round candidate devices above
+	// the participation threshold and at zero charge.
+	Available, Depleted int
 }

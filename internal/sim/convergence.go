@@ -137,13 +137,13 @@ func (e *Engine) advance(res *RoundResult, traits AggregationTraits) float64 {
 	if e.async != nil {
 		for i := range res.Arrivals {
 			ar := &res.Arrivals[i]
-			e.fold(&u, ar.Index, ar.Weight, res.Round, traits)
+			e.fold(&u, ar.Index, ar.Weight, res.Round-1, traits)
 		}
 	} else {
 		for v := range res.Devices {
 			dr := &res.Devices[v]
 			if dr.UpdateFraction > 0 {
-				e.fold(&u, dr.Index, dr.UpdateFraction, res.Round, traits)
+				e.fold(&u, dr.Index, dr.UpdateFraction, res.Round-1, traits)
 			}
 		}
 	}

@@ -111,8 +111,8 @@ func checkRound(res *RoundResult, mode AggregationMode, cfg Config) string {
 	if res.Accuracy < 0 || res.Accuracy > 1 {
 		return fmt.Sprintf("accuracy %v outside [0, 1]", res.Accuracy)
 	}
-	if res.RoundSec < 0 || res.EnergyTotalJ < 0 || res.EnergyParticipantsJ < 0 {
-		return fmt.Sprintf("negative round time or energy (%v s, %v J, %v J)", res.RoundSec, res.EnergyTotalJ, res.EnergyParticipantsJ)
+	if res.RoundSec < 0 || res.EnergyJ < 0 || res.ParticipantEnergyJ < 0 {
+		return fmt.Sprintf("negative round time or energy (%v s, %v J, %v J)", res.RoundSec, res.EnergyJ, res.ParticipantEnergyJ)
 	}
 	selected, sum := 0, 0.0
 	for _, dr := range res.Devices {
@@ -133,28 +133,28 @@ func checkRound(res *RoundResult, mode AggregationMode, cfg Config) string {
 	switch {
 	case mode == ModeSync && cfg.Fleet != nil:
 		// The fleet total is the index-order sum of the view itself.
-		if res.EnergyParticipantsJ > res.EnergyTotalJ+1e-9 {
-			return fmt.Sprintf("participant energy %v J exceeds fleet energy %v J", res.EnergyParticipantsJ, res.EnergyTotalJ)
+		if res.ParticipantEnergyJ > res.EnergyJ+1e-9 {
+			return fmt.Sprintf("participant energy %v J exceeds fleet energy %v J", res.ParticipantEnergyJ, res.EnergyJ)
 		}
-		if math.Abs(sum-res.EnergyTotalJ) > tol {
-			return fmt.Sprintf("fleet view energy %v J differs from the fleet total %v J", sum, res.EnergyTotalJ)
+		if math.Abs(sum-res.EnergyJ) > tol {
+			return fmt.Sprintf("fleet view energy %v J differs from the fleet total %v J", sum, res.EnergyJ)
 		}
 	case mode == ModeSync:
 		// The population total is fleetIdle·roundSec − participant idle
 		// + participants: a different summation order, so the bounds
 		// are relative.
-		if res.EnergyParticipantsJ > res.EnergyTotalJ*(1+tol) {
-			return fmt.Sprintf("participant energy %v J exceeds fleet energy %v J", res.EnergyParticipantsJ, res.EnergyTotalJ)
+		if res.ParticipantEnergyJ > res.EnergyJ*(1+tol) {
+			return fmt.Sprintf("participant energy %v J exceeds fleet energy %v J", res.ParticipantEnergyJ, res.EnergyJ)
 		}
-		if sum > res.EnergyTotalJ*(1+tol) {
-			return fmt.Sprintf("view energy %v J exceeds fleet energy %v J", sum, res.EnergyTotalJ)
+		if sum > res.EnergyJ*(1+tol) {
+			return fmt.Sprintf("view energy %v J exceeds fleet energy %v J", sum, res.EnergyJ)
 		}
 	default:
 		if res.Kept != len(res.Arrivals) {
 			return fmt.Sprintf("kept %d, %d arrivals", res.Kept, len(res.Arrivals))
 		}
-		if res.PendingUpdates > cfg.Params.K {
-			return fmt.Sprintf("%d updates in flight, K=%d", res.PendingUpdates, cfg.Params.K)
+		if res.Pending > cfg.Params.K {
+			return fmt.Sprintf("%d updates in flight, K=%d", res.Pending, cfg.Params.K)
 		}
 		if res.MeanStaleness < 0 || res.MeanStaleness > float64(res.MaxStaleness) {
 			return fmt.Sprintf("mean staleness %v outside [0, %d]", res.MeanStaleness, res.MaxStaleness)
@@ -166,8 +166,8 @@ func checkRound(res *RoundResult, mode AggregationMode, cfg Config) string {
 		}
 	}
 	if cfg.Battery != nil {
-		if res.BatteryMeanFrac < 0 || res.BatteryMeanFrac > 1 {
-			return fmt.Sprintf("mean charge %v outside [0, 1]", res.BatteryMeanFrac)
+		if res.BatteryMeanCharge < 0 || res.BatteryMeanCharge > 1 {
+			return fmt.Sprintf("mean charge %v outside [0, 1]", res.BatteryMeanCharge)
 		}
 		if res.ParticipationJain < 0 || res.ParticipationJain > 1 {
 			return fmt.Sprintf("Jain index %v outside [0, 1]", res.ParticipationJain)
@@ -192,7 +192,7 @@ func TestAccuracyIndependentOfGenerousDeadlines(t *testing.T) {
 			StragglerFactor: factor,
 		}
 		p := &arbitraryPolicy{s: rng.New(5)}
-		return New(cfg).Run(p).AccuracyTrace
+		return New(cfg).Run(p).Trace.Accuracy
 	}
 	// Both factors are generous enough that nobody drops in the ideal
 	// environment, so the learning trajectory must match exactly.

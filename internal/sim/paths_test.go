@@ -109,17 +109,26 @@ func pathFingerprint(eng *sim.Engine, res *sim.Result) string {
 		h.Write(buf[:])
 	}
 	n := func(v int) { f(float64(v)) }
-	n(len(res.Trace))
-	for _, rt := range res.Trace {
-		f(rt.Sec)
-		f(rt.EnergyJ)
-		f(rt.ParticipantEnergyJ)
-		f(rt.MeanStale)
-		f(rt.Jain)
-		f(rt.BatteryFrac)
+	// at reads an optional trace array, which is absent (all zeros)
+	// for runs that do not record it.
+	at := func(s []float64, i int) float64 {
+		if len(s) == 0 {
+			return 0
+		}
+		return s[i]
 	}
-	n(len(res.AccuracyTrace))
-	for _, a := range res.AccuracyTrace {
+	tr := &res.Trace
+	n(tr.Rounds())
+	for i := range tr.Sec {
+		f(tr.Sec[i])
+		f(tr.EnergyJ[i])
+		f(tr.ParticipantEnergyJ[i])
+		f(at(tr.Staleness, i))
+		f(at(tr.Jain, i))
+		f(at(tr.BatteryFrac, i))
+	}
+	n(len(res.Trace.Accuracy))
+	for _, a := range res.Trace.Accuracy {
 		f(a)
 	}
 	n(len(res.RewardTrace))
@@ -128,7 +137,7 @@ func pathFingerprint(eng *sim.Engine, res *sim.Result) string {
 	}
 	if b := res.Battery; b != nil {
 		f(b.ParticipationJain)
-		f(b.MeanFrac)
+		f(b.MeanCharge)
 		n(b.Available)
 		n(b.Depleted)
 	}

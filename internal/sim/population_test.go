@@ -198,8 +198,8 @@ func TestDeviceSnapshotConservesEnergy(t *testing.T) {
 	res := eng.Run(policy.NewRandom(9))
 
 	var traced float64
-	for _, rt := range res.Trace {
-		traced += rt.EnergyJ
+	for _, e := range res.Trace.EnergyJ {
+		traced += e
 	}
 	var snap float64
 	for i := 0; i < 400; i++ {

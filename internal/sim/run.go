@@ -8,22 +8,26 @@ package sim
 
 import "autofl/internal/device"
 
-// RoundInfo summarizes the most recently stepped round of a Run — the
-// per-round view an observer sees, assembled from engine-owned scratch
-// without allocating.
+// RoundInfo is the headline record of one aggregation round — the
+// per-round view an observer sees (autofl.RoundEvent is this type),
+// and the header every RoundResult embeds. Run.Last returns it without
+// allocating.
 type RoundInfo struct {
-	// Round is the 1-based index of the round that just completed.
+	// Round is the 1-based index of the round.
 	Round int
 	// Accuracy is the global-model accuracy after the round.
 	Accuracy float64
-	// RoundSec is the round's wall-clock duration.
+	// RoundSec is the round's wall-clock duration: gated by the slowest
+	// kept participant, or the deadline when stragglers were cut.
 	RoundSec float64
-	// EnergyJ and ParticipantEnergyJ are the round's fleet-wide and
-	// participants-only energies.
+	// EnergyJ is the round's fleet-wide energy, idle devices included
+	// (Eq 6 over all N devices); ParticipantEnergyJ is the energy of
+	// the selected devices only.
 	EnergyJ            float64
 	ParticipantEnergyJ float64
-	// Participants counts selected devices; Kept the updates that
-	// reached aggregation; Dropped the deadline-missing stragglers.
+	// Participants counts selected devices (kept or dropped); Kept the
+	// updates that reached aggregation (full or partial); Dropped the
+	// deadline-missing stragglers.
 	Participants, Kept, Dropped int
 	// VirtualSec is the virtual clock after the round (cumulative
 	// round seconds).
@@ -33,6 +37,10 @@ type RoundInfo struct {
 	// updates it applied. Both are 0 in synchronous runs.
 	Pending       int
 	MeanStaleness float64
+	// Reward is the learning policy's mean reward for the round (the
+	// last entry of its reward trace, Fig 15); 0 for non-learning
+	// policies. Run.Step fills it after feedback.
+	Reward float64
 	// BatteryAvailable, BatteryDepleted, and BatteryMeanCharge
 	// summarize the candidate view's battery state at observation:
 	// devices meeting the participation threshold, devices at zero
@@ -45,7 +53,7 @@ type RoundInfo struct {
 	BatteryMeanCharge float64
 	ParticipationJain float64
 	// Converged reports whether this round reached the accuracy
-	// target (and therefore ended the run).
+	// target (and therefore ended the run). Run.Step fills it.
 	Converged bool
 }
 
@@ -58,95 +66,65 @@ type RoundInfo struct {
 // per Engine, and do not interleave it with Engine.Run or RunRound
 // calls on the same engine.
 type Run struct {
-	e     *Engine
-	p     Policy
-	fb    FeedbackPolicy
-	hasFb bool
-	acc   float64
-	last  RoundInfo
-	out   Result
-	// staleSum accumulates per-round mean staleness for the run-level
-	// average.
-	staleSum float64
-	done     bool
+	e       *Engine
+	p       Policy
+	fb      FeedbackPolicy
+	hasFb   bool
+	rewards interface{ RewardTrace() []float64 }
+	acc     float64
+	trace   Trace
+	done    bool
 }
 
-// Start opens a stepwise run of the policy. The result buffers are
+// Start opens a stepwise run of the policy. The trace arrays are
 // preallocated to the full horizon so steady-state Step performs no
 // allocation.
 func (e *Engine) Start(p Policy) *Run {
+	n := e.cfg.MaxRounds
 	r := &Run{
 		e:   e,
 		p:   p,
 		acc: e.cfg.Workload.AccuracyFloor,
-		out: Result{
-			Policy:         p.Name(),
-			TargetAccuracy: e.cfg.TargetAccuracy,
-			AccuracyFloor:  e.cfg.Workload.AccuracyFloor,
-			AccuracyTrace:  make([]float64, 0, e.cfg.MaxRounds),
-			Trace:          make([]RoundTrace, 0, e.cfg.MaxRounds),
+		trace: Trace{
+			Sec:                make([]float64, 0, n),
+			EnergyJ:            make([]float64, 0, n),
+			ParticipantEnergyJ: make([]float64, 0, n),
+			Accuracy:           make([]float64, 0, n),
 		},
 	}
+	if e.async != nil {
+		r.trace.Staleness = make([]float64, 0, n)
+	}
+	if e.batt != nil {
+		r.trace.Jain = make([]float64, 0, n)
+		r.trace.BatteryFrac = make([]float64, 0, n)
+	}
 	r.fb, r.hasFb = p.(FeedbackPolicy)
+	r.rewards, _ = p.(interface{ RewardTrace() []float64 })
 	return r
 }
 
 // Step executes one aggregation round, feeds learning policies their
-// feedback, and folds the round into the accumulating result. It
-// reports false — executing nothing — once the run has finished:
-// target reached, horizon exhausted, or Result already called.
+// feedback, and records the round in the run's trace. It reports
+// false — executing nothing — once the run has finished: target
+// reached, horizon exhausted, or Result already called.
 func (r *Run) Step() bool {
 	if r.done {
 		return false
 	}
-	round := r.out.Rounds
-	ctx, res := r.e.runRound(r.p, round, r.acc, &r.e.scratch)
+	ctx, res := r.e.runRound(r.p, r.trace.Rounds(), r.acc, &r.e.scratch)
 	if r.hasFb {
 		r.fb.Feedback(ctx, res)
 	}
+	if r.rewards != nil {
+		if tr := r.rewards.RewardTrace(); len(tr) > 0 {
+			res.Reward = tr[len(tr)-1]
+		}
+	}
 	r.acc = res.Accuracy
-	r.out.Rounds++
-	r.out.AccuracyTrace = append(r.out.AccuracyTrace, r.acc)
-	r.out.Trace = append(r.out.Trace, RoundTrace{
-		Sec:                res.RoundSec,
-		EnergyJ:            res.EnergyTotalJ,
-		ParticipantEnergyJ: res.EnergyParticipantsJ,
-		MeanStale:          res.MeanStaleness,
-		Jain:               res.ParticipationJain,
-		BatteryFrac:        res.BatteryMeanFrac,
-	})
-	r.staleSum += res.MeanStaleness
-	r.out.TimeToTargetSec += res.RoundSec
-	r.out.EnergyToTargetJ += res.EnergyTotalJ
-	r.out.ParticipantEnergyToTargetJ += res.EnergyParticipantsJ
-	converged := false
-	if !r.out.Converged && r.acc >= r.e.cfg.TargetAccuracy {
-		r.out.Converged = true
-		r.out.ConvergedRound = round + 1
-		converged = true
-		r.done = true
-	}
-	if r.out.Rounds >= r.e.cfg.MaxRounds {
-		r.done = true
-	}
-	r.last = RoundInfo{
-		Round:              round + 1,
-		Accuracy:           r.acc,
-		RoundSec:           res.RoundSec,
-		EnergyJ:            res.EnergyTotalJ,
-		ParticipantEnergyJ: res.EnergyParticipantsJ,
-		Participants:       res.Participants,
-		Kept:               res.Kept,
-		Dropped:            res.DroppedStragglers,
-		VirtualSec:         res.VirtualSec,
-		Pending:            res.PendingUpdates,
-		MeanStaleness:      res.MeanStaleness,
-		BatteryAvailable:   res.BatteryAvailable,
-		BatteryDepleted:    res.BatteryDepleted,
-		BatteryMeanCharge:  res.BatteryMeanFrac,
-		ParticipationJain:  res.ParticipationJain,
-		Converged:          converged,
-	}
+	res.Converged = r.acc >= r.e.cfg.TargetAccuracy
+	r.trace.add(&res.RoundInfo)
+	r.done = res.Converged || r.trace.Rounds() >= r.e.cfg.MaxRounds
 	return true
 }
 
@@ -155,40 +133,27 @@ func (r *Run) Step() bool {
 func (r *Run) Done() bool { return r.done }
 
 // Rounds is the number of rounds executed so far.
-func (r *Run) Rounds() int { return r.out.Rounds }
+func (r *Run) Rounds() int { return r.trace.Rounds() }
 
-// Last returns the most recently stepped round's summary; the zero
+// Last returns the most recently stepped round's record; the zero
 // value before the first Step.
-func (r *Run) Last() RoundInfo { return r.last }
-
-// finalizeInto completes the derived fields of an accumulated result.
-func (r *Run) finalizeInto(out *Result) {
-	out.FinalAccuracy = r.acc
-	if out.Rounds > 0 {
-		out.MeanRoundSec = out.TimeToTargetSec / float64(out.Rounds)
-		out.MeanRoundEnergyJ = out.EnergyToTargetJ / float64(out.Rounds)
-		out.MeanStaleness = r.staleSum / float64(out.Rounds)
-	}
-	if rt, ok := r.p.(interface{ RewardTrace() []float64 }); ok {
-		out.RewardTrace = rt.RewardTrace()
-	}
-	if r.e.batt != nil {
-		out.Battery = &BatteryStats{
-			ParticipationJain: r.last.ParticipationJain,
-			MeanFrac:          r.last.BatteryMeanCharge,
-			Available:         r.last.BatteryAvailable,
-			Depleted:          r.last.BatteryDepleted,
-		}
-	}
-}
+func (r *Run) Last() RoundInfo { return r.e.scratch.res.RoundInfo }
 
 // Snapshot returns the run's result as of the rounds executed so far,
 // without ending it: exactly what Result would report for a horizon
 // bounded here. The trace slices share backing arrays with the live
 // run (their lengths are fixed; later rounds append past them).
 func (r *Run) Snapshot() Result {
-	out := r.out
-	r.finalizeInto(&out)
+	out := r.trace.Fold(r.trace.Rounds(), r.e.cfg.TargetAccuracy, r.e.cfg.Workload.AccuracyFloor)
+	out.Policy = r.p.Name()
+	out.Trace = r.trace
+	if r.rewards != nil {
+		out.RewardTrace = r.rewards.RewardTrace()
+	}
+	if out.Battery != nil {
+		last := r.Last()
+		out.Battery.Available, out.Battery.Depleted = last.BatteryAvailable, last.BatteryDepleted
+	}
 	return out
 }
 
@@ -197,8 +162,8 @@ func (r *Run) Snapshot() Result {
 // calling Result reproduces Engine.Run exactly.
 func (r *Run) Result() *Result {
 	r.done = true
-	r.finalizeInto(&r.out)
-	return &r.out
+	out := r.Snapshot()
+	return &out
 }
 
 // PopulationLen is the sampled population's device count, 0 for legacy

@@ -50,22 +50,25 @@ func TestRunPrefixIndependentOfHorizon(t *testing.T) {
 	long := sim.New(stepperConfig(33, 300)).Run(policy.NewRandom(7))
 	short := sim.New(stepperConfig(33, 120)).Run(policy.NewRandom(7))
 
-	if len(long.Trace) < len(short.Trace) {
-		t.Fatalf("long trace (%d) shorter than short trace (%d)", len(long.Trace), len(short.Trace))
+	if long.Trace.Rounds() < short.Trace.Rounds() {
+		t.Fatalf("long trace (%d) shorter than short trace (%d)", long.Trace.Rounds(), short.Trace.Rounds())
 	}
-	if !reflect.DeepEqual(long.Trace[:len(short.Trace)], short.Trace) {
+	m := short.Rounds
+	if !reflect.DeepEqual(long.Trace.Sec[:m], short.Trace.Sec) ||
+		!reflect.DeepEqual(long.Trace.EnergyJ[:m], short.Trace.EnergyJ) ||
+		!reflect.DeepEqual(long.Trace.ParticipantEnergyJ[:m], short.Trace.ParticipantEnergyJ) {
 		t.Error("short-horizon trace is not a prefix of the long-horizon trace")
 	}
-	if !reflect.DeepEqual(long.AccuracyTrace[:short.Rounds], short.AccuracyTrace) {
+	if !reflect.DeepEqual(long.Trace.Accuracy[:m], short.Trace.Accuracy) {
 		t.Error("short-horizon accuracy trace is not a prefix of the long one")
 	}
 	// Replaying the prefix sums reproduces the short run's aggregates
 	// exactly (same float additions in the same order).
 	var sec, energy, part float64
-	for _, r := range long.Trace[:short.Rounds] {
-		sec += r.Sec
-		energy += r.EnergyJ
-		part += r.ParticipantEnergyJ
+	for i := 0; i < m; i++ {
+		sec += long.Trace.Sec[i]
+		energy += long.Trace.EnergyJ[i]
+		part += long.Trace.ParticipantEnergyJ[i]
 	}
 	if sec != short.TimeToTargetSec || energy != short.EnergyToTargetJ || part != short.ParticipantEnergyToTargetJ {
 		t.Error("prefix sums do not reproduce the short run's aggregates bit-for-bit")
@@ -76,12 +79,15 @@ func TestRunPrefixIndependentOfHorizon(t *testing.T) {
 // with the accuracy trace and the summed aggregates.
 func TestRunTraceRecordsEveryRound(t *testing.T) {
 	res := sim.New(stepperConfig(4, 80)).Run(policy.NewRandom(9))
-	if len(res.Trace) != res.Rounds || len(res.AccuracyTrace) != res.Rounds {
-		t.Fatalf("trace lengths %d/%d, want %d", len(res.Trace), len(res.AccuracyTrace), res.Rounds)
+	tr := &res.Trace
+	if len(tr.Sec) != res.Rounds || len(tr.EnergyJ) != res.Rounds ||
+		len(tr.ParticipantEnergyJ) != res.Rounds || len(tr.Accuracy) != res.Rounds {
+		t.Fatalf("trace lengths %d/%d/%d/%d, want %d",
+			len(tr.Sec), len(tr.EnergyJ), len(tr.ParticipantEnergyJ), len(tr.Accuracy), res.Rounds)
 	}
-	for i, r := range res.Trace {
-		if r.Sec < 0 || r.EnergyJ <= 0 || r.ParticipantEnergyJ < 0 {
-			t.Fatalf("round %d: implausible trace record %+v", i, r)
+	for i := range tr.Sec {
+		if tr.Sec[i] < 0 || tr.EnergyJ[i] <= 0 || tr.ParticipantEnergyJ[i] < 0 {
+			t.Fatalf("round %d: implausible trace record %v/%v/%v", i, tr.Sec[i], tr.EnergyJ[i], tr.ParticipantEnergyJ[i])
 		}
 	}
 }

@@ -346,58 +346,29 @@ type DeviceRound struct {
 	UpdateFraction float64
 }
 
-// RoundResult is the measured outcome of one aggregation round.
+// RoundResult is the measured outcome of one aggregation round: its
+// RoundInfo header plus what only the engine and feedback policies
+// read.
 type RoundResult struct {
-	Round int
-	// Participants counts the devices selected this round (kept or
-	// dropped).
-	Participants int
-	// RoundSec is the wall-clock duration: gated by the slowest kept
-	// participant, or the deadline when stragglers were cut.
-	RoundSec float64
+	// RoundInfo is the round's headline record. Its Round is 1-based
+	// (the zero-based round index plus one); Reward and Converged are
+	// filled by Run.Step after feedback, so they are 0 and false when
+	// a policy's Feedback sees the result.
+	RoundInfo
 	// Deadline is the straggler deadline that applied.
 	Deadline float64
-	// Accuracy and PrevAccuracy bracket the round's model-quality
-	// change.
-	Accuracy, PrevAccuracy float64
-	// EnergyTotalJ is fleet-wide energy, including idle devices
-	// (Eq 6 over all N devices).
-	EnergyTotalJ float64
-	// EnergyParticipantsJ is the energy of selected devices only.
-	EnergyParticipantsJ float64
-	// Devices holds per-device outcomes, indexed like the fleet.
+	// PrevAccuracy is the accuracy before the round.
+	PrevAccuracy float64
+	// Devices holds per-device outcomes, indexed like the candidate
+	// view.
 	Devices []DeviceRound
-	// Kept counts updates that reached aggregation (full or partial).
-	Kept int
-	// DroppedStragglers counts deadline-missing participants.
-	DroppedStragglers int
-	// VirtualSec is the virtual clock after this round: the cumulative
-	// RoundSec over the run, which the async regimes advance through
-	// the event queue.
-	VirtualSec float64
-	// PendingUpdates counts updates still in flight after this round's
-	// aggregation (0 in ModeSync).
-	PendingUpdates int
-	// MeanStaleness and MaxStaleness summarize the model-version
-	// staleness of the updates applied this round (0 in ModeSync,
-	// where every kept update is fresh).
-	MeanStaleness float64
-	MaxStaleness  int
+	// MaxStaleness is the largest model-version staleness among the
+	// updates applied this round (0 in ModeSync).
+	MaxStaleness int
 	// Arrivals lists the updates an asynchronous round applied, in
 	// virtual-time arrival order; nil in ModeSync. Like Devices, it is
 	// an engine-owned buffer reused across rounds.
 	Arrivals []ArrivalUpdate
-	// BatteryAvailable, BatteryDepleted, and BatteryMeanFrac summarize
-	// the candidate view's battery state at observation time: devices
-	// meeting the participation threshold, devices at zero charge, and
-	// the mean state of charge. All zero without a battery model.
-	BatteryAvailable int
-	BatteryDepleted  int
-	BatteryMeanFrac  float64
-	// ParticipationJain is Jain's fairness index over cumulative
-	// per-device participation counts through this round; 0 without a
-	// battery model.
-	ParticipationJain float64
 }
 
 // ArrivalUpdate is one device update applied by an asynchronous
@@ -414,31 +385,6 @@ type ArrivalUpdate struct {
 	Weight float64
 	// CompSec and CommSec echo the completed execution times.
 	CompSec, CommSec float64
-}
-
-// RoundTrace is the compact per-round record a run accumulates —
-// together with the parallel AccuracyTrace, just enough to replay the
-// run's headline metrics at any shorter horizon (see Result.Trace and
-// the sweep cache's horizon-prefix serving). Per-round accuracy lives
-// only in AccuracyTrace; duplicating it here would create a second
-// source of truth.
-type RoundTrace struct {
-	// Sec is the round's wall-clock duration.
-	Sec float64
-	// EnergyJ and ParticipantEnergyJ are the round's fleet-wide and
-	// participants-only energies.
-	EnergyJ            float64
-	ParticipantEnergyJ float64
-	// MeanStale is the round's mean applied-update staleness (always 0
-	// in ModeSync); replaying a trace prefix reproduces the horizon's
-	// staleness summary exactly.
-	MeanStale float64
-	// Jain and BatteryFrac carry the battery subsystem's per-round
-	// fairness index and mean candidate state of charge (both 0
-	// without a battery model), so horizon-prefix replay reproduces
-	// the battery summary at any shorter horizon.
-	Jain        float64
-	BatteryFrac float64
 }
 
 // Result summarizes a full FL run.
@@ -460,14 +406,9 @@ type Result struct {
 	ParticipantEnergyToTargetJ float64
 	// FinalAccuracy is the accuracy when the run ended.
 	FinalAccuracy float64
-	// AccuracyTrace holds accuracy after every round (Fig 6a).
-	AccuracyTrace []float64
-	// Trace holds the compact per-round record of every executed
-	// round. Because each round depends only on the rounds before it —
-	// never on MaxRounds — the first h entries replay exactly what a
-	// run bounded at h rounds would have measured; the sweep cache
-	// exploits this to serve short horizons from long cached runs.
-	Trace []RoundTrace
+	// Trace is the per-round record of every executed round, accuracy
+	// after each round (Fig 6a) included; the result is its Fold.
+	Trace Trace
 	// RewardTrace is filled by learning policies via feedback hooks
 	// (Fig 15); nil otherwise.
 	RewardTrace []float64
@@ -861,7 +802,7 @@ func (e *Engine) beginRound(pol Policy, round int, accuracy float64, sc *roundSc
 	}
 	devRounds = devRounds[:k]
 	*res = RoundResult{
-		Round:        round,
+		RoundInfo:    RoundInfo{Round: round + 1},
 		PrevAccuracy: accuracy,
 		Devices:      devRounds,
 	}
@@ -873,7 +814,7 @@ func (e *Engine) beginRound(pol Policy, round int, accuracy float64, sc *roundSc
 		devRounds[v] = DeviceRound{Index: g}
 	}
 	if e.batt != nil {
-		res.BatteryAvailable, res.BatteryDepleted, res.BatteryMeanFrac = battViewStats(ctx.Devices)
+		res.BatteryAvailable, res.BatteryDepleted, res.BatteryMeanCharge = battViewStats(ctx.Devices)
 	}
 	return ctx, selections, traits, res
 }
@@ -998,7 +939,7 @@ func (e *Engine) runRound(pol Policy, round int, accuracy float64, sc *roundScra
 		})
 		idle := spec.IdleWatts() * roundSec
 		if e.pop != nil {
-			res.EnergyParticipantsJ += dr.EnergyJ
+			res.ParticipantEnergyJ += dr.EnergyJ
 			participantIdle += idle
 		}
 		e.charge(dr.Index, dr.Target, dr.Step, dr.EnergyJ-idle)
@@ -1008,14 +949,14 @@ func (e *Engine) runRound(pol Policy, round int, accuracy float64, sc *roundScra
 	// baseline, net of their own idle share. The fleet sums its whole
 	// view, and its participants, in index order.
 	if p := e.pop; p != nil {
-		res.EnergyTotalJ = p.fleetIdle*roundSec - participantIdle + res.EnergyParticipantsJ
+		res.EnergyJ = p.fleetIdle*roundSec - participantIdle + res.ParticipantEnergyJ
 		p.idleSec += roundSec
 	} else {
 		for i := range res.Devices {
 			dr := &res.Devices[i]
-			res.EnergyTotalJ += dr.EnergyJ
+			res.EnergyJ += dr.EnergyJ
 			if dr.Selected {
-				res.EnergyParticipantsJ += dr.EnergyJ
+				res.ParticipantEnergyJ += dr.EnergyJ
 			}
 		}
 	}
@@ -1060,7 +1001,7 @@ func (e *Engine) resolveBarrier(selections []Selection, res *RoundResult, deadli
 			continue
 		}
 		dr.Dropped = true
-		res.DroppedStragglers++
+		res.Dropped++
 		if traits.PartialUpdates {
 			// FedProx/FedNova-style partial work proportional to the
 			// share of local training finished by the deadline.

@@ -194,7 +194,7 @@ func TestStragglerDeadlineDropsSlowDevices(t *testing.T) {
 	if !res.Devices[lowIdx].Dropped {
 		t.Error("low-end straggler should miss the deadline among high-end peers")
 	}
-	if res.DroppedStragglers < 1 {
+	if res.Dropped < 1 {
 		t.Error("round should report dropped stragglers")
 	}
 	if res.Devices[lowIdx].UpdateFraction != 0 {
@@ -244,10 +244,10 @@ func TestPartialUpdatesKeepStragglerMass(t *testing.T) {
 func TestEnergyAccounting(t *testing.T) {
 	eng := New(quickCfg(10))
 	_, res := eng.RunRound(newRandomPolicy(3), 0, 0.1)
-	if res.EnergyTotalJ <= 0 || res.EnergyParticipantsJ <= 0 {
+	if res.EnergyJ <= 0 || res.ParticipantEnergyJ <= 0 {
 		t.Fatal("round energies must be positive")
 	}
-	if res.EnergyParticipantsJ >= res.EnergyTotalJ {
+	if res.ParticipantEnergyJ >= res.EnergyJ {
 		t.Error("fleet energy must exceed participant energy (idle devices burn power)")
 	}
 	sum := 0.0
@@ -261,8 +261,8 @@ func TestEnergyAccounting(t *testing.T) {
 			selected++
 		}
 	}
-	if math.Abs(sum-res.EnergyTotalJ)/res.EnergyTotalJ > 1e-9 {
-		t.Errorf("device energies sum to %v, total says %v", sum, res.EnergyTotalJ)
+	if math.Abs(sum-res.EnergyJ)/res.EnergyJ > 1e-9 {
+		t.Errorf("device energies sum to %v, total says %v", sum, res.EnergyJ)
 	}
 	if selected != eng.Config().Params.K {
 		t.Errorf("selected %d devices, want K=%d", selected, eng.Config().Params.K)
@@ -475,7 +475,7 @@ func TestEmptySelectionRound(t *testing.T) {
 	if res.Kept != 0 {
 		t.Error("no updates should be kept")
 	}
-	if res.EnergyTotalJ <= 0 {
+	if res.EnergyJ <= 0 {
 		t.Error("idle fleet still burns energy")
 	}
 }
@@ -499,7 +499,7 @@ func TestAccuracyTraceMonotonicEnvelope(t *testing.T) {
 	// Individual rounds may regress slightly, but the running max
 	// must approach the target.
 	runMax := 0.0
-	for _, a := range res.AccuracyTrace {
+	for _, a := range res.Trace.Accuracy {
 		if a > runMax {
 			runMax = a
 		}

@@ -1,6 +1,10 @@
 package sweep
 
-import "autofl/internal/sim"
+import (
+	"slices"
+
+	"autofl/internal/sim"
+)
 
 // TraceVersion gates the RunTrace payload layout. Consumers must
 // ignore payloads with an unknown version (treat the entry as
@@ -8,77 +12,42 @@ import "autofl/internal/sim"
 const TraceVersion = 1
 
 // RunTrace is the versioned per-round trace payload of one executed
-// cell: parallel per-round arrays plus the run's accuracy target and
-// floor. Because every simulated round depends only on the rounds
-// before it — never on the horizon — the first h rounds of a trace
-// replay exactly what a run bounded at h rounds would have measured,
-// so a long cached run can answer any shorter-horizon request
-// byte-identically (OutcomeAt).
+// cell: the run's own sim.Trace plus its accuracy target and floor.
+// Because every simulated round depends only on the rounds before it —
+// never on the horizon — the first h rounds of a trace replay exactly
+// what a run bounded at h rounds would have measured, so a long cached
+// run can answer any shorter-horizon request byte-identically
+// (OutcomeAt). encoding/json flattens the embedded trace's arrays
+// after the three scalars, which fixes the payload layout.
 type RunTrace struct {
 	V int `json:"v"`
 	// TargetAccuracy and AccuracyFloor echo the run configuration;
 	// replay needs them to re-derive convergence and progress.
 	TargetAccuracy float64 `json:"target_accuracy"`
 	AccuracyFloor  float64 `json:"accuracy_floor"`
-	// Per-round arrays, index = zero-based round: wall-clock seconds,
-	// fleet energy, participants-only energy, post-round accuracy.
-	Sec                []float64 `json:"sec"`
-	EnergyJ            []float64 `json:"energy_j"`
-	ParticipantEnergyJ []float64 `json:"participant_energy_j"`
-	Accuracy           []float64 `json:"accuracy"`
-	// Staleness is the per-round mean update staleness. It is recorded
-	// only for runs where some round saw a stale update (asynchronous
-	// aggregation); absent otherwise, keeping synchronous trace
-	// payloads byte-identical to their pre-async form.
-	Staleness []float64 `json:"staleness,omitempty"`
-	// Jain and BatteryFrac are the per-round participation-fairness
-	// index and candidate mean state of charge. Recorded only for
-	// battery-enabled runs; absent otherwise, keeping batteryless trace
-	// payloads byte-identical to their pre-battery form.
-	Jain        []float64 `json:"jain,omitempty"`
-	BatteryFrac []float64 `json:"battery_frac,omitempty"`
+	sim.Trace
 }
 
-// NewRunTrace converts a finished run's per-round record (Trace plus
-// the parallel AccuracyTrace, equal length by construction) into the
-// cacheable payload.
+// NewRunTrace wraps a finished run's trace as the cacheable payload,
+// sharing its arrays. The staleness array is dropped when no round saw
+// a stale update, keeping such payloads byte-identical to their
+// pre-async form.
 func NewRunTrace(res *sim.Result) *RunTrace {
 	t := &RunTrace{
-		V:                  TraceVersion,
-		TargetAccuracy:     res.TargetAccuracy,
-		AccuracyFloor:      res.AccuracyFloor,
-		Sec:                make([]float64, len(res.Trace)),
-		EnergyJ:            make([]float64, len(res.Trace)),
-		ParticipantEnergyJ: make([]float64, len(res.Trace)),
-		Accuracy:           append([]float64(nil), res.AccuracyTrace...),
+		V:              TraceVersion,
+		TargetAccuracy: res.TargetAccuracy,
+		AccuracyFloor:  res.AccuracyFloor,
+		Trace:          res.Trace,
 	}
-	for i, r := range res.Trace {
-		t.Sec[i] = r.Sec
-		t.EnergyJ[i] = r.EnergyJ
-		t.ParticipantEnergyJ[i] = r.ParticipantEnergyJ
-	}
-	for _, r := range res.Trace {
-		if r.MeanStale != 0 {
-			t.Staleness = make([]float64, len(res.Trace))
-			for i, rr := range res.Trace {
-				t.Staleness[i] = rr.MeanStale
-			}
-			break
-		}
-	}
-	if res.Battery != nil {
-		t.Jain = make([]float64, len(res.Trace))
-		t.BatteryFrac = make([]float64, len(res.Trace))
-		for i, r := range res.Trace {
-			t.Jain[i] = r.Jain
-			t.BatteryFrac[i] = r.BatteryFrac
-		}
+	if !slices.ContainsFunc(t.Staleness, func(s float64) bool { return s != 0 }) {
+		t.Staleness = nil
 	}
 	return t
 }
 
 // Valid reports whether the payload is one this code can replay: a
-// known version and consistent array lengths.
+// known version and consistent array lengths, with the two battery
+// arrays present or absent together.
 func (t *RunTrace) Valid() bool {
 	if t == nil || t.V != TraceVersion {
 		return false
@@ -87,19 +56,13 @@ func (t *RunTrace) Valid() bool {
 	return len(t.EnergyJ) == n && len(t.ParticipantEnergyJ) == n && len(t.Accuracy) == n &&
 		(len(t.Staleness) == 0 || len(t.Staleness) == n) &&
 		(len(t.Jain) == 0 || len(t.Jain) == n) &&
-		(len(t.BatteryFrac) == 0 || len(t.BatteryFrac) == n)
+		len(t.BatteryFrac) == len(t.Jain)
 }
 
-// Rounds is the number of recorded rounds.
-func (t *RunTrace) Rounds() int { return len(t.Sec) }
-
 // OutcomeAt replays the trace under a horizon of the given round
-// count, reproducing — bit for bit — the Outcome a fresh run bounded
-// at that horizon would report. It mirrors the engine's round loop
-// exactly: sums accumulate in round order, the run ends at the first
-// round whose accuracy reaches the target, and the efficiency metrics
-// are derived through sim.Result so the progress arithmetic cannot
-// drift from the engine's.
+// count through sim.Trace.Fold — the fold the live run reports
+// through — so the Outcome is bit for bit the one a fresh run bounded
+// at that horizon reports.
 //
 // The replay fails (ok == false) when the trace cannot witness the
 // request: an invalid payload, or a horizon beyond the recorded
@@ -108,54 +71,31 @@ func (t *RunTrace) OutcomeAt(rounds int) (Outcome, bool) {
 	if !t.Valid() || rounds <= 0 {
 		return Outcome{}, false
 	}
-	res := sim.Result{
-		TargetAccuracy: t.TargetAccuracy,
-		AccuracyFloor:  t.AccuracyFloor,
-	}
-	acc := t.AccuracyFloor
-	staleSum := 0.0
-	jain, battFrac := 0.0, 0.0
-	for i := 0; i < rounds && i < len(t.Sec); i++ {
-		acc = t.Accuracy[i]
-		res.Rounds++
-		res.TimeToTargetSec += t.Sec[i]
-		res.EnergyToTargetJ += t.EnergyJ[i]
-		res.ParticipantEnergyToTargetJ += t.ParticipantEnergyJ[i]
-		if len(t.Staleness) > 0 {
-			staleSum += t.Staleness[i]
-		}
-		if len(t.Jain) > 0 {
-			// The battery fields report last-round values, not sums:
-			// replay carries the latest round's numbers forward.
-			jain, battFrac = t.Jain[i], t.BatteryFrac[i]
-		}
-		if !res.Converged && acc >= t.TargetAccuracy {
-			res.Converged = true
-			res.ConvergedRound = i + 1
-			break
-		}
-	}
-	res.FinalAccuracy = acc
-	if res.Rounds > 0 {
-		// Same order of operations as the engine's finalize step, so
-		// the replayed mean is bit-identical to a fresh run's.
-		res.MeanStaleness = staleSum / float64(res.Rounds)
-	}
+	res := t.Fold(rounds, t.TargetAccuracy, t.AccuracyFloor)
 	if !res.Converged && res.Rounds < rounds {
 		// The trace ran out before the requested horizon without
 		// converging: it cannot witness rounds it never executed.
 		return Outcome{}, false
 	}
-	return Outcome{
-		Converged:         res.Converged,
-		Rounds:            res.Rounds,
-		TimeToTargetSec:   res.TimeToTargetSec,
-		EnergyToTargetJ:   res.EnergyToTargetJ,
-		GlobalPPW:         res.GlobalPPW(),
-		LocalPPW:          res.LocalPPW(),
-		FinalAccuracy:     res.FinalAccuracy,
-		MeanStaleness:     res.MeanStaleness,
-		ParticipationJain: jain,
-		BatteryMeanFrac:   battFrac,
-	}, true
+	return OutcomeOf(&res), true
+}
+
+// OutcomeOf is the sweep measurement of a finished (or replayed) run.
+// It carries no trace payload.
+func OutcomeOf(res *sim.Result) Outcome {
+	out := Outcome{
+		Converged:       res.Converged,
+		Rounds:          res.Rounds,
+		TimeToTargetSec: res.TimeToTargetSec,
+		EnergyToTargetJ: res.EnergyToTargetJ,
+		GlobalPPW:       res.GlobalPPW(),
+		LocalPPW:        res.LocalPPW(),
+		FinalAccuracy:   res.FinalAccuracy,
+		MeanStaleness:   res.MeanStaleness,
+	}
+	if res.Battery != nil {
+		out.ParticipationJain = res.Battery.ParticipationJain
+		out.BatteryMeanFrac = res.Battery.MeanCharge
+	}
+	return out
 }

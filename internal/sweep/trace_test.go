@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"encoding/json"
 	"testing"
 
 	"autofl/internal/sim"
@@ -121,6 +122,26 @@ func TestTraceValidity(t *testing.T) {
 	if raggedStale.Valid() {
 		t.Error("ragged staleness reported valid")
 	}
+	// The battery arrays come as a pair: a payload carrying Jain
+	// without BatteryFrac (or the reverse) must be rejected, not
+	// replayed into an out-of-range read.
+	jainOnly := syntheticTrace(10, 0)
+	jainOnly.Jain = make([]float64, 10)
+	fracOnly := syntheticTrace(10, 0)
+	fracOnly.BatteryFrac = make([]float64, 10)
+	for name, tr := range map[string]*RunTrace{"jain only": jainOnly, "battery_frac only": fracOnly} {
+		if tr.Valid() {
+			t.Errorf("%s reported valid", name)
+		}
+		if _, ok := tr.OutcomeAt(5); ok {
+			t.Errorf("%s served an outcome", name)
+		}
+	}
+	both := syntheticTrace(10, 0)
+	both.Jain, both.BatteryFrac = make([]float64, 10), make([]float64, 10)
+	if !both.Valid() {
+		t.Error("full-length battery arrays reported invalid")
+	}
 }
 
 // TestTraceStalenessReplay pins the async extension of the prefix
@@ -156,19 +177,21 @@ func TestTraceStalenessReplay(t *testing.T) {
 // when some round actually saw a stale update, so synchronous cache
 // payloads keep their pre-async bytes.
 func TestNewRunTraceStalenessGating(t *testing.T) {
-	syncRes := &sim.Result{
-		TargetAccuracy: 0.9, AccuracyFloor: 0.1,
-		AccuracyTrace: []float64{0.3, 0.5},
-		Trace:         []sim.RoundTrace{{Sec: 1}, {Sec: 2}},
+	round2 := func(stale []float64) *sim.Result {
+		return &sim.Result{
+			TargetAccuracy: 0.9, AccuracyFloor: 0.1,
+			Trace: sim.Trace{
+				Sec: []float64{1, 2}, EnergyJ: make([]float64, 2), ParticipantEnergyJ: make([]float64, 2),
+				Accuracy: []float64{0.3, 0.5}, Staleness: stale,
+			},
+		}
 	}
-	if tr := NewRunTrace(syncRes); tr.Staleness != nil {
-		t.Error("synchronous trace recorded a staleness array")
+	for _, stale := range [][]float64{nil, {0, 0}} {
+		if tr := NewRunTrace(round2(stale)); tr.Staleness != nil {
+			t.Errorf("staleness %v: trace recorded a staleness array", stale)
+		}
 	}
-	asyncRes := &sim.Result{
-		TargetAccuracy: 0.9, AccuracyFloor: 0.1,
-		AccuracyTrace: []float64{0.3, 0.5},
-		Trace:         []sim.RoundTrace{{Sec: 1}, {Sec: 2, MeanStale: 1.5}},
-	}
+	asyncRes := round2([]float64{0, 1.5})
 	tr := NewRunTrace(asyncRes)
 	if len(tr.Staleness) != 2 || tr.Staleness[1] != 1.5 {
 		t.Errorf("async trace staleness = %v, want [0 1.5]", tr.Staleness)
@@ -185,10 +208,11 @@ func TestNewRunTraceRoundTrips(t *testing.T) {
 	res := &sim.Result{
 		TargetAccuracy: 0.9,
 		AccuracyFloor:  0.1,
-		AccuracyTrace:  []float64{0.3, 0.5},
-		Trace: []sim.RoundTrace{
-			{Sec: 1.5, EnergyJ: 10, ParticipantEnergyJ: 4},
-			{Sec: 2.5, EnergyJ: 11, ParticipantEnergyJ: 5},
+		Trace: sim.Trace{
+			Sec:                []float64{1.5, 2.5},
+			EnergyJ:            []float64{10, 11},
+			ParticipantEnergyJ: []float64{4, 5},
+			Accuracy:           []float64{0.3, 0.5},
 		},
 	}
 	tr := NewRunTrace(res)
@@ -202,4 +226,39 @@ func TestNewRunTraceRoundTrips(t *testing.T) {
 	if out.TimeToTargetSec != 4.0 || out.EnergyToTargetJ != 21 || out.FinalAccuracy != 0.5 {
 		t.Errorf("replayed outcome = %+v", out)
 	}
+}
+
+// FuzzRunTrace feeds arbitrary JSON to the cache-payload replay: a
+// trace that reaches the cache from a remote worker is untrusted, so
+// OutcomeAt must never panic, and whatever it serves must be a
+// consistent outcome for the requested horizon: never more rounds than
+// asked, and a converged run stops at its convergence round.
+func FuzzRunTrace(f *testing.F) {
+	f.Add([]byte(`{"v":1,"target_accuracy":0.9,"accuracy_floor":0.1,"sec":[1,2],"energy_j":[3,4],"participant_energy_j":[1,1],"accuracy":[0.5,0.6],"jain":[0.5,0.6]}`))
+	f.Add([]byte(`{"v":1,"target_accuracy":0.9,"accuracy_floor":0.1,"sec":[1,2,3],"energy_j":[3,4,5],"participant_energy_j":[1,1,1],"accuracy":[0.5,0.95,0.2],"staleness":[0,1,2],"jain":[0.5,0.6,0.7],"battery_frac":[0.9,0.8,0.7]}`))
+	f.Add([]byte(`{"v":1,"sec":[],"energy_j":[],"participant_energy_j":[],"accuracy":[],"staleness":[],"jain":[],"battery_frac":[]}`))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var tr RunTrace
+		if json.Unmarshal(payload, &tr) != nil {
+			return
+		}
+		for h := 0; h <= tr.Rounds()+2; h++ {
+			out, ok := tr.OutcomeAt(h)
+			if !ok {
+				continue
+			}
+			if out.Rounds > h {
+				t.Fatalf("OutcomeAt(%d) replayed %d rounds", h, out.Rounds)
+			}
+			if res := tr.Fold(h, tr.TargetAccuracy, tr.AccuracyFloor); res.Converged && res.ConvergedRound != res.Rounds {
+				t.Fatalf("Fold(%d) converged at round %d but ran %d", h, res.ConvergedRound, res.Rounds)
+			}
+			if !out.Converged && out.Rounds != h {
+				t.Fatalf("OutcomeAt(%d) served an unconverged %d-round prefix", h, out.Rounds)
+			}
+			if out.Trace != nil {
+				t.Fatalf("OutcomeAt(%d) carried a trace payload", h)
+			}
+		}
+	})
 }

@@ -5,48 +5,12 @@ import (
 	"autofl/internal/sim"
 )
 
-// RoundEvent is the per-round observation a Session delivers: what one
-// completed aggregation round measured. Observers and early-stop
-// predicates receive it, and Step returns it.
-type RoundEvent struct {
-	// Round is the 1-based index of the round that just completed.
-	Round int
-	// Accuracy is the global-model test accuracy after the round.
-	Accuracy float64
-	// RoundSec is the round's wall-clock duration.
-	RoundSec float64
-	// EnergyJ and ParticipantEnergyJ are the round's fleet-wide and
-	// participants-only energies.
-	EnergyJ            float64
-	ParticipantEnergyJ float64
-	// Participants counts selected devices; Kept the updates that
-	// reached aggregation; Dropped the deadline-missing stragglers.
-	Participants, Kept, Dropped int
-	// VirtualSec is the virtual clock after the round: cumulative
-	// round seconds since the run began.
-	VirtualSec float64
-	// Pending counts updates still in flight after the round's
-	// aggregation, and MeanStaleness averages the staleness of the
-	// updates it applied — both 0 under synchronous aggregation.
-	Pending       int
-	MeanStaleness float64
-	// Reward is the AutoFL controller's mean per-round reward; 0 for
-	// non-learning policies.
-	Reward float64
-	// BatteryAvailable and BatteryDepleted count the round's candidate
-	// devices above the participation threshold and at zero charge;
-	// BatteryMeanCharge is the candidates' mean state of charge in
-	// [0, 1], and ParticipationJain is Jain's fairness index over
-	// cumulative per-device participation. All zero for scenarios
-	// without a battery model.
-	BatteryAvailable  int
-	BatteryDepleted   int
-	BatteryMeanCharge float64
-	ParticipationJain float64
-	// Converged reports whether this round reached the accuracy
-	// target (ending the run).
-	Converged bool
-}
+// RoundEvent is the per-round observation a Session delivers: the
+// engine's record of one completed aggregation round (round index,
+// accuracy, time and energy, participation, staleness, battery state,
+// the learning policy's reward, and whether the round converged).
+// Observers and early-stop predicates receive it, and Step returns it.
+type RoundEvent = sim.RoundInfo
 
 // Session is an open, stepwise run of one Scenario under one Policy —
 // the streaming form of Scenario.Run. Where Run executes the whole
@@ -61,7 +25,6 @@ type RoundEvent struct {
 type Session struct {
 	policy    Policy
 	run       *sim.Run
-	rewards   interface{ RewardTrace() []float64 }
 	observers []func(RoundEvent)
 	stops     []func(RoundEvent) bool
 	stopped   bool
@@ -84,9 +47,7 @@ func Open(s Scenario, p Policy) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess := &Session{policy: p, run: eng.Start(pol)}
-	sess.rewards, _ = pol.(interface{ RewardTrace() []float64 })
-	return sess, nil
+	return &Session{policy: p, run: eng.Start(pol)}, nil
 }
 
 // Observe registers a per-round callback, invoked after every
@@ -111,30 +72,7 @@ func (s *Session) Step() (RoundEvent, bool) {
 	if s.closed || s.stopped || !s.run.Step() {
 		return RoundEvent{}, false
 	}
-	info := s.run.Last()
-	ev := RoundEvent{
-		Round:              info.Round,
-		Accuracy:           info.Accuracy,
-		RoundSec:           info.RoundSec,
-		EnergyJ:            info.EnergyJ,
-		ParticipantEnergyJ: info.ParticipantEnergyJ,
-		Participants:       info.Participants,
-		Kept:               info.Kept,
-		Dropped:            info.Dropped,
-		VirtualSec:         info.VirtualSec,
-		Pending:            info.Pending,
-		MeanStaleness:      info.MeanStaleness,
-		BatteryAvailable:   info.BatteryAvailable,
-		BatteryDepleted:    info.BatteryDepleted,
-		BatteryMeanCharge:  info.BatteryMeanCharge,
-		ParticipationJain:  info.ParticipationJain,
-		Converged:          info.Converged,
-	}
-	if s.rewards != nil {
-		if tr := s.rewards.RewardTrace(); len(tr) > 0 {
-			ev.Reward = tr[len(tr)-1]
-		}
-	}
+	ev := s.run.Last()
 	for _, fn := range s.observers {
 		fn(ev)
 	}

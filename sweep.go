@@ -109,20 +109,7 @@ func sweepCell(ctx context.Context, c sweep.Cell, seed uint64, maxRounds int, tr
 		}
 	}
 	res := sess.simResult()
-	out := sweep.Outcome{
-		Converged:       res.Converged,
-		Rounds:          res.Rounds,
-		TimeToTargetSec: res.TimeToTargetSec,
-		EnergyToTargetJ: res.EnergyToTargetJ,
-		GlobalPPW:       res.GlobalPPW(),
-		LocalPPW:        res.LocalPPW(),
-		FinalAccuracy:   res.FinalAccuracy,
-		MeanStaleness:   res.MeanStaleness,
-	}
-	if res.Battery != nil {
-		out.ParticipationJain = res.Battery.ParticipationJain
-		out.BatteryMeanFrac = res.Battery.MeanFrac
-	}
+	out := sweep.OutcomeOf(res)
 	if traced {
 		out.Trace = sweep.NewRunTrace(res)
 	}
