@@ -320,9 +320,10 @@ type FleetSpec struct {
 	// Sample is the per-round candidate-pool size: each round the
 	// engine draws Sample candidates from the population and the
 	// policy selects K participants among them, making per-round cost
-	// O(Sample) instead of O(fleet). Zero runs the population
-	// exhaustively (byte-identical to a materialized fleet of the same
-	// shape) — fine for thousands of devices, a wall at millions.
+	// O(Sample) instead of O(fleet). Zero, or any value from the
+	// device count up, runs the population exhaustively — every device
+	// a candidate each round, exactly as the default 200-device fleet
+	// runs — fine for thousands of devices, a wall at millions.
 	Sample int
 	// Shards is the engine's intra-round parallelism (0 = automatic).
 	// Results are independent of the shard count.

@@ -15,45 +15,47 @@ import (
 	"autofl/internal/sweep/dist"
 )
 
-// seedFingerprints pins battery-disabled behavior to the pre-battery
-// engine: each value is "rounds|converged|accuracy|energy|time"
-// (floats at full %.17g precision) captured from the repository state
-// before the battery subsystem existed, for the CNN-MNIST/S3/noniid50
-// scenario at seed 9 over 30 rounds. The battery seed is derived by
-// keyed hashing rather than stream draws, so these must hold exactly.
+// seedFingerprints pins battery-disabled behavior: each value is
+// "rounds|converged|accuracy|energy|time" (floats at full %.17g
+// precision) for the CNN-MNIST/S3/noniid50 scenario at seed 9 over 30
+// rounds on the default 200-device fleet. The values were first
+// captured before the battery subsystem existed and re-captured once
+// when the fleet moved onto the population engine's keyed draws. The
+// battery seed is derived by keyed hashing rather than stream draws,
+// so these must hold exactly.
 var seedFingerprints = map[string]string{
-	"ideal" + "/" + "FedAvg-Random":        "30|false|0.41145546821784679|44770.352471047394|1006.4385189536788",
-	"ideal" + "/" + "Performance":          "30|false|0.45236273339543109|44360.651888738314|623.37008250761778",
-	"ideal" + "/" + "Power":                "30|false|0.40634247138522572|44803.538426133717|1032.4042818267255",
-	"ideal" + "/" + "Oparticipant":         "30|false|0.44450363080529048|38062.815311618513|842.97750591478871",
-	"ideal" + "/" + "OFL":                  "30|false|0.44450363080529048|28672.649417646808|1358.7308360440024",
-	"ideal" + "/" + "AutoFL":               "30|false|0.43659046413559977|42703.849469281238|1391.4308073108523",
-	"ideal" + "/" + "FedNova":              "30|false|0.43903215500338894|44770.352471047394|1006.4385189536788",
-	"ideal" + "/" + "FEDL":                 "30|false|0.446048610334632|44770.352471047394|1006.4385189536788",
-	"interference" + "/" + "FedAvg-Random": "30|false|0.38293339841912571|60086.277509756022|1560.8043500559211",
-	"interference" + "/" + "Performance":   "30|false|0.45236273339543109|53657.524656568414|935.94589288323004",
-	"interference" + "/" + "Power":         "30|false|0.37445248137104004|60701.938765167062|1751.5864803365591",
-	"interference" + "/" + "Oparticipant":  "30|false|0.45023752763204838|44960.624069299549|980.34140046347295",
-	"interference" + "/" + "OFL":           "30|false|0.4383464029283286|32782.037672625265|1150.0718782776457",
-	"interference" + "/" + "AutoFL":        "30|false|0.42138547756171574|46909.813471627793|1377.3647827464083",
-	"interference" + "/" + "FedNova":       "30|false|0.4280576876615072|60086.277509756022|1560.8043500559211",
-	"interference" + "/" + "FEDL":          "30|false|0.43456747671827139|60086.277509756022|1560.8043500559211",
-	"weak-network" + "/" + "FedAvg-Random": "30|false|0.40960978303672696|62147.44250911026|1748.7850916454881",
-	"weak-network" + "/" + "Performance":   "30|false|0.44048379745040472|62186.446228695859|1431.4898901620245",
-	"weak-network" + "/" + "Power":         "30|false|0.40443473397292479|63302.135959109168|1877.114432137113",
-	"weak-network" + "/" + "Oparticipant":  "30|false|0.45265638435111322|47603.700179486776|979.16008156261262",
-	"weak-network" + "/" + "OFL":           "30|false|0.45265638435111322|37979.058428512115|1451.8266804382872",
-	"weak-network" + "/" + "AutoFL":        "30|false|0.43197443252364287|60962.42640997345|1879.4406601316421",
-	"weak-network" + "/" + "FedNova":       "30|false|0.43895336428817999|62147.44250911026|1748.7850916454881",
-	"weak-network" + "/" + "FEDL":          "30|false|0.44595582933547162|62147.44250911026|1748.7850916454881",
-	"field" + "/" + "FedAvg-Random":        "30|false|0.38331890362240617|62912.512848786631|1637.7462553679411",
-	"field" + "/" + "Performance":          "30|false|0.45132596089602622|56202.107005603051|1033.7136625721055",
-	"field" + "/" + "Power":                "30|false|0.37445248137104004|63516.161832109836|1833.456901273496",
-	"field" + "/" + "Oparticipant":         "30|false|0.44832478225485634|46129.572178293667|1083.0553525867253",
-	"field" + "/" + "OFL":                  "30|false|0.43757150004444145|33831.548851526393|1240.8067883764272",
-	"field" + "/" + "AutoFL":               "30|false|0.41323894824295232|49479.701333372213|1432.865942510846",
-	"field" + "/" + "FedNova":              "30|false|0.42850734119099421|62912.512848786631|1637.7462553679411",
-	"field" + "/" + "FEDL":                 "30|false|0.43504146505478963|62912.512848786631|1637.7462553679411",
+	"ideal" + "/" + "FedAvg-Random":        "30|false|0.40633420024396527|43737.515816126615|959.02820258098222",
+	"ideal" + "/" + "Performance":          "30|false|0.43437180492038491|43386.174633802053|607.89622183293045",
+	"ideal" + "/" + "Power":                "30|false|0.40489370348634196|43401.622638457171|1013.7949294235427",
+	"ideal" + "/" + "Oparticipant":         "30|false|0.43716818278835468|36704.271339559491|815.91569135468137",
+	"ideal" + "/" + "OFL":                  "30|false|0.43716818278835468|27379.17284930441|1228.6120894814358",
+	"ideal" + "/" + "AutoFL":               "30|false|0.42439825956014393|42361.296635493876|1411.5846110782522",
+	"ideal" + "/" + "FedNova":              "30|false|0.43863657489744856|43737.515816126615|959.02820258098222",
+	"ideal" + "/" + "FEDL":                 "30|false|0.4424016307793372|43737.515816126615|959.02820258098222",
+	"interference" + "/" + "FedAvg-Random": "30|false|0.3827218646352763|58938.166415558866|1527.6033284521811",
+	"interference" + "/" + "Performance":   "30|false|0.43437180492038491|52302.858394121627|882.50493222525995",
+	"interference" + "/" + "Power":         "30|false|0.37273069711706613|59359.287692805061|1729.6059419199025",
+	"interference" + "/" + "Oparticipant":  "30|false|0.44776946405324419|45652.43125820077|1067.8795633175027",
+	"interference" + "/" + "OFL":           "30|false|0.43569038292105428|32347.77211197525|1227.269405760273",
+	"interference" + "/" + "AutoFL":        "30|false|0.39678474104216732|48167.370617041735|1393.5603510933317",
+	"interference" + "/" + "FedNova":       "30|false|0.42876044425022242|58938.166415558866|1527.6033284521811",
+	"interference" + "/" + "FEDL":          "30|false|0.43218973461417998|58938.166415558866|1527.6033284521811",
+	"weak-network" + "/" + "FedAvg-Random": "30|false|0.40347569049802551|61169.514620265611|1696.9418047943282",
+	"weak-network" + "/" + "Performance":   "30|false|0.42445856660966835|59583.047805542985|1325.5470676079842",
+	"weak-network" + "/" + "Power":         "30|false|0.40439039276340361|60914.082299476642|1785.5707544978993",
+	"weak-network" + "/" + "Oparticipant":  "30|false|0.45242604506757078|47281.38792402394|916.34706338073158",
+	"weak-network" + "/" + "OFL":           "30|false|0.45242604506757078|37912.90427591106|1365.801462483983",
+	"weak-network" + "/" + "AutoFL":        "30|false|0.41210324470263349|58042.93578435482|1854.3367011006922",
+	"weak-network" + "/" + "FedNova":       "30|false|0.43851089916824709|61169.514620265611|1696.9418047943282",
+	"weak-network" + "/" + "FEDL":          "30|false|0.44226912456516704|61169.514620265611|1696.9418047943282",
+	"field" + "/" + "FedAvg-Random":        "30|false|0.38315945827955633|61656.12962849778|1604.3165976512128",
+	"field" + "/" + "Performance":          "30|false|0.4334452438893876|54602.11091107635|963.83581232886081",
+	"field" + "/" + "Power":                "30|false|0.37273069711706613|61833.63056668733|1798.3981834457159",
+	"field" + "/" + "Oparticipant":         "30|false|0.44588044773202917|47679.656798559365|1179.916139811995",
+	"field" + "/" + "OFL":                  "30|false|0.43386727423428512|33565.421662000495|1312.8039990421371",
+	"field" + "/" + "AutoFL":               "30|false|0.39934612372415723|50677.983080723403|1451.9832091956969",
+	"field" + "/" + "FedNova":              "30|false|0.42925382138631618|61656.12962849778|1604.3165976512128",
+	"field" + "/" + "FEDL":                 "30|false|0.43269380100367288|61656.12962849778|1604.3165976512128",
 }
 
 // TestBatteryDisabledPinnedToSeed is the compatibility pin of the

@@ -24,12 +24,15 @@ import (
 	"autofl/internal/workload"
 )
 
+// benchPopulation is the reduced-scale 40-device fleet.
+var benchPopulation, _ = device.NewPopulation(6, 14, 20)
+
 // benchConfig is a reduced-scale run: 40-device fleet, 60 rounds.
 func benchConfig(seed uint64) sim.Config {
 	return sim.Config{
 		Workload:       workload.CNNMNIST(),
 		Params:         workload.GlobalParams{B: 16, E: 5, K: 8},
-		Fleet:          device.NewFleet(6, 14, 20),
+		Population:     benchPopulation,
 		Data:           data.IdealIID,
 		Env:            sim.EnvField(),
 		Seed:           seed,
@@ -143,7 +146,7 @@ func BenchmarkOverheadQTableOps(b *testing.B) {
 	b.Run("select", func(b *testing.B) {
 		b.ReportAllocs()
 		cfg := benchConfig(5)
-		cfg.Fleet = device.DefaultFleet() // paper-scale 200 devices
+		cfg.Population = nil // the default: paper-scale 200 devices
 		cfg.Params.K = 20
 		eng := sim.New(cfg)
 		ctrl := core.New(core.DefaultOptions(6))
@@ -181,7 +184,7 @@ func BenchmarkOverheadQTableOps(b *testing.B) {
 func BenchmarkControllerSelect(b *testing.B) {
 	b.ReportAllocs()
 	cfg := benchConfig(5)
-	cfg.Fleet = device.DefaultFleet()
+	cfg.Population = nil // the default: paper-scale 200 devices
 	cfg.Params.K = 20
 	eng := sim.New(cfg)
 	ctrl := core.New(core.DefaultOptions(6))
@@ -198,7 +201,7 @@ func BenchmarkControllerSelect(b *testing.B) {
 func BenchmarkControllerFeedback(b *testing.B) {
 	b.ReportAllocs()
 	cfg := benchConfig(5)
-	cfg.Fleet = device.DefaultFleet()
+	cfg.Population = nil // the default: paper-scale 200 devices
 	cfg.Params.K = 20
 	eng := sim.New(cfg)
 	ctrl := core.New(core.DefaultOptions(6))
@@ -226,7 +229,7 @@ func BenchmarkEnergyModelError(b *testing.B) {
 func BenchmarkTable4Clusters(b *testing.B) {
 	b.ReportAllocs()
 	cfg := benchConfig(10)
-	cfg.Fleet = device.DefaultFleet()
+	cfg.Population = nil // the default: paper-scale 200 devices
 	cfg.Params.K = 20
 	eng := sim.New(cfg)
 	c3, _ := policy.ClusterByName("C3")
@@ -271,7 +274,7 @@ func BenchmarkRealFedAvg(b *testing.B) {
 func BenchmarkEngineRound(b *testing.B) {
 	b.ReportAllocs()
 	cfg := benchConfig(13)
-	cfg.Fleet = device.DefaultFleet()
+	cfg.Population = nil // the default: paper-scale 200 devices
 	cfg.Params.K = 20
 	eng := sim.New(cfg)
 	p := policy.NewRandom(14)
@@ -414,7 +417,7 @@ func BenchmarkSweepWarmCache(b *testing.B) {
 func BenchmarkOracleSelect(b *testing.B) {
 	b.ReportAllocs()
 	cfg := benchConfig(15)
-	cfg.Fleet = device.DefaultFleet()
+	cfg.Population = nil // the default: paper-scale 200 devices
 	cfg.Params.K = 20
 	eng := sim.New(cfg)
 	ctx, _ := eng.RunRound(policy.NewRandom(16), 0, 0.5)

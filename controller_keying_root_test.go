@@ -15,12 +15,14 @@ import (
 // rewards" (floats at full %.17g precision, rewards an FNV-1a hash of
 // the reward trace's bits) for CNN-MNIST/S3/noniid50 at seed 9 over 30
 // rounds. The values were captured before the controller's agent store
-// moved from maps to an indexed slice, and must hold exactly.
+// moved from maps to an indexed slice, and must hold exactly; the
+// shared/* entries were re-captured once when the 200-device fleet
+// moved onto the population engine's keyed draws.
 var keyingFingerprints = map[string]string{
-	"shared/ideal":        "30|false|0.36525414420661206|41371.767092001086|1175.1597919322112|12c0c1e95703b492",
-	"shared/interference": "30|false|0.37836016399692396|46950.755800521256|1386.1318528549918|fb3747bf425ec3a7",
-	"shared/weak-network": "30|false|0.36522374441440997|57334.819925900563|1764.1461219460759|9fbf8fbf2e421fc4",
-	"shared/field":        "30|false|0.38344377914917205|49912.102434557608|1423.3689454120092|5ccec929a7f1c666",
+	"shared/ideal":        "30|false|0.3453037296955031|42902.52989143422|1228.9179753791159|d64112f06c3a926c",
+	"shared/interference": "30|false|0.36538938661007619|46808.509035023962|1504.0862264646616|c0972690749f51f1",
+	"shared/weak-network": "30|false|0.34410290605890148|60368.744217463849|1826.6828344708342|f054ff57833a29a2",
+	"shared/field":        "30|false|0.3483559107376144|48855.0530145718|1555.1100996922114|1639d9eddc89fe19",
 	"population/device":   "30|false|0.38782529056616938|4951785.0021241838|1633.9256523010363|989012e078d97fee",
 	"population/shared":   "30|false|0.3644391653144517|4715054.6703994824|1554.5356771028446|c4539f4dc39d1b79",
 }

@@ -29,11 +29,21 @@ func TestControllerSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// allocPopulation is the 40-device fleet the allocation pins run on.
+func allocPopulation(t *testing.T) *device.Population {
+	t.Helper()
+	p, err := device.NewPopulation(6, 14, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func checkControllerAllocFree(t *testing.T, ctrl *Controller) {
 	cfg := sim.Config{
 		Workload:       workload.CNNMNIST(),
 		Params:         workload.GlobalParams{B: 16, E: 5, K: 8},
-		Fleet:          device.NewFleet(6, 14, 20),
+		Population:     allocPopulation(t),
 		Data:           data.NonIID50,
 		Env:            sim.EnvField(),
 		Seed:           91,
@@ -88,7 +98,7 @@ func TestStepperSteadyStateAllocFree(t *testing.T) {
 	cfg := sim.Config{
 		Workload:       workload.CNNMNIST(),
 		Params:         workload.GlobalParams{B: 16, E: 5, K: 8},
-		Fleet:          device.NewFleet(6, 14, 20),
+		Population:     allocPopulation(t),
 		Data:           data.NonIID50,
 		Env:            sim.EnvField(),
 		Seed:           91,

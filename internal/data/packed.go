@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 
 	"autofl/internal/rng"
@@ -56,6 +57,48 @@ func classBucket(c, classes int) int {
 // population scale the binomial concentrates to the same fraction).
 // workers bounds generation parallelism; 0 selects GOMAXPROCS.
 func PackedPartition(seed uint64, scenario Scenario, n, classes, meanSamples, workers int) *Packed {
+	return packedPartition(seed, scenario.NonIIDFraction, n, classes, meanSamples, workers)
+}
+
+// ExactPackedPartition is PackedPartition with exactly round(f·n)
+// non-IID devices, the count the sequential Partition assigns: the
+// devices whose keyed membership draws are the smallest. Every device
+// makes the same draws as under PackedPartition; only the threshold
+// its membership draw is compared against moves from f to an order
+// statistic of all n draws. At a few hundred devices the Bernoulli
+// count's ±sqrt(n·f·(1−f)) spread is several percent of the fleet,
+// enough to move runs whose cohort quality sits near the convergence
+// plateau.
+func ExactPackedPartition(seed uint64, scenario Scenario, n, classes, meanSamples, workers int) *Packed {
+	f := scenario.NonIIDFraction
+	if f > 0 && f < 1 {
+		f = exactThreshold(seed, f, n, meanSamples)
+	}
+	return packedPartition(seed, f, n, classes, meanSamples, workers)
+}
+
+// exactThreshold returns the membership threshold under which exactly
+// round(f·n) of the devices' keyed membership draws fall: the next
+// larger draw, or 1 when every device is non-IID.
+func exactThreshold(seed uint64, f float64, n, meanSamples int) float64 {
+	m := int(float64(n)*f + 0.5)
+	if m >= n {
+		return 1
+	}
+	draws := make([]float64, n)
+	rs := rng.NewReseedable()
+	for i := range draws {
+		s := rs.Seed(rng.Mix(seed, 0, uint64(i)))
+		drawSamples(s, meanSamples)
+		draws[i] = s.Float64()
+	}
+	slices.Sort(draws)
+	return draws[m]
+}
+
+// packedPartition generates the partition with device i non-IID when
+// its membership draw falls below threshold (see Stream.Bool).
+func packedPartition(seed uint64, threshold float64, n, classes, meanSamples, workers int) *Packed {
 	buckets := classes
 	if buckets > 64 {
 		buckets = 64
@@ -86,7 +129,7 @@ func PackedPartition(seed uint64, scenario Scenario, n, classes, meanSamples, wo
 			rs := rng.NewReseedable()
 			props := make([]float64, classes)
 			for i := lo; i < hi; i++ {
-				p.generate(rs.Seed(rng.Mix(seed, 0, uint64(i))), scenario, i, meanSamples, props)
+				p.generate(rs.Seed(rng.Mix(seed, 0, uint64(i))), threshold, i, meanSamples, props)
 			}
 		}()
 	}
@@ -94,17 +137,21 @@ func PackedPartition(seed uint64, scenario Scenario, n, classes, meanSamples, wo
 	return p
 }
 
+// drawSamples draws a device's local sample count: the first draw of
+// its keyed stream.
+func drawSamples(s *rng.Stream, meanSamples int) int32 {
+	samples := int32(s.ClampedNormal(float64(meanSamples), 0.15*float64(meanSamples),
+		0.7*float64(meanSamples), 1.3*float64(meanSamples)))
+	return max(samples, 1)
+}
+
 // generate draws device i's assignment from its keyed stream. The
 // draw order per device mirrors Partition's per-device order (samples,
 // then the non-IID decision, then proportions).
-func (p *Packed) generate(s *rng.Stream, scenario Scenario, i, meanSamples int, props []float64) {
-	samples := int32(s.ClampedNormal(float64(meanSamples), 0.15*float64(meanSamples),
-		0.7*float64(meanSamples), 1.3*float64(meanSamples)))
-	if samples < 1 {
-		samples = 1
-	}
+func (p *Packed) generate(s *rng.Stream, threshold float64, i, meanSamples int, props []float64) {
+	samples := drawSamples(s, meanSamples)
 	p.Samples[i] = samples
-	if !s.Bool(scenario.NonIIDFraction) {
+	if !s.Bool(threshold) {
 		p.Mask[i] = fullMask(p.Buckets)
 		p.Quality[i] = 1
 		p.ClassFrac[i] = 1

@@ -2,6 +2,8 @@ package data
 
 import (
 	"math/bits"
+	"reflect"
+	"slices"
 	"testing"
 
 	"autofl/internal/rng"
@@ -18,6 +20,38 @@ func TestPackedWorkerInvariance(t *testing.T) {
 		if a.Mask[i] != b.Mask[i] || a.Quality[i] != b.Quality[i] ||
 			a.ClassFrac[i] != b.ClassFrac[i] || a.Samples[i] != b.Samples[i] {
 			t.Fatalf("device %d differs between 1-worker and 7-worker generation", i)
+		}
+	}
+}
+
+// TestExactPackedPartition pins the exhaustive form: exactly
+// round(f·n) non-IID devices, worker-count invariant, every device
+// keeping its PackedPartition sample count, and the IID and
+// all-non-IID scenarios generated byte for byte as PackedPartition
+// generates them.
+func TestExactPackedPartition(t *testing.T) {
+	for _, sc := range Scenarios() {
+		for _, n := range []int{1, 7, 200} {
+			exact := ExactPackedPartition(5, sc, n, 80, 500, 1)
+			bern := PackedPartition(5, sc, n, 80, 500, 1)
+			if !reflect.DeepEqual(exact, ExactPackedPartition(5, sc, n, 80, 500, 3)) {
+				t.Errorf("%s n=%d: worker count changed the exact partition", sc.Name, n)
+			}
+			nonIID := 0
+			for _, q := range exact.Quality {
+				if q < 1 {
+					nonIID++
+				}
+			}
+			if want := int(float64(n)*sc.NonIIDFraction + 0.5); nonIID != want {
+				t.Errorf("%s n=%d: %d non-IID devices, want %d", sc.Name, n, nonIID, want)
+			}
+			if !slices.Equal(exact.Samples, bern.Samples) {
+				t.Errorf("%s n=%d: sample counts differ from PackedPartition", sc.Name, n)
+			}
+			if f := sc.NonIIDFraction; (f == 0 || f == 1) && !reflect.DeepEqual(exact, bern) {
+				t.Errorf("%s n=%d: exact partition differs from PackedPartition", sc.Name, n)
+			}
 		}
 	}
 }

@@ -12,8 +12,8 @@ import "fmt"
 // struct-of-arrays, keyed by the same dense index space.
 //
 // Index layout matches NewFleet: dense IDs, archetypes in declaration
-// order (high first for the tiered constructor), so materializing a
-// Population reproduces the equivalent Fleet device for device.
+// order (high first for the tiered constructor), so device i of
+// NewPopulation(h, m, l) has the Spec of device i of NewFleet(h, m, l).
 type Population struct {
 	specs   []*Spec
 	offsets []int // offsets[a] is the first index of archetype a; offsets[len] = Len
@@ -64,8 +64,13 @@ func (f Fleet) Population() (*Population, error) {
 	return p, nil
 }
 
-// Len is the number of devices.
-func (p *Population) Len() int { return p.offsets[len(p.offsets)-1] }
+// Len is the number of devices; 0 for the zero Population.
+func (p *Population) Len() int {
+	if len(p.offsets) == 0 {
+		return 0
+	}
+	return p.offsets[len(p.offsets)-1]
+}
 
 // Archetypes returns the shared hardware table, in index order.
 func (p *Population) Archetypes() []*Spec { return p.specs }
@@ -105,19 +110,4 @@ func (p *Population) IdleWatts() float64 {
 		total += float64(p.ArchetypeCount(a)) * s.IdleWatts()
 	}
 	return total
-}
-
-// Fleet materializes the population into the legacy pointer form, one
-// Device per unit with dense IDs in index order. A Population built by
-// NewPopulation(h, m, l) materializes the same fleet NewFleet(h, m, l)
-// builds, device for device — the equivalence the engine's exhaustive
-// mode and the cohort property tests rely on.
-func (p *Population) Fleet() Fleet {
-	fleet := make(Fleet, 0, p.Len())
-	for a, s := range p.specs {
-		for i := p.offsets[a]; i < p.offsets[a+1]; i++ {
-			fleet = append(fleet, &Device{ID: i, Spec: s})
-		}
-	}
-	return fleet
 }

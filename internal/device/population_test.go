@@ -5,6 +5,20 @@ import (
 	"testing"
 )
 
+// sameSpecs reports whether device i of p has a Spec equal to that of
+// fleet[i], for every i.
+func sameSpecs(p *Population, fleet Fleet) bool {
+	if p.Len() != len(fleet) {
+		return false
+	}
+	for i, d := range fleet {
+		if d.ID != i || !reflect.DeepEqual(p.Spec(i), d.Spec) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestNewPopulationRejectsDegenerateShapes(t *testing.T) {
 	if _, err := NewPopulation(-1, 5, 5); err == nil {
 		t.Error("negative tier count accepted")
@@ -17,17 +31,19 @@ func TestNewPopulationRejectsDegenerateShapes(t *testing.T) {
 	}
 }
 
-// TestPopulationMaterializesNewFleet pins the equivalence the engine's
-// exhaustive mode rests on: NewPopulation(h, m, l).Fleet() is
-// NewFleet(h, m, l), device for device.
+// TestPopulationMaterializesNewFleet pins the index layout:
+// NewPopulation(h, m, l) describes NewFleet(h, m, l) device for
+// device.
 func TestPopulationMaterializesNewFleet(t *testing.T) {
 	p, err := NewPopulation(3, 7, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := p.Fleet(), NewFleet(3, 7, 10)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("materialized fleet differs from NewFleet:\ngot:  %+v\nwant: %+v", got, want)
+	if !sameSpecs(p, NewFleet(3, 7, 10)) {
+		t.Error("population differs from NewFleet")
+	}
+	if (&Population{}).Len() != 0 {
+		t.Error("zero Population has devices")
 	}
 }
 
@@ -73,14 +89,14 @@ func TestPopulationSkipsEmptyTiers(t *testing.T) {
 }
 
 // TestPopulationIdleWattsMatchesFleetSum pins the O(archetypes) idle
-// aggregate against the per-device sum the legacy path computes.
+// aggregate against the per-device sum.
 func TestPopulationIdleWattsMatchesFleetSum(t *testing.T) {
 	p, err := NewPopulation(6, 14, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum := 0.0
-	for _, d := range p.Fleet() {
+	for _, d := range NewFleet(6, 14, 20) {
 		sum += d.Spec.IdleWatts()
 	}
 	if got := p.IdleWatts(); got != sum {
@@ -94,8 +110,8 @@ func TestFleetPopulationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(p.Fleet(), fleet) {
-		t.Error("Fleet → Population → Fleet round trip differs")
+	if !sameSpecs(p, fleet) {
+		t.Error("Fleet → Population conversion differs from the fleet")
 	}
 	if _, err := (Fleet{}).Population(); err == nil {
 		t.Error("empty fleet converted without error")

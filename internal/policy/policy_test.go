@@ -91,14 +91,14 @@ func TestRandomSelectsK(t *testing.T) {
 
 func TestStaticClusterComposition(t *testing.T) {
 	eng := sim.New(baseCfg(2))
-	fleet := eng.Config().Fleet
+	pop := eng.Config().Population
 	c, _ := ClusterByName("C3")
 	p := NewStatic("C3", c, 3)
 	_, res := eng.RunRound(p, 0, 0.1)
 	var counts [device.NumCategories]int
 	for _, dr := range res.Devices {
 		if dr.Selected {
-			counts[fleet[dr.Index].Category()]++
+			counts[pop.Spec(dr.Index).Category]++
 		}
 	}
 	if counts[device.High] != 10 || counts[device.Mid] != 5 || counts[device.Low] != 5 {
@@ -108,7 +108,7 @@ func TestStaticClusterComposition(t *testing.T) {
 
 func TestPerformanceAndPowerPolicies(t *testing.T) {
 	eng := sim.New(baseCfg(3))
-	fleet := eng.Config().Fleet
+	pop := eng.Config().Population
 	perf := NewPerformance(4)
 	pow := NewPower(4)
 	if perf.Name() != "Performance" || pow.Name() != "Power" {
@@ -117,12 +117,12 @@ func TestPerformanceAndPowerPolicies(t *testing.T) {
 	_, resPerf := eng.RunRound(perf, 0, 0.1)
 	_, resPow := eng.RunRound(pow, 0, 0.1)
 	for _, dr := range resPerf.Devices {
-		if dr.Selected && fleet[dr.Index].Category() != device.High {
+		if dr.Selected && pop.Spec(dr.Index).Category != device.High {
 			t.Error("Performance must select only high-end devices")
 		}
 	}
 	for _, dr := range resPow.Devices {
-		if dr.Selected && fleet[dr.Index].Category() != device.Low {
+		if dr.Selected && pop.Spec(dr.Index).Category != device.Low {
 			t.Error("Power must select only low-end devices")
 		}
 	}
@@ -200,7 +200,7 @@ func TestOracleShiftsTowardHighEndUnderInterference(t *testing.T) {
 		cfg := baseCfg(seed)
 		cfg.Env = env
 		eng := sim.New(cfg)
-		fleet := eng.Config().Fleet
+		pop := eng.Config().Population
 		p := NewOParticipant()
 		high, total := 0, 0
 		for round := 0; round < 30; round++ {
@@ -208,7 +208,7 @@ func TestOracleShiftsTowardHighEndUnderInterference(t *testing.T) {
 			for _, dr := range res.Devices {
 				if dr.Selected {
 					total++
-					if fleet[dr.Index].Category() == device.High {
+					if pop.Spec(dr.Index).Category == device.High {
 						high++
 					}
 				}
@@ -231,7 +231,7 @@ func TestOracleShiftsTowardLowEndUnderWeakNetwork(t *testing.T) {
 		cfg := baseCfg(seed)
 		cfg.Env = env
 		eng := sim.New(cfg)
-		fleet := eng.Config().Fleet
+		pop := eng.Config().Population
 		p := NewOParticipant()
 		low, total := 0, 0
 		for round := 0; round < 30; round++ {
@@ -239,7 +239,7 @@ func TestOracleShiftsTowardLowEndUnderWeakNetwork(t *testing.T) {
 			for _, dr := range res.Devices {
 				if dr.Selected {
 					total++
-					if fleet[dr.Index].Category() == device.Low {
+					if pop.Spec(dr.Index).Category == device.Low {
 						low++
 					}
 				}
@@ -269,7 +269,7 @@ func TestHeavyWorkFavorsHighEnd(t *testing.T) {
 		cfg := baseCfg(seed)
 		cfg.Params = params
 		eng := sim.New(cfg)
-		fleet := eng.Config().Fleet
+		pop := eng.Config().Population
 		p := NewOParticipant()
 		high, total := 0, 0
 		for round := 0; round < 20; round++ {
@@ -277,7 +277,7 @@ func TestHeavyWorkFavorsHighEnd(t *testing.T) {
 			for _, dr := range res.Devices {
 				if dr.Selected {
 					total++
-					if fleet[dr.Index].Category() == device.High {
+					if pop.Spec(dr.Index).Category == device.High {
 						high++
 					}
 				}
@@ -299,7 +299,7 @@ func TestLSTMFavorsLowerTiersThanCNN(t *testing.T) {
 		cfg := baseCfg(seed)
 		cfg.Workload = w
 		eng := sim.New(cfg)
-		fleet := eng.Config().Fleet
+		pop := eng.Config().Population
 		p := NewOParticipant()
 		high, total := 0, 0
 		for round := 0; round < 20; round++ {
@@ -307,7 +307,7 @@ func TestLSTMFavorsLowerTiersThanCNN(t *testing.T) {
 			for _, dr := range res.Devices {
 				if dr.Selected {
 					total++
-					if fleet[dr.Index].Category() == device.High {
+					if pop.Spec(dr.Index).Category == device.High {
 						high++
 					}
 				}

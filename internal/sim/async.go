@@ -12,12 +12,11 @@ package sim
 // rolls into a later model version with higher staleness, discounted
 // by 1/(1+s)^α in the convergence model.
 //
-// One body serves the fleet and the sampled population: it shares the
-// round prologue (beginRound), the post-selection load draw
-// (actualLoad), the energy booking (charge), and the convergence step
-// (advance) with the synchronous body, so all stochastic draws come
-// from the same sequential (fleet) or identity-keyed (population)
-// streams. Event ordering is total via the queue's (time, push-order)
+// The body shares the round prologue (beginRound), the post-selection
+// load draw (actualLoad), the energy booking (charge), and the
+// convergence step (advance) with the synchronous body, so all
+// stochastic draws come from the same identity-keyed streams. Event
+// ordering is total via the queue's (time, push-order)
 // comparison, so async traces are a pure function of the config,
 // independent of Shards, GOMAXPROCS, and distributed execution.
 
@@ -92,8 +91,7 @@ func (a *asyncState) alloc(f flight) int {
 // runRoundAsync executes one asynchronous aggregation step: observe,
 // dispatch selected idle devices (their completions become events),
 // then pop this step's arrivals from the queue and apply them with
-// staleness-discounted weights. It serves both the fleet and the
-// sampled population.
+// staleness-discounted weights.
 func (e *Engine) runRoundAsync(pol Policy, round int, accuracy float64, sc *roundScratch) (*RoundContext, *RoundResult) {
 	a := e.async
 	ctx, selections, traits, res := e.beginRound(pol, round, accuracy, sc)
@@ -226,9 +224,7 @@ func (e *Engine) runRoundAsync(pol Policy, round int, accuracy float64, sc *roun
 	// are accounted above).
 	res.EnergyJ += ctx.FleetIdleWatts() * roundSec
 	idleRecords(ctx, res, roundSec)
-	if p := e.pop; p != nil {
-		p.idleSec += roundSec
-	}
+	e.pop.idleSec += roundSec
 	if e.batt != nil {
 		res.ParticipationJain = e.batt.jain()
 	}

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"autofl/internal/device"
 	"autofl/internal/policy"
 	"autofl/internal/sim"
 	"autofl/internal/workload"
@@ -152,7 +151,6 @@ func TestAsyncConfigErrors(t *testing.T) {
 		return sim.Config{
 			Workload: workload.CNNMNIST(),
 			Params:   workload.S3,
-			Fleet:    device.DefaultFleet(),
 		}
 	}
 	cases := []struct {

@@ -69,9 +69,9 @@ func BenchmarkBatteryModelSettle(b *testing.B) {
 	}
 }
 
-// BenchmarkLegacyFleetBatteryRound is the materialized-fleet arm: the
-// exhaustive 200-device round with the battery subsystem attached.
-func BenchmarkLegacyFleetBatteryRound(b *testing.B) {
+// BenchmarkBatteryRound200 is the exhaustive 200-device round
+// (Sample == N) with the battery subsystem attached.
+func BenchmarkBatteryRound200(b *testing.B) {
 	cfg := stepperConfig(1, 1<<16)
 	cfg.Data = data.IdealIID
 	cfg.TargetAccuracy = 1

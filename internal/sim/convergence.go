@@ -4,8 +4,8 @@ package sim
 // convergence model and the one convergence step every round body
 // calls. Engine.advance folds the round's applied updates — kept
 // devices of a sync round or arrivals of an async step — through fold,
-// which reads the packed or the materialized partition, and
-// convergenceModel.step turns the folded mass into the next accuracy.
+// which reads the packed partition, and convergenceModel.step turns
+// the folded mass into the next accuracy.
 
 import (
 	"math"
@@ -44,28 +44,22 @@ import (
 //   - FedNova/FEDL-style update normalization (AggregationTraits.
 //     DivergenceDamping) recovers part of the per-device quality loss;
 //     partial updates contribute proportional mass.
+//
+// The selection-stability term reads each device's exponentially
+// weighted recent participation (popState.emaAt). Rotating within a
+// stable pool (what a learned selector does while dodging
+// interference) keeps the effective training distribution stationary,
+// like block-cyclic sampling; resampling the whole population does
+// not.
 type convergenceModel struct {
 	floor, ceiling float64
 	baseRate       float64
-	classes        int
 	// referenceMass is the update mass of a full-K, mean-sample,
 	// on-time round; rates are relative to it.
 	referenceMass float64
 	// noiseSigma jitters per-round progress, reproducing the noisy
 	// accuracy traces of Fig 6(a).
 	noiseSigma float64
-	// emaPart tracks each device's exponentially-weighted recent
-	// participation for the selection-stability term. Rotating within
-	// a stable pool (what a learned selector does while dodging
-	// interference) keeps the effective training distribution
-	// stationary, like block-cyclic sampling; resampling the whole
-	// population does not. Indexed by device; a zero entry means no
-	// recent participation.
-	emaPart []float64
-	// kept and classSeen are per-round scratch, reused across rounds
-	// so advance allocates nothing in steady state.
-	kept      []bool
-	classSeen []bool
 }
 
 // Convergence-model calibration. plateauMid/plateauScale place the
@@ -94,17 +88,12 @@ const referenceK = 20
 func newConvergenceModel(cfg *Config) *convergenceModel {
 	w := cfg.Workload
 	ref := referenceK * float64(cfg.Params.E) * float64(w.Dataset.SamplesPerDevice)
-	n := len(cfg.Fleet)
 	return &convergenceModel{
 		floor:         w.AccuracyFloor,
 		ceiling:       w.AccuracyCeiling,
 		baseRate:      w.BaseProgressRate,
-		classes:       w.Dataset.Classes,
 		referenceMass: ref,
 		noiseSigma:    progressNoise,
-		emaPart:       make([]float64, n),
-		kept:          make([]bool, n),
-		classSeen:     make([]bool, w.Dataset.Classes),
 	}
 }
 
@@ -116,11 +105,10 @@ func plateau(roundQuality float64) float64 {
 
 // updateMass accumulates one aggregation's applied updates: their
 // weighted sample mass, quality-weighted mass, summed participation
-// memory, and class coverage (a class count over the materialized
-// partition, a bucket mask over the packed one).
+// memory, and class coverage as a bucket mask.
 type updateMass struct {
 	mass, qualMass, stability float64
-	kept, classes             int
+	kept                      int
 	mask                      uint64
 }
 
@@ -130,10 +118,7 @@ type updateMass struct {
 // staleness discount (stale gradients both contribute less and slow
 // effective progress) — and then steps the accuracy model.
 func (e *Engine) advance(res *RoundResult, traits AggregationTraits) float64 {
-	m := e.conv
 	var u updateMass
-	clear(m.kept)
-	clear(m.classSeen)
 	if e.async != nil {
 		for i := range res.Arrivals {
 			ar := &res.Arrivals[i]
@@ -147,55 +132,19 @@ func (e *Engine) advance(res *RoundResult, traits AggregationTraits) float64 {
 			}
 		}
 	}
-	var coverage float64
-	if p := e.pop; p != nil {
-		coverage = p.part.Coverage(u.mask)
-	} else {
-		// Update the participation memory for every device. Weights
-		// that decay below the floor reset to zero (no recent
-		// participation).
-		for i, w := range m.emaPart {
-			w *= emaDecay
-			if m.kept[i] {
-				w += 1 - emaDecay
-			}
-			if w < 1e-6 {
-				w = 0
-			}
-			m.emaPart[i] = w
-		}
-		coverage = float64(u.classes) / float64(m.classes)
-	}
-	return m.step(e.accRng, res.PrevAccuracy, &u, coverage)
+	return e.conv.step(e.accRng, res.PrevAccuracy, &u, e.pop.part.Coverage(u.mask))
 }
 
 // fold adds global device g's update, weighted by weight, to the
-// aggregation. It reads the device's data from the packed partition
-// (population) or the materialized one (fleet); the population reads
-// and bumps its lazily decayed participation memory, the fleet marks
-// the device for the eager decay sweep in advance.
+// aggregation: it reads the device's data from the packed partition,
+// and reads and bumps its lazily decayed participation memory.
 func (e *Engine) fold(u *updateMass, g int, weight float64, round int, traits AggregationTraits) {
-	m := e.conv
-	var samples, q float64
-	if p := e.pop; p != nil {
-		samples = float64(p.part.Samples[g])
-		q = float64(p.part.Quality[g])
-		u.mask |= p.part.Mask[g]
-		u.stability += p.emaAt(g, round)
-		p.emaBump(g, round)
-	} else {
-		d := &e.partition[g]
-		samples = float64(d.Samples)
-		q = d.IIDQuality()
-		for _, c := range d.Classes {
-			if !m.classSeen[c] {
-				m.classSeen[c] = true
-				u.classes++
-			}
-		}
-		m.kept[g] = true
-		u.stability += m.emaPart[g]
-	}
+	p := e.pop
+	samples := float64(p.part.Samples[g])
+	q := float64(p.part.Quality[g])
+	u.mask |= p.part.Mask[g]
+	u.stability += p.emaAt(g, round)
+	p.emaBump(g, round)
 	// Update normalization / gradient correction recovers part of the
 	// quality lost to non-IID data.
 	if traits.DivergenceDamping > 0 {

@@ -8,10 +8,10 @@ import (
 )
 
 // ConfigError reports a degenerate Config rejected by NewEngine: an
-// empty fleet, a participant count no fleet of that size can satisfy,
-// a sampled population smaller than K, and so on. The legacy New
-// constructor panics with the same error; callers that can receive
-// untrusted configurations should use NewEngine and branch on
+// empty population, a participant count no population of that size
+// can satisfy, a candidate sample smaller than K, and so on. The
+// legacy New constructor panics with the same error; callers that can
+// receive untrusted configurations should use NewEngine and branch on
 // errors.As.
 type ConfigError struct {
 	// Field names the offending Config field.
@@ -64,16 +64,11 @@ func (c *Config) checkFinite() error {
 }
 
 // validate rejects degenerate configurations. It runs on the defaulted
-// config (so zero-value fields have already been filled in), except
-// for the Fleet/Population exclusivity check, which NewEngine applies
-// to the caller's config before defaulting.
+// config, so zero-value fields have already been filled in.
 func (c *Config) validate() error {
-	n := len(c.Fleet)
-	if c.Population != nil {
-		n = c.Population.Len()
-	}
+	n := c.Population.Len()
 	if n == 0 {
-		return configErrf("Fleet", "empty fleet: the round engine needs at least one device")
+		return configErrf("Population", "empty population: the round engine needs at least one device")
 	}
 	if c.Params.K <= 0 {
 		return configErrf("Params.K", "participant count %d is not positive", c.Params.K)
@@ -87,15 +82,11 @@ func (c *Config) validate() error {
 	if c.Shards < 0 {
 		return configErrf("Shards", "negative shard count %d", c.Shards)
 	}
-	if c.Sample > 0 && c.Population == nil {
-		return configErrf("Sample", "candidate sampling requires a Population fleet")
+	if c.Params.K > n {
+		return configErrf("Params.K", "participant count %d exceeds the %d-device population", c.Params.K, n)
 	}
-	if c.Population != nil && c.Sample > 0 {
-		if c.Sample < c.Params.K {
-			return configErrf("Sample", "candidate sample %d is smaller than Params.K=%d", c.Sample, c.Params.K)
-		}
-	} else if c.Params.K > n {
-		return configErrf("Params.K", "participant count %d exceeds the %d-device fleet", c.Params.K, n)
+	if c.Sample < c.Params.K {
+		return configErrf("Sample", "candidate sample %d is smaller than Params.K=%d", c.Sample, c.Params.K)
 	}
 	switch c.Mode {
 	case ModeSync, ModeAsync, ModeSemiAsync:

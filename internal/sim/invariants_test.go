@@ -32,8 +32,8 @@ func (p *arbitraryPolicy) Select(ctx *RoundContext) []Selection {
 }
 
 // invariantConfig is the small engine the accounting property drives:
-// a 20-device fleet or a 3,000-device population sampled popShardMin
-// at a time, in the given aggregation mode, optionally with a battery
+// a 20-device fleet run exhaustively or a 3,000-device population
+// sampled popShardMin at a time, in the given aggregation mode, optionally with a battery
 // small enough to deplete within a few rounds. The population leaves
 // Shards at its default, so its observe pass fans out across
 // GOMAXPROCS shards (run the test with -cpu 1,2,4 to vary it).
@@ -45,7 +45,7 @@ func invariantConfig(t *testing.T, source string, mode AggregationMode, batt boo
 		Mode:      mode,
 	}
 	if source == "fleet" {
-		cfg.Fleet = device.NewFleet(3, 7, 10)
+		cfg.Population = testPopulation(t, device.NewFleet(3, 7, 10))
 	} else {
 		pop, err := device.NewPopulation(400, 900, 1700)
 		if err != nil {
@@ -60,7 +60,7 @@ func invariantConfig(t *testing.T, source string, mode AggregationMode, batt boo
 	return cfg
 }
 
-// Property: on every engine path — fleet or sampled population; sync,
+// Property: on every engine path — exhaustive or sampled; sync,
 // async, or semi-async; with or without batteries — and for any seed,
 // environment, and arbitrary (even malformed) policy output, every
 // round satisfies the engine's accounting invariants.
@@ -130,24 +130,20 @@ func checkRound(res *RoundResult, mode AggregationMode, cfg Config) string {
 	if selected != res.Participants || selected > cfg.Params.K {
 		return fmt.Sprintf("%d selected, %d participants, K=%d", selected, res.Participants, cfg.Params.K)
 	}
-	switch {
-	case mode == ModeSync && cfg.Fleet != nil:
-		// The fleet total is the index-order sum of the view itself.
-		if res.ParticipantEnergyJ > res.EnergyJ+1e-9 {
-			return fmt.Sprintf("participant energy %v J exceeds fleet energy %v J", res.ParticipantEnergyJ, res.EnergyJ)
-		}
-		if math.Abs(sum-res.EnergyJ) > tol {
-			return fmt.Sprintf("fleet view energy %v J differs from the fleet total %v J", sum, res.EnergyJ)
-		}
-	case mode == ModeSync:
-		// The population total is fleetIdle·roundSec − participant idle
-		// + participants: a different summation order, so the bounds
-		// are relative.
+	switch mode {
+	case ModeSync:
+		// The fleet total is fleetIdle·roundSec − participant idle +
+		// participants: a different summation order from the view's,
+		// so the bounds are relative. An exhaustive view holds every
+		// device, so its sum is the total: idle plus participants.
 		if res.ParticipantEnergyJ > res.EnergyJ*(1+tol) {
 			return fmt.Sprintf("participant energy %v J exceeds fleet energy %v J", res.ParticipantEnergyJ, res.EnergyJ)
 		}
 		if sum > res.EnergyJ*(1+tol) {
 			return fmt.Sprintf("view energy %v J exceeds fleet energy %v J", sum, res.EnergyJ)
+		}
+		if len(res.Devices) == cfg.Population.Len() && math.Abs(sum-res.EnergyJ) > tol*res.EnergyJ {
+			return fmt.Sprintf("exhaustive view energy %v J differs from the fleet total %v J", sum, res.EnergyJ)
 		}
 	default:
 		if res.Kept != len(res.Arrivals) {
@@ -184,7 +180,7 @@ func TestAccuracyIndependentOfGenerousDeadlines(t *testing.T) {
 		cfg := Config{
 			Workload:        workload.CNNMNIST(),
 			Params:          workload.GlobalParams{B: 16, E: 5, K: 10},
-			Fleet:           device.NewFleet(3, 7, 10),
+			Population:      testPopulation(t, device.NewFleet(3, 7, 10)),
 			Data:            data.IdealIID,
 			Env:             EnvIdeal(),
 			Seed:            77,

@@ -10,14 +10,14 @@ import (
 	"autofl/internal/battery"
 	"autofl/internal/core"
 	"autofl/internal/data"
-	"autofl/internal/device"
 	"autofl/internal/policy"
 	"autofl/internal/sim"
 	"autofl/internal/workload"
 )
 
 // The engine-path table spans every round body the engine has: the
-// device source (materialized fleet or sampled population), the
+// device source (the default 200-device fleet run exhaustively, or a
+// sampled population), the
 // aggregation regime, the battery model, and the aggregation traits
 // and selection styles of the paper's policies.
 var (
@@ -58,9 +58,7 @@ func pathConfig(tb testing.TB, source string, mode sim.AggregationMode, batt str
 		MaxRounds: pathRounds,
 		Mode:      mode,
 	}
-	if source == "fleet" {
-		cfg.Fleet = device.DefaultFleet()
-	} else {
+	if source == "pop" {
 		cfg.Population = tieredPopulation(tb, pathPopN)
 		cfg.Sample = sample
 		cfg.Shards = shards
@@ -99,8 +97,8 @@ func pathPolicy(tb testing.TB, name string, withBattery bool) sim.Policy {
 
 // pathFingerprint renders a run as "rounds|accuracy|energy|digest":
 // the headline floats at full precision plus an FNV-64a digest of
-// every per-round trace, the battery summary, and (for populations)
-// the DeviceSnapshot of a fixed device set.
+// every per-round trace, the battery summary, and the DeviceSnapshot
+// of a fixed device set.
 func pathFingerprint(eng *sim.Engine, res *sim.Result) string {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -158,42 +156,42 @@ func pathFingerprint(eng *sim.Engine, res *sim.Result) string {
 // pathFingerprint) for the 40-round CNN-MNIST/S3/non-IID(50%)/field
 // scenario at seed 9.
 var pathFingerprints = map[string]string{
-	"fleet/sync/none/FedAvg-Random":           "40|0.45616594998520743|80932.452771602926|6e04fd04832fa238",
-	"fleet/sync/none/FedNova":                 "40|0.51001470705968999|80932.452771602926|8e1d6e0971b63c5a",
-	"fleet/sync/none/FEDL":                    "40|0.51651461538557553|80932.452771602926|0018ecae242f3c6f",
-	"fleet/sync/none/OFL":                     "40|0.51950257563317126|45229.923238671807|b3e02ae9e84ac4a3",
-	"fleet/sync/none/AutoFL":                  "40|0.50769909333066876|65416.535441984801|4ec1dad7c63e6a6b",
-	"fleet/sync/none/Battery-Weighted":        "40|0.45270502757319736|82589.32469053402|0488848edfd1b462",
-	"fleet/sync/solar/FedAvg-Random":          "40|0.45616594998520743|80932.452771602926|af10271d92c2720b",
-	"fleet/sync/solar/FedNova":                "40|0.51001470705968999|80932.452771602926|6c2e18637875c125",
-	"fleet/sync/solar/FEDL":                   "40|0.51651461538557553|80932.452771602926|a7f6fe3a0f3e29f4",
-	"fleet/sync/solar/OFL":                    "40|0.51950257563317126|45229.923238671807|6ada5438bc9a80e5",
-	"fleet/sync/solar/AutoFL":                 "40|0.48813967308714673|60857.009064073194|1215a58efeb90e1b",
-	"fleet/sync/solar/Battery-Weighted":       "40|0.45726613762955798|82608.837638882891|7c356523ac0aba96",
-	"fleet/async/none/FedAvg-Random":          "40|0.13291750373513764|5962.8439774571098|a3bf6e2591d3c01e",
-	"fleet/async/none/FedNova":                "40|0.14296963214126912|5962.8439774571098|396e2a369b27024b",
-	"fleet/async/none/FEDL":                   "40|0.14456572939589779|5962.8439774571098|646d50ba49848973",
-	"fleet/async/none/OFL":                    "40|0.14675781263167265|3247.6900689963836|76ffc1b61bbff8b6",
-	"fleet/async/none/AutoFL":                 "40|0.14832980011420205|5148.829369989855|97a5c261a5c5f5ac",
-	"fleet/async/none/Battery-Weighted":       "40|0.1293909289248249|6756.0272325496489|4ee488abc3184849",
-	"fleet/async/solar/FedAvg-Random":         "40|0.13291750373513764|5962.8439774571098|7e1183e953ca83be",
-	"fleet/async/solar/FedNova":               "40|0.14296963214126912|5962.8439774571098|9152d5d587d4dadb",
-	"fleet/async/solar/FEDL":                  "40|0.14456572939589779|5962.8439774571098|f09db7d78b5309c7",
-	"fleet/async/solar/OFL":                   "40|0.14675781263167265|3247.6900689963836|bc22c60eebe611f4",
-	"fleet/async/solar/AutoFL":                "40|0.14832980011420205|5148.829369989855|2e606aa982abf9bc",
-	"fleet/async/solar/Battery-Weighted":      "40|0.13213994079525723|6485.0076109018319|67471ff3a645f6f8",
-	"fleet/semi-async/none/FedAvg-Random":     "40|0.33664480604201991|46953.826508802362|6c68c3b3da1a65ab",
-	"fleet/semi-async/none/FedNova":           "40|0.36908655099578458|46953.826508802362|51e0cc21a31ad78e",
-	"fleet/semi-async/none/FEDL":              "40|0.37314024530969159|46953.826508802362|e3f9370d4c6e4ad3",
-	"fleet/semi-async/none/OFL":               "40|0.37582580986259057|25221.988833694253|7922fe5586067d3d",
-	"fleet/semi-async/none/AutoFL":            "40|0.38580624205635822|36509.902938393148|3e4989b747c55144",
-	"fleet/semi-async/none/Battery-Weighted":  "40|0.32557941825157577|53035.812702813106|bc642ca764453659",
-	"fleet/semi-async/solar/FedAvg-Random":    "40|0.33664480604201991|46953.826508802362|baf80b623b482263",
-	"fleet/semi-async/solar/FedNova":          "40|0.36908655099578458|46953.826508802362|85a411d0df1b17ba",
-	"fleet/semi-async/solar/FEDL":             "40|0.37314024530969159|46953.826508802362|7edb03f9a34e73d7",
-	"fleet/semi-async/solar/OFL":              "40|0.37582580986259057|25221.988833694253|1675a1fa1d7def82",
-	"fleet/semi-async/solar/AutoFL":           "40|0.38562002197855333|37149.277957222024|ae91a0277d996bc2",
-	"fleet/semi-async/solar/Battery-Weighted": "40|0.33806150609862123|50369.777509812186|294eed40d6c3d8f1",
+	"fleet/sync/none/FedAvg-Random":           "40|0.46177929013630198|80626.610014641759|de5205f5ffe8d785",
+	"fleet/sync/none/FedNova":                 "40|0.51511395189844178|80626.610014641759|97ba36fc39d6a09d",
+	"fleet/sync/none/FEDL":                    "40|0.51733280421300476|80626.610014641759|9bc9258e0f7ef5e5",
+	"fleet/sync/none/OFL":                     "40|0.51737766740226898|44691.203861599904|357f50f69b233b31",
+	"fleet/sync/none/AutoFL":                  "40|0.50853055209277265|66199.600678506744|e880c57bdc75d120",
+	"fleet/sync/none/Battery-Weighted":        "40|0.45123826402364764|82338.547427241661|e385e9a5e912ba50",
+	"fleet/sync/solar/FedAvg-Random":          "40|0.46177929013630198|80626.610014641759|e8ad8533bad14e43",
+	"fleet/sync/solar/FedNova":                "40|0.51511395189844178|80626.610014641759|c319c00cbbbb5ec7",
+	"fleet/sync/solar/FEDL":                   "40|0.51733280421300476|80626.610014641759|f9f3ea7a2395d983",
+	"fleet/sync/solar/OFL":                    "40|0.51737766740226898|44580.511008625625|a90d19d865898f9f",
+	"fleet/sync/solar/AutoFL":                 "40|0.49521184062695772|62652.715744708279|5a8ea7769adf0958",
+	"fleet/sync/solar/Battery-Weighted":       "40|0.45049346792000605|82814.170182847636|a18a6e448b88eee5",
+	"fleet/async/none/FedAvg-Random":          "40|0.13428298137173839|5694.637307495289|989d2bdb8e9c70ad",
+	"fleet/async/none/FedNova":                "40|0.1436364867221612|5694.637307495289|bdeaa6a1840e43c8",
+	"fleet/async/none/FEDL":                   "40|0.14429917741328513|5694.637307495289|12d1d3612adff589",
+	"fleet/async/none/OFL":                    "40|0.14715820700177759|3201.931026635717|9ec8fa6dafb5b361",
+	"fleet/async/none/AutoFL":                 "40|0.15088344642556764|5835.4485586266992|ea5a5112d8ab600c",
+	"fleet/async/none/Battery-Weighted":       "40|0.13127430151721434|7477.6483811983589|0570b520053ba17a",
+	"fleet/async/solar/FedAvg-Random":         "40|0.13428298137173839|5694.637307495289|a74f4863b8ac332f",
+	"fleet/async/solar/FedNova":               "40|0.1436364867221612|5694.637307495289|e0ccba024a252d1e",
+	"fleet/async/solar/FEDL":                  "40|0.14429917741328513|5694.637307495289|53181ac3b6e2b29b",
+	"fleet/async/solar/OFL":                   "40|0.14715820700177759|3201.931026635717|7cbee37523b40728",
+	"fleet/async/solar/AutoFL":                "40|0.15088344642556764|5835.4485586266992|859ee004a7ac9150",
+	"fleet/async/solar/Battery-Weighted":      "40|0.13401119726179989|6297.0230448323846|91c640bd35df0111",
+	"fleet/semi-async/none/FedAvg-Random":     "40|0.34578895149656291|47596.411316343489|0636e3412f5f3ece",
+	"fleet/semi-async/none/FedNova":           "40|0.37128927873826878|47596.411316343489|ab5ed459d3515b06",
+	"fleet/semi-async/none/FEDL":              "40|0.37388006917780436|47596.411316343489|76ea82d799d59f76",
+	"fleet/semi-async/none/OFL":               "40|0.38028818994750069|25526.799325066051|f65d65a64c780ff2",
+	"fleet/semi-async/none/AutoFL":            "40|0.38564836104890859|36570.096226932823|f7296e0d4872504a",
+	"fleet/semi-async/none/Battery-Weighted":  "40|0.33219183874102853|49591.038312285127|1453d4655618f22d",
+	"fleet/semi-async/solar/FedAvg-Random":    "40|0.34578895149656291|47596.411316343489|0da34ded9241d562",
+	"fleet/semi-async/solar/FedNova":          "40|0.37128927873826878|47596.411316343489|ba3205f233dff9ae",
+	"fleet/semi-async/solar/FEDL":             "40|0.37388006917780436|47596.411316343489|91249c5903172cbe",
+	"fleet/semi-async/solar/OFL":              "40|0.38028818994750069|25526.799325066051|8ce6706c04d86e84",
+	"fleet/semi-async/solar/AutoFL":           "40|0.38341886832708955|35834.00289020998|b4ad7478b3a6c87f",
+	"fleet/semi-async/solar/Battery-Weighted": "40|0.33195431603738268|45483.173315984888|8a3938bbc3a41ee3",
 	"pop/sync/none/FedAvg-Random":             "40|0.43810884231071334|1371060.6721038504|58fb1cfd4d9ad95c",
 	"pop/sync/none/FedNova":                   "40|0.503405157518373|1371060.6721038504|1d23631b21b0b01b",
 	"pop/sync/none/FEDL":                      "40|0.50893018264694612|1371060.6721038504|d00e3f8a20a3a1f2",
@@ -233,7 +231,7 @@ var pathFingerprints = map[string]string{
 }
 
 // TestEnginePathFingerprints pins the output of every round body —
-// {fleet, sampled population} × {sync, async, semi-async} × {no
+// {default fleet, sampled population} × {sync, async, semi-async} × {no
 // battery, solar battery} × six policies — byte for byte.
 func TestEnginePathFingerprints(t *testing.T) {
 	for _, source := range pathSources {

@@ -1,18 +1,14 @@
 package sim
 
-// This file is the population half of the engine's state: what the
+// This file is the per-device half of the engine's state: what the
 // round bodies (runRound in sim.go, runRoundAsync in async.go) read
-// when Config.Population is set with a positive Sample. Where the
-// fleet is a []*Device walked exhaustively — two RNG draws and a
-// DeviceState per device per round — the population keeps an
-// archetype table plus packed struct-of-arrays per-device state (~42
-// bytes/device resident), draws a K'-candidate pool per round with an
-// O(K') partial Fisher–Yates sampler, and presents policies a
-// candidate-sized RoundContext view, so the whole round is O(Sample +
-// participants), not O(fleet). The round bodies branch on the source
-// only at four seams: the observe pass (observePop here), the
-// post-selection load draw (actualLoad), the fleet-energy total, and
-// the convergence fold's partition read (fold in convergence.go).
+// about the device population. The population is an archetype table
+// plus packed struct-of-arrays per-device state (~42 bytes/device
+// resident). Each round draws a Sample-candidate pool with an O(Sample)
+// partial Fisher–Yates sampler — or, when Sample covers the whole
+// population, takes every device in index order with no draw — and
+// presents policies a candidate-sized RoundContext view, so the whole
+// round is O(Sample + participants), not O(population).
 //
 // Determinism is by construction: every per-device draw comes from a
 // stream keyed by rng.Mix(seedBase, round, deviceIndex), so results
@@ -36,8 +32,8 @@ import (
 // stays serial: spawning shard goroutines costs more than the loop.
 const popShardMin = 1024
 
-// popState is the engine's population-mode state: the cohort fleet,
-// the packed partition, the per-device dynamic arrays, and the keyed
+// popState is the engine's population state: the cohort fleet, the
+// packed partition, the per-device dynamic arrays, and the keyed
 // RNG machinery. All per-device arrays are struct-of-arrays, indexed
 // by the population's dense device index.
 type popState struct {
@@ -61,8 +57,8 @@ type popState struct {
 	// Packed per-device dynamic state.
 	// emaW/emaRound are the lazily-decayed participation memory of the
 	// convergence model's stability term: the stored weight as of the
-	// round it was last updated, decayed on read (O(participants) per
-	// round instead of the legacy O(fleet) decay sweep).
+	// round it was last updated, decayed on read, so a round costs
+	// O(participants) rather than a sweep over every device.
 	emaW     []float32
 	emaRound []int32
 	// lastStep/lastTarget record each device's most recent executed
@@ -108,14 +104,21 @@ func newPopState(c *Config, partRng, envRng, root *rng.Stream) *popState {
 	for i := 0; i < shards; i++ {
 		p.shardRng = append(p.shardRng, rng.NewReseedable())
 	}
-	p.part = data.PackedPartition(partRng.Uint64(), c.Data, n,
+	partition := data.PackedPartition
+	if p.sample == n {
+		// The exhaustive population is the testbed itself (the paper's
+		// 200 devices by default): it holds exactly the scenario's
+		// non-IID fraction.
+		partition = data.ExactPackedPartition
+	}
+	p.part = partition(partRng.Uint64(), c.Data, n,
 		c.Workload.Dataset.Classes, c.Workload.Dataset.SamplesPerDevice, shards)
 	return p
 }
 
-// emaAt returns the device's participation weight as the legacy eager
-// sweep would read it at round t: the stored weight decayed once per
-// elapsed round since its last update.
+// emaAt returns the device's participation weight at round t: the
+// stored weight decayed once per elapsed round since its last update,
+// and zero once it falls below 1e-6 (no recent participation).
 func (p *popState) emaAt(g, t int) float64 {
 	v := float64(p.emaW[g])
 	if v == 0 {
@@ -139,12 +142,12 @@ func (p *popState) emaBump(g, t int) {
 	p.emaRound[g] = int32(t)
 }
 
-// observePop samples this round's candidate pool and fills the scratch
+// observe draws this round's candidate pool and fills the scratch
 // context with a candidate-sized view: ctx.Devices[v] describes global
 // device sc.cand[v]. Policies run unchanged against the view — their
 // selection indices are view positions; DeviceRound.Index carries the
 // global index.
-func (e *Engine) observePop(sc *roundScratch, round int, accuracy float64) *RoundContext {
+func (e *Engine) observe(sc *roundScratch, round int, accuracy float64) *RoundContext {
 	p := e.pop
 	k := p.sample
 
@@ -153,10 +156,18 @@ func (e *Engine) observePop(sc *roundScratch, round int, accuracy float64) *Roun
 		cand = make([]int32, k)
 	}
 	cand = cand[:k]
-	p.sampler.SampleInto(p.sampleRng, cand)
-	// Ascending global order: deterministic, cache-friendly, and
-	// stable for positional policy state (tie priorities, pools).
-	slices.Sort(cand)
+	if k < p.n {
+		p.sampler.SampleInto(p.sampleRng, cand)
+		// Ascending global order: deterministic, cache-friendly, and
+		// stable for positional policy state (tie priorities, pools).
+		slices.Sort(cand)
+	} else {
+		// Every device is a candidate: the identity, which is exactly
+		// what sorting a full shuffle yields, without the draw.
+		for v := range cand {
+			cand[v] = int32(v)
+		}
+	}
 	sc.cand = cand
 
 	devices := sc.ctx.Devices
@@ -240,24 +251,15 @@ func (e *Engine) fillView(shard, lo, hi, round int, cand []int32, devs []device.
 	}
 }
 
-// PackedData exposes the population-mode data partition (nil for
-// legacy fleet configs), the cohort counterpart of Partition.
-func (e *Engine) PackedData() *data.Packed {
-	if e.pop == nil {
-		return nil
-	}
-	return e.pop.part
-}
+// PackedData exposes the static device data partition.
+func (e *Engine) PackedData() *data.Packed { return e.pop.part }
 
 // PopulationMemoryBytes is the resident per-device state of the
-// population engine: the packed partition, the participation memory,
-// the last-action record, the cumulative-energy accumulator, and the
-// sampler's index array. Zero for legacy fleet configs.
+// engine: the packed partition, the participation memory, the
+// last-action record, the cumulative-energy accumulator, and the
+// sampler's index array.
 func (e *Engine) PopulationMemoryBytes() int {
 	p := e.pop
-	if p == nil {
-		return 0
-	}
 	perDevice := len(p.emaW)*4 + len(p.emaRound)*4 + len(p.lastStep) +
 		len(p.lastTarget) + len(p.extraJ)*8 + p.sampler.Len()*4
 	if e.async != nil {
@@ -273,14 +275,14 @@ func (e *Engine) PopulationMemoryBytes() int {
 	return p.part.MemoryBytes() + perDevice
 }
 
-// DeviceSnapshot reports population-mode per-device dynamic state: the
-// last executed action (step -1 if the device was never selected) and
-// the device's exact cumulative energy over all executed rounds,
-// reconstructed in O(1) from the packed accumulators. ok is false for
-// legacy fleet configs or out-of-range indices.
+// DeviceSnapshot reports per-device dynamic state: the last executed
+// action (step -1 if the device was never selected) and the device's
+// exact cumulative energy over all executed rounds, reconstructed in
+// O(1) from the packed accumulators. ok is false only for out-of-range
+// indices.
 func (e *Engine) DeviceSnapshot(i int) (step int, target device.Target, energyJ float64, ok bool) {
 	p := e.pop
-	if p == nil || i < 0 || i >= p.n {
+	if i < 0 || i >= p.n {
 		return 0, 0, 0, false
 	}
 	idle := p.pop.Spec(i).IdleWatts() * p.idleSec

@@ -49,9 +49,10 @@ func BenchmarkPopulationRound1k(b *testing.B)   { benchmarkPopulationRound(b, 1_
 func BenchmarkPopulationRound100k(b *testing.B) { benchmarkPopulationRound(b, 100_000) }
 func BenchmarkPopulationRound1M(b *testing.B)   { benchmarkPopulationRound(b, 1_000_000) }
 
-// BenchmarkLegacyFleetRound is the baseline the cohort path is
-// measured against: the exhaustive 200-device pointer-fleet round.
-func BenchmarkLegacyFleetRound(b *testing.B) {
+// BenchmarkPopulationRound200 is the paper's testbed: the exhaustive
+// round (Sample == N) over the default 200-device fleet, where the
+// candidate view is every device in index order.
+func BenchmarkPopulationRound200(b *testing.B) {
 	cfg := stepperConfig(1, 1<<16)
 	cfg.Data = data.IdealIID
 	cfg.TargetAccuracy = 1

@@ -56,24 +56,6 @@ func mustEngine(tb testing.TB, cfg sim.Config) *sim.Engine {
 	return e
 }
 
-// TestExhaustivePopulationMatchesFleet pins the tentpole's
-// byte-identity contract: a Population config with Sample == 0
-// materializes the fleet and reproduces the legacy path exactly.
-func TestExhaustivePopulationMatchesFleet(t *testing.T) {
-	base := stepperConfig(17, 80)
-	base.Fleet = device.NewFleet(6, 14, 20)
-	legacy := sim.New(base).Run(policy.NewRandom(5))
-
-	cohort := base
-	cohort.Fleet = nil
-	cohort.Population = mustPopulation(t, 6, 14, 20)
-	packed := sim.New(cohort).Run(policy.NewRandom(5))
-
-	if !reflect.DeepEqual(legacy, packed) {
-		t.Errorf("exhaustive population run differs from fleet run:\nfleet: %+v\npop:   %+v", legacy, packed)
-	}
-}
-
 func TestSampledPopulationDeterminism(t *testing.T) {
 	cfg := popConfig(t, 3000, 600, 0, 11)
 	a := mustEngine(t, cfg).Run(policy.NewRandom(3))
@@ -97,15 +79,15 @@ func TestSampledShardInvariance(t *testing.T) {
 	}
 }
 
-// TestSampleClampsToPopulation: a Sample beyond the population size
-// behaves exactly as Sample == n.
+// TestSampleClampsToPopulation: a Sample beyond the population size,
+// and a zero Sample, behave exactly as Sample == n.
 func TestSampleClampsToPopulation(t *testing.T) {
-	over := popConfig(t, 500, 10_000, 1, 7)
-	exact := popConfig(t, 500, 500, 1, 7)
-	a := mustEngine(t, over).Run(policy.NewRandom(3))
-	b := mustEngine(t, exact).Run(policy.NewRandom(3))
-	if !reflect.DeepEqual(a, b) {
-		t.Error("clamped oversized Sample differs from Sample == n")
+	exact := mustEngine(t, popConfig(t, 500, 500, 1, 7)).Run(policy.NewRandom(3))
+	for _, sample := range []int{10_000, 0} {
+		got := mustEngine(t, popConfig(t, 500, sample, 1, 7)).Run(policy.NewRandom(3))
+		if !reflect.DeepEqual(got, exact) {
+			t.Errorf("Sample=%d differs from Sample == n", sample)
+		}
 	}
 }
 
@@ -119,10 +101,10 @@ func TestConfigValidation(t *testing.T) {
 		cfg   sim.Config
 		field string
 	}{
-		{"empty fleet", sim.Config{Fleet: device.Fleet{}}, "Fleet"},
+		{"empty fleet", sim.Config{Population: &device.Population{}}, "Population"},
 		{"K exceeds fleet", sim.Config{
-			Fleet:  device.NewFleet(1, 1, 1),
-			Params: workload.GlobalParams{B: 20, E: 5, K: 5},
+			Population: mustPopulation(t, 1, 1, 1),
+			Params:     workload.GlobalParams{B: 20, E: 5, K: 5},
 		}, "Params.K"},
 		{"non-positive K", sim.Config{
 			Params: workload.GlobalParams{B: 20, E: 5, K: -1},
@@ -132,12 +114,12 @@ func TestConfigValidation(t *testing.T) {
 		}, "Params"},
 		{"negative Sample", sim.Config{Population: pop, Sample: -1}, "Sample"},
 		{"negative Shards", sim.Config{Population: pop, Shards: -1}, "Shards"},
-		{"Sample without Population", sim.Config{Sample: 64}, "Sample"},
 		{"Sample below K", sim.Config{
 			Population: pop,
 			Params:     workload.GlobalParams{B: 20, E: 5, K: 10},
 			Sample:     5,
 		}, "Sample"},
+		{"Sample below K on the default fleet", sim.Config{Sample: 5}, "Sample"},
 		{"K exceeds population", sim.Config{
 			Population: pop,
 			Params:     workload.GlobalParams{B: 20, E: 5, K: 50},
@@ -170,13 +152,6 @@ func TestConfigValidation(t *testing.T) {
 			}
 		})
 	}
-
-	if _, err := sim.NewEngine(sim.Config{
-		Fleet:      device.NewFleet(1, 1, 1),
-		Population: pop,
-	}); err == nil {
-		t.Error("Fleet+Population accepted; they are mutually exclusive")
-	}
 }
 
 func TestNewPanicsOnInvalidConfig(t *testing.T) {
@@ -185,66 +160,69 @@ func TestNewPanicsOnInvalidConfig(t *testing.T) {
 			t.Fatal("New with an invalid config did not panic")
 		}
 	}()
-	sim.New(sim.Config{Fleet: device.Fleet{}})
+	sim.New(sim.Config{Population: &device.Population{}})
 }
 
 // TestDeviceSnapshotConservesEnergy pins the O(1) cumulative-energy
 // reconstruction: summing DeviceSnapshot over the whole population
-// must equal the summed per-round fleet energy the trace reports.
+// must equal the summed per-round fleet energy the trace reports, on a
+// sampled population and on the default 200-device fleet alike.
 func TestDeviceSnapshotConservesEnergy(t *testing.T) {
-	cfg := popConfig(t, 400, 128, 1, 31)
-	cfg.MaxRounds = 40
-	eng := mustEngine(t, cfg)
-	res := eng.Run(policy.NewRandom(9))
+	sampled := popConfig(t, 400, 128, 1, 31)
+	sampled.MaxRounds = 40
+	for _, cfg := range []sim.Config{sampled, stepperConfig(31, 40)} {
+		eng := mustEngine(t, cfg)
+		res := eng.Run(policy.NewRandom(9))
+		n := eng.Config().Population.Len()
 
-	var traced float64
-	for _, e := range res.Trace.EnergyJ {
-		traced += e
-	}
-	var snap float64
-	for i := 0; i < 400; i++ {
-		_, _, e, ok := eng.DeviceSnapshot(i)
-		if !ok {
-			t.Fatalf("DeviceSnapshot(%d) not ok", i)
+		var traced float64
+		for _, e := range res.Trace.EnergyJ {
+			traced += e
 		}
-		snap += e
-	}
-	if diff := math.Abs(snap-traced) / traced; diff > 1e-9 {
-		t.Errorf("snapshot energy %v vs traced %v (rel diff %v)", snap, traced, diff)
-	}
+		var snap float64
+		for i := 0; i < n; i++ {
+			_, _, e, ok := eng.DeviceSnapshot(i)
+			if !ok {
+				t.Fatalf("N=%d: DeviceSnapshot(%d) not ok", n, i)
+			}
+			snap += e
+		}
+		if diff := math.Abs(snap-traced) / traced; diff > 1e-9 {
+			t.Errorf("N=%d: snapshot energy %v vs traced %v (rel diff %v)", n, snap, traced, diff)
+		}
 
-	if _, _, _, ok := eng.DeviceSnapshot(-1); ok {
-		t.Error("negative index reported ok")
-	}
-	if _, _, _, ok := eng.DeviceSnapshot(400); ok {
-		t.Error("out-of-range index reported ok")
-	}
-	legacy := sim.New(stepperConfig(1, 5))
-	if _, _, _, ok := legacy.DeviceSnapshot(0); ok {
-		t.Error("legacy fleet engine reported a population snapshot")
+		if _, _, _, ok := eng.DeviceSnapshot(-1); ok {
+			t.Errorf("N=%d: negative index reported ok", n)
+		}
+		if _, _, _, ok := eng.DeviceSnapshot(n); ok {
+			t.Errorf("N=%d: out-of-range index reported ok", n)
+		}
 	}
 }
 
 // TestPopulationRoundAllocs pins the zero-alloc steady state of the
-// sampled round path (serial shards: the parallel observe pass spawns
-// goroutines by design, which the benchmark covers instead).
+// round path, sampled (Sample < N) and exhaustive (Sample == N), with
+// serial shards: the parallel observe pass spawns goroutines by
+// design, which the benchmark covers instead.
 func TestPopulationRoundAllocs(t *testing.T) {
-	cfg := popConfig(t, 2000, 512, 1, 3)
-	cfg.MaxRounds = 1000
-	cfg.TargetAccuracy = 1 // unreachable: the run never ends early
-	run := mustEngine(t, cfg).Start(policy.NewRandom(9))
-	for i := 0; i < 3; i++ {
-		if !run.Step() {
-			t.Fatal("run ended during warmup")
+	for _, sample := range []int{512, 2000} {
+		cfg := popConfig(t, 2000, sample, 1, 3)
+		cfg.MaxRounds = 1000
+		cfg.TargetAccuracy = 1 // unreachable: the run never ends early
+		run := mustEngine(t, cfg).Start(policy.NewRandom(9))
+		for i := 0; i < 3; i++ {
+			if !run.Step() {
+				t.Fatal("run ended during warmup")
+			}
 		}
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		if !run.Step() {
-			t.Fatal("run ended mid-measurement")
+		avg := testing.AllocsPerRun(100, func() {
+			if !run.Step() {
+				t.Fatal("run ended mid-measurement")
+			}
+		})
+		if avg != 0 {
+			t.Errorf("Sample=%d: steady-state round allocates %v objects, want 0", sample, avg)
 		}
-	})
-	if avg != 0 {
-		t.Errorf("steady-state population round allocates %v objects, want 0", avg)
 	}
 }
 

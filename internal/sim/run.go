@@ -166,18 +166,13 @@ func (r *Run) Result() *Result {
 	return &out
 }
 
-// PopulationLen is the sampled population's device count, 0 for legacy
-// fleet runs. Together with DeviceSnapshot it lets callers stream
-// fleet-wide per-device distributions without materializing the fleet.
-func (r *Run) PopulationLen() int {
-	if r.e.pop == nil {
-		return 0
-	}
-	return r.e.pop.n
-}
+// PopulationLen is the population's device count. Together with
+// DeviceSnapshot it lets callers stream fleet-wide per-device
+// distributions without materializing the fleet.
+func (r *Run) PopulationLen() int { return r.e.pop.n }
 
-// DeviceSnapshot exposes the engine's O(1) population-mode per-device
-// snapshot (see Engine.DeviceSnapshot) for the run's current state.
+// DeviceSnapshot exposes the engine's O(1) per-device snapshot (see
+// Engine.DeviceSnapshot) for the run's current state.
 func (r *Run) DeviceSnapshot(i int) (step int, target device.Target, energyJ float64, ok bool) {
 	return r.e.DeviceSnapshot(i)
 }

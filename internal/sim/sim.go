@@ -1,8 +1,8 @@
 // Package sim is the federated-learning round engine: it orchestrates
 // the FedAvg aggregation loop of Fig 2 (select → broadcast → local
-// train → upload → aggregate) over a heterogeneous device fleet with
-// stochastic runtime variance, accounting time and energy with the
-// models of internal/device, internal/power, internal/network and
+// train → upload → aggregate) over a heterogeneous device population
+// with stochastic runtime variance, accounting time and energy with
+// the models of internal/device, internal/power, internal/network and
 // internal/interference, and advancing model accuracy with an analytic
 // FedAvg convergence model (convergence.go).
 //
@@ -77,27 +77,24 @@ type Config struct {
 	Workload *workload.Model
 	// Params is the (B, E, K) tuple of Table 5.
 	Params workload.GlobalParams
-	// Fleet is the candidate device population (defaults to the
-	// paper's 200-device fleet). Mutually exclusive with Population.
-	Fleet device.Fleet
-	// Population is the cohort form of the fleet: an archetype table
-	// plus packed per-device state, sized for million-device
-	// populations. With Sample == 0 the engine materializes it into a
-	// Fleet and runs the exhaustive path — byte-identical to the
-	// equivalent Fleet config; with Sample > 0 it runs the sampled
-	// population path (see population.go).
+	// Population is the candidate device population: an archetype
+	// table plus packed per-device state (see population.go), sized
+	// for million-device populations. Nil selects the paper's
+	// 200-device testbed (30 high-, 70 mid-, 100 low-end devices).
+	// Hand-built fleets convert with device.Fleet.Population.
 	Population *device.Population
-	// Sample is the per-round candidate-pool size in population mode:
-	// each round the engine draws Sample candidates uniformly from the
-	// population and policies select K participants among them, so
-	// candidate scoring is O(Sample) rather than O(fleet). It must be
-	// at least Params.K; values above the population size are clamped.
-	// Zero selects the exhaustive path.
+	// Sample is the per-round candidate-pool size: each round the
+	// engine draws Sample candidates uniformly from the population and
+	// policies select K participants among them, so candidate scoring
+	// is O(Sample) rather than O(population). It must be at least
+	// Params.K. Zero, or any value from the population size up,
+	// selects the exhaustive round: every device is a candidate, in
+	// index order, with no sampler draw.
 	Sample int
-	// Shards is the population path's observe-pass parallelism; 0
-	// selects min(GOMAXPROCS, 16). Results are independent of the
-	// shard count (all per-device draws are keyed by identity), so
-	// Shards is purely a throughput knob.
+	// Shards is the observe pass's parallelism; 0 selects
+	// min(GOMAXPROCS, 16). Results are independent of the shard count
+	// (all per-device draws are keyed by identity), so Shards is purely
+	// a throughput knob.
 	Shards int
 	// Data is the data-heterogeneity scenario.
 	Data data.Scenario
@@ -171,11 +168,11 @@ func (c *Config) withDefaults() Config {
 	if out.Params == (workload.GlobalParams{}) {
 		out.Params = workload.S3
 	}
-	if out.Fleet == nil && out.Population == nil {
-		out.Fleet = device.DefaultFleet()
+	if out.Population == nil {
+		out.Population, _ = device.NewPopulation(device.DefaultHighCount, device.DefaultMidCount, device.DefaultLowCount)
 	}
-	if out.Population != nil && out.Sample > out.Population.Len() {
-		out.Sample = out.Population.Len()
+	if n := out.Population.Len(); out.Sample == 0 || out.Sample > n {
+		out.Sample = n
 	}
 	if out.Data.Name == "" {
 		out.Data = data.IdealIID
@@ -214,7 +211,8 @@ func (c *Config) withDefaults() Config {
 // the de-facto FL protocol reports to the server (§4 footnote 3) and
 // what selection policies may inspect.
 type DeviceState struct {
-	// Device is the fleet entry.
+	// Device is the population entry; Device.ID is the global device
+	// index.
 	Device *device.Device
 	// Load is the co-runner activity this round.
 	Load interference.Load
@@ -249,16 +247,15 @@ type RoundContext struct {
 	// Workload and Params echo the run configuration.
 	Workload *workload.Model
 	Params   workload.GlobalParams
-	// Devices holds one state per candidate device. On the exhaustive
-	// path it is indexed like the fleet; on the sampled population
-	// path it is the round's candidate view — Devices[i].Device.ID is
-	// the global device index — and selection indices address the
-	// view.
+	// Devices is the round's candidate view, one state per candidate
+	// in ascending global index order: Devices[i].Device.ID is the
+	// global device index, and selection indices address the view.
+	// With Sample equal to the population size the view is the whole
+	// population, so view and global indices coincide.
 	Devices []DeviceState
 
 	cfg *Config
-	// fleetIdle caches the fleet-wide idle draw for the round (see
-	// FleetIdleWatts); 0 means not yet computed.
+	// fleetIdle is the population-wide idle draw (see FleetIdleWatts).
 	fleetIdle float64
 }
 
@@ -324,7 +321,7 @@ type TraitsPolicy interface {
 
 // DeviceRound is the measured outcome for one device in one round.
 type DeviceRound struct {
-	// Index into the fleet.
+	// Index is the global device index.
 	Index int
 	// Selected reports whether the device participated.
 	Selected bool
@@ -559,22 +556,10 @@ func (ctx *RoundContext) CleanCompletionTime(idx int) (compSec, commSec float64)
 	return ctx.estimateWithLoad(idx, device.CPU, -1, interference.Load{})
 }
 
-// FleetIdleWatts is the summed idle draw of all devices, used by
-// oracle policies to weigh round duration against participant energy.
-// The engine caches it per round (the sum is loop-order identical to
-// computing it on demand, so cached and uncached reads agree to the
-// bit); on the sampled population path the cached value covers the
-// whole population, not just the candidate view.
-func (ctx *RoundContext) FleetIdleWatts() float64 {
-	if ctx.fleetIdle > 0 {
-		return ctx.fleetIdle
-	}
-	total := 0.0
-	for i := range ctx.Devices {
-		total += ctx.Devices[i].Device.Spec.IdleWatts()
-	}
-	return total
-}
+// FleetIdleWatts is the summed idle draw of the whole population, not
+// just the candidate view, used by oracle policies to weigh round
+// duration against participant energy.
+func (ctx *RoundContext) FleetIdleWatts() float64 { return ctx.fleetIdle }
 
 // EstimateEnergy predicts the round energy of device idx under the
 // given action and an assumed round duration.
@@ -604,14 +589,10 @@ func (ctx *RoundContext) TopStep(idx int, target device.Target) int {
 
 // Engine runs FL rounds under a Config.
 type Engine struct {
-	cfg       Config
-	streams   *rng.Stream
-	envRng    *rng.Stream
-	accRng    *rng.Stream
-	partition []data.DeviceData
-	conv      *convergenceModel
-	// pop holds the sampled-population state; nil on the exhaustive
-	// path (see population.go).
+	cfg    Config
+	accRng *rng.Stream
+	conv   *convergenceModel
+	// pop holds the per-device population state (see population.go).
 	pop *popState
 	// async holds the asynchronous-aggregation state; nil in ModeSync
 	// (see async.go).
@@ -641,8 +622,8 @@ type roundScratch struct {
 	seen  []bool      // sanitize dedup, indexed by device
 	sels  []Selection // sanitized selections
 
-	// Population-mode buffers: the candidate pool and the backing
-	// arrays the candidate view's Device/Data pointers point into.
+	// The candidate pool and the backing arrays the candidate view's
+	// Device/Data pointers point into.
 	cand []int32
 	devs []device.Device
 	dd   []data.DeviceData
@@ -660,13 +641,10 @@ func New(cfg Config) *Engine {
 }
 
 // NewEngine builds an engine, rejecting degenerate configurations
-// (empty fleet, K larger than the fleet, negative sample or shard
-// counts, a candidate sample smaller than K, a NaN or infinite float)
-// with a *ConfigError.
+// (empty population, K larger than the population, negative sample or
+// shard counts, a candidate sample smaller than K, a NaN or infinite
+// float) with a *ConfigError.
 func NewEngine(cfg Config) (*Engine, error) {
-	if cfg.Fleet != nil && cfg.Population != nil {
-		return nil, configErrf("Population", "Fleet and Population are mutually exclusive; set one")
-	}
 	if err := cfg.checkFinite(); err != nil {
 		return nil, err
 	}
@@ -674,96 +652,25 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	if c.Population != nil && c.Sample == 0 {
-		// Exhaustive population: materialize the cohort fleet and run
-		// the legacy path — byte-identical to the equivalent Fleet
-		// config.
-		c.Fleet = c.Population.Fleet()
-	}
-	// The fork order (partition, environment, accuracy) is part of the
-	// reproducibility contract: it fixes every stream's sequence for a
-	// given seed.
+	// The fork order (partition, environment, accuracy, sampler) is
+	// part of the reproducibility contract: it fixes every stream's
+	// sequence for a given seed.
 	root := rng.New(c.Seed)
-	partRng := root.Fork()
-	e := &Engine{
-		cfg:     c,
-		streams: root,
-		envRng:  root.Fork(),
-		accRng:  root.Fork(),
-	}
-	if c.Population != nil && c.Sample > 0 {
-		e.pop = newPopState(&e.cfg, partRng, e.envRng, root)
-	} else {
-		e.partition = data.Partition(partRng, c.Data, len(c.Fleet),
-			c.Workload.Dataset.Classes, c.Workload.Dataset.SamplesPerDevice)
-	}
+	partRng, envRng := root.Fork(), root.Fork()
+	e := &Engine{cfg: c, accRng: root.Fork()}
+	e.pop = newPopState(&e.cfg, partRng, envRng, root)
 	e.conv = newConvergenceModel(&e.cfg)
 	if e.cfg.Mode != ModeSync {
-		n := len(e.cfg.Fleet)
-		if e.pop != nil {
-			n = e.pop.n
-		}
-		e.async = newAsyncState(n)
+		e.async = newAsyncState(e.pop.n)
 	}
 	if e.cfg.Battery != nil {
-		n := len(e.cfg.Fleet)
-		if e.pop != nil {
-			n = e.pop.n
-		}
-		e.batt = newBattState(*e.cfg.Battery, e.cfg.Seed, n)
+		e.batt = newBattState(*e.cfg.Battery, e.cfg.Seed, e.pop.n)
 	}
 	return e, nil
 }
 
 // Config returns the engine's effective (defaulted) configuration.
 func (e *Engine) Config() Config { return e.cfg }
-
-// Partition exposes the static device data assignment.
-func (e *Engine) Partition() []data.DeviceData { return e.partition }
-
-// observe samples the round's runtime variance for every device into
-// the scratch context.
-func (e *Engine) observe(sc *roundScratch, round int, accuracy float64) *RoundContext {
-	n := len(e.cfg.Fleet)
-	devices := sc.ctx.Devices
-	if cap(devices) < n {
-		devices = make([]DeviceState, n)
-	}
-	devices = devices[:n]
-	sc.ctx = RoundContext{
-		Round:    round,
-		Accuracy: accuracy,
-		Workload: e.cfg.Workload,
-		Params:   e.cfg.Params,
-		Devices:  devices,
-		cfg:      &e.cfg,
-	}
-	for i, d := range e.cfg.Fleet {
-		bw := e.cfg.Env.Network.Sample(e.envRng)
-		devices[i] = DeviceState{
-			Device:        d,
-			Load:          e.cfg.Env.Interference.Sample(e.envRng),
-			BandwidthMbps: bw,
-			Signal:        network.SignalFor(bw),
-			Data:          &e.partition[i],
-		}
-		if e.async != nil {
-			devices[i].Staleness = int(e.async.lastStale[i])
-		}
-		if e.batt != nil {
-			e.observeBattery(&devices[i], i, d.Spec.IdleWatts())
-		}
-	}
-	// Cache the fleet idle draw once per round. The loop order matches
-	// the on-demand FleetIdleWatts sum, so the cached value is
-	// bit-identical to what per-call recomputation produced before.
-	idle := 0.0
-	for i := range devices {
-		idle += devices[i].Device.Spec.IdleWatts()
-	}
-	sc.ctx.fleetIdle = idle
-	return &sc.ctx
-}
 
 // RunRound executes one aggregation round with the given policy and
 // current accuracy, returning the context it observed and the measured
@@ -776,17 +683,11 @@ func (e *Engine) RunRound(p Policy, round int, accuracy float64) (*RoundContext,
 }
 
 // beginRound is the prologue every round body shares: it observes the
-// candidate view (the whole fleet, or the population's sampled pool),
-// sanitizes the policy's selections, reads the policy's aggregation
-// traits, resets the result with global device indices, and summarizes
-// the view's battery state.
+// candidate view, sanitizes the policy's selections, reads the
+// policy's aggregation traits, resets the result with global device
+// indices, and summarizes the view's battery state.
 func (e *Engine) beginRound(pol Policy, round int, accuracy float64, sc *roundScratch) (*RoundContext, []Selection, AggregationTraits, *RoundResult) {
-	var ctx *RoundContext
-	if e.pop != nil {
-		ctx = e.observePop(sc, round, accuracy)
-	} else {
-		ctx = e.observe(sc, round, accuracy)
-	}
+	ctx := e.observe(sc, round, accuracy)
 	selections := sanitize(sc, ctx, pol.Select(ctx))
 
 	traits := AggregationTraits{}
@@ -807,11 +708,7 @@ func (e *Engine) beginRound(pol Policy, round int, accuracy float64, sc *roundSc
 		Devices:      devRounds,
 	}
 	for v := range devRounds {
-		g := v
-		if e.pop != nil {
-			g = int(sc.cand[v])
-		}
-		devRounds[v] = DeviceRound{Index: g}
+		devRounds[v] = DeviceRound{Index: int(sc.cand[v])}
 	}
 	if e.batt != nil {
 		res.BatteryAvailable, res.BatteryDepleted, res.BatteryMeanCharge = battViewStats(ctx.Devices)
@@ -822,16 +719,13 @@ func (e *Engine) beginRound(pol Policy, round int, accuracy float64, sc *roundSc
 // actualLoad draws the co-runner load in effect while global device g
 // executes round's work, given the load observed at selection: a
 // co-runner can appear (or quit) after selection — the surprise
-// variance no selector can observe away. The fleet draws from the
-// sequential environment stream in selection order; the population
-// from a per-(round, device) keyed stream, so the draw is a function
-// of device identity rather than of selection order.
+// variance no selector can observe away. The draw comes from a
+// per-(round, device) keyed stream, so it is a function of device
+// identity rather than of selection order.
 func (e *Engine) actualLoad(round, g int, observed interference.Load) interference.Load {
-	if p := e.pop; p != nil {
-		st := p.actRng.Seed(rng.Mix(p.actSeed, uint64(round), uint64(g)))
-		return e.cfg.Env.Interference.Actual(st, observed)
-	}
-	return e.cfg.Env.Interference.Actual(e.envRng, observed)
+	p := e.pop
+	st := p.actRng.Seed(rng.Mix(p.actSeed, uint64(round), uint64(g)))
+	return e.cfg.Env.Interference.Actual(st, observed)
 }
 
 // charge books a participant's energy above its idle draw over the
@@ -840,11 +734,10 @@ func (e *Engine) actualLoad(round, g int, observed interference.Load) interferen
 // whole energy) and counts the participation, and the population
 // records it with the executed action for DeviceSnapshot.
 func (e *Engine) charge(g int, target device.Target, step int, extraJ float64) {
-	if p := e.pop; p != nil {
-		p.extraJ[g] += extraJ
-		p.lastStep[g] = int8(step)
-		p.lastTarget[g] = int8(target)
-	}
+	p := e.pop
+	p.extraJ[g] += extraJ
+	p.lastStep[g] = int8(step)
+	p.lastTarget[g] = int8(target)
 	if e.batt != nil {
 		e.batt.model.Drain(g, extraJ)
 		e.batt.participate(g)
@@ -864,8 +757,7 @@ func idleRecords(ctx *RoundContext, res *RoundResult, roundSec float64) {
 
 // runRound is the round engine proper, operating on caller-provided
 // scratch buffers. The asynchronous regimes have their own body
-// (async.go); this is the bulk-synchronous one, shared by the fleet
-// and the sampled population.
+// (async.go); this is the bulk-synchronous one.
 func (e *Engine) runRound(pol Policy, round int, accuracy float64, sc *roundScratch) (*RoundContext, *RoundResult) {
 	if e.async != nil {
 		return e.runRoundAsync(pol, round, accuracy, sc)
@@ -938,28 +830,16 @@ func (e *Engine) runRound(pol Policy, round int, accuracy float64, sc *roundScra
 			RoundSec:  roundSec,
 		})
 		idle := spec.IdleWatts() * roundSec
-		if e.pop != nil {
-			res.ParticipantEnergyJ += dr.EnergyJ
-			participantIdle += idle
-		}
+		res.ParticipantEnergyJ += dr.EnergyJ
+		participantIdle += idle
 		e.charge(dr.Index, dr.Target, dr.Step, dr.EnergyJ-idle)
 	}
-	// Fleet-wide energy. The population adds the participants' measured
-	// energy, summed in selection order, to its O(archetypes) idle
-	// baseline, net of their own idle share. The fleet sums its whole
-	// view, and its participants, in index order.
-	if p := e.pop; p != nil {
-		res.EnergyJ = p.fleetIdle*roundSec - participantIdle + res.ParticipantEnergyJ
-		p.idleSec += roundSec
-	} else {
-		for i := range res.Devices {
-			dr := &res.Devices[i]
-			res.EnergyJ += dr.EnergyJ
-			if dr.Selected {
-				res.ParticipantEnergyJ += dr.EnergyJ
-			}
-		}
-	}
+	// Fleet-wide energy: the participants' measured energy, summed in
+	// selection order, on top of the O(archetypes) idle baseline, net
+	// of their own idle share.
+	p := e.pop
+	res.EnergyJ = p.fleetIdle*roundSec - participantIdle + res.ParticipantEnergyJ
+	p.idleSec += roundSec
 	if e.batt != nil {
 		res.ParticipationJain = e.batt.jain()
 	}

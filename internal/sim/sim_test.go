@@ -27,6 +27,17 @@ func (p *randomPolicy) Select(ctx *RoundContext) []Selection {
 	return out
 }
 
+// testPopulation converts a hand-built fleet into the engine's
+// population form.
+func testPopulation(tb testing.TB, f device.Fleet) *device.Population {
+	tb.Helper()
+	p, err := f.Population()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
 func quickCfg(seed uint64) Config {
 	return Config{
 		Workload:  workload.CNNMNIST(),
@@ -146,14 +157,14 @@ func TestStableCohortConvergesAtFullNonIID(t *testing.T) {
 	eng := New(cfg)
 	// Pick the K highest-quality devices, as a converged selector
 	// would.
-	part := eng.Partition()
+	quality := eng.PackedData().Quality
 	type dq struct {
 		idx int
-		q   float64
+		q   float32
 	}
-	best := make([]dq, len(part))
-	for i := range part {
-		best[i] = dq{i, part[i].IIDQuality()}
+	best := make([]dq, len(quality))
+	for i, q := range quality {
+		best[i] = dq{i, q}
 	}
 	for i := 1; i < len(best); i++ { // insertion sort by quality desc
 		for j := i; j > 0 && best[j].q > best[j-1].q; j-- {
@@ -173,11 +184,10 @@ func TestStableCohortConvergesAtFullNonIID(t *testing.T) {
 func TestStragglerDeadlineDropsSlowDevices(t *testing.T) {
 	// Force one low-end device into a selection of high-end devices
 	// with an aggressive straggler factor: it must be dropped.
-	fleet := device.NewFleet(19, 0, 1)
 	cfg := Config{
 		Workload:        workload.CNNMNIST(),
 		Params:          workload.GlobalParams{B: 16, E: 5, K: 20},
-		Fleet:           fleet,
+		Population:      testPopulation(t, device.NewFleet(19, 0, 1)),
 		Data:            data.IdealIID,
 		Env:             EnvIdeal(),
 		Seed:            9,
@@ -214,11 +224,10 @@ type partialPolicy struct {
 func (p *partialPolicy) Traits() AggregationTraits { return p.traits }
 
 func TestPartialUpdatesKeepStragglerMass(t *testing.T) {
-	fleet := device.NewFleet(19, 0, 1)
 	cfg := Config{
 		Workload:        workload.CNNMNIST(),
 		Params:          workload.GlobalParams{B: 16, E: 5, K: 20},
-		Fleet:           fleet,
+		Population:      testPopulation(t, device.NewFleet(19, 0, 1)),
 		Data:            data.IdealIID,
 		Env:             EnvIdeal(),
 		Seed:            9,
@@ -449,7 +458,7 @@ func TestProgressAndPPW(t *testing.T) {
 func TestDefaultsApplied(t *testing.T) {
 	eng := New(Config{})
 	cfg := eng.Config()
-	if cfg.Workload == nil || cfg.Fleet == nil {
+	if cfg.Workload == nil || cfg.Population == nil {
 		t.Fatal("defaults not applied")
 	}
 	if cfg.MaxRounds != DefaultMaxRounds {
@@ -458,8 +467,11 @@ func TestDefaultsApplied(t *testing.T) {
 	if cfg.StragglerFactor != DefaultStragglerFactor {
 		t.Errorf("StragglerFactor = %v", cfg.StragglerFactor)
 	}
-	if len(cfg.Fleet) != 200 {
-		t.Errorf("default fleet = %d devices", len(cfg.Fleet))
+	if n := cfg.Population.Len(); n != 200 || cfg.Sample != n {
+		t.Errorf("default population = %d devices, sample %d; want 200 and 200", n, cfg.Sample)
+	}
+	if got := cfg.Population.CountByCategory(); got != [device.NumCategories]int{30, 70, 100} {
+		t.Errorf("default tier mix = %v, want [30 70 100]", got)
 	}
 	if cfg.TargetAccuracy <= cfg.Workload.AccuracyFloor || cfg.TargetAccuracy >= cfg.Workload.AccuracyCeiling {
 		t.Errorf("default target %v outside (floor, ceiling)", cfg.TargetAccuracy)

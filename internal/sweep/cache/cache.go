@@ -54,8 +54,10 @@ import (
 
 // formatVersion gates the on-disk layout; bump it to orphan old
 // caches. v2 removed the horizon from the digest identity and added
-// per-entry horizons and trace payloads.
-const formatVersion = 2
+// per-entry horizons and trace payloads. v3 orphans the outcomes of
+// the retired materialized-fleet engine: the default 200-device fleet
+// now runs on the population engine's keyed draws.
+const formatVersion = 3
 
 const (
 	manifestName = "manifest.json"

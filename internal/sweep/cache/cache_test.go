@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -322,6 +323,37 @@ func TestSeedMismatchInvalidates(t *testing.T) {
 	seedChanged := mustOpen(t, dir, Signature{GridSeed: 43, Rounds: 100})
 	if seedChanged.Len() != 0 {
 		t.Errorf("grid-seed change kept %d entries, want 0", seedChanged.Len())
+	}
+}
+
+// TestOlderFormatIsAMiss reopens a populated cache whose manifest
+// carries format version 2, the last written by the materialized-fleet
+// engine: the store must be dropped, so none of its outcomes is
+// served.
+func TestOlderFormatIsAMiss(t *testing.T) {
+	g := testGrid()
+	dir := t.TempDir()
+	c := mustOpen(t, dir, testSig())
+	if _, err := sweep.Run(context.Background(), g, c.Runner(fakeRunner), sweep.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	raw, err := json.Marshal(manifest{Version: 2, GridSeed: testSig().GridSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	old := mustOpen(t, dir, testSig())
+	if old.Len() != 0 {
+		t.Errorf("a version-2 store kept %d entries, want 0", old.Len())
+	}
+	for _, cell := range g.Cells() {
+		if _, ok := old.Serve(cell, g.CellSeed(cell)); ok {
+			t.Fatalf("a version-2 store served %+v", cell)
+		}
 	}
 }
 

@@ -5,16 +5,14 @@ import (
 	"testing"
 
 	"autofl/internal/device"
-	"autofl/internal/sim"
 )
 
-// TestPopulationExhaustiveEquivalence is the tentpole's byte-identity
-// property test at full breadth: across every environment and every
-// policy, a cohort Population run in exhaustive mode (Sample == 0)
-// produces a Result identical — field for field, including the full
-// per-round trace — to the legacy pointer-fleet run it materializes.
-// The population here is the paper's default 200-device tier mix, so
-// the legacy side is exactly the engine's default fleet.
+// TestPopulationExhaustiveEquivalence pins the meaning of the
+// exhaustive fleet at the public API: across every environment and
+// every policy, a FleetSpec of the paper's tier mix with Sample 0 and
+// with Sample equal to its 200 devices reproduces the default
+// scenario's Report field for field, per-round trace included. All
+// three run one engine path: every device a candidate, in index order.
 func TestPopulationExhaustiveEquivalence(t *testing.T) {
 	for _, env := range Environments() {
 		for _, p := range Policies() {
@@ -27,33 +25,25 @@ func TestPopulationExhaustiveEquivalence(t *testing.T) {
 					Seed:      7,
 					MaxRounds: 25,
 				}
-				cfg, err := s.simConfig()
+				want, err := s.Run(p)
 				if err != nil {
 					t.Fatal(err)
 				}
-
-				polFleet, err := s.policy(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fleetRes := sim.New(cfg).Run(polFleet)
-
-				pop, err := device.NewPopulation(
-					device.DefaultHighCount, device.DefaultMidCount, device.DefaultLowCount)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfgPop := cfg
-				cfgPop.Fleet = nil
-				cfgPop.Population = pop
-				polPop, err := s.policy(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				popRes := sim.New(cfgPop).Run(polPop)
-
-				if !reflect.DeepEqual(fleetRes, popRes) {
-					t.Errorf("population run diverges from fleet run under %s/%s", env, p)
+				for _, sample := range []int{0, 200} {
+					spec := s
+					spec.Fleet = &FleetSpec{
+						High:   device.DefaultHighCount,
+						Mid:    device.DefaultMidCount,
+						Low:    device.DefaultLowCount,
+						Sample: sample,
+					}
+					got, err := spec.Run(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("FleetSpec with Sample %d diverges from the default fleet", sample)
+					}
 				}
 			})
 		}

@@ -128,9 +128,9 @@ func (s *Session) Result() *Report {
 // through O(1)-memory quantile estimators, returning one estimate per
 // requested probability (each in (0, 1)). The device snapshots are
 // O(1) each, so the whole call is one linear pass with no per-device
-// materialization even at millions of devices. ok is false for
-// scenarios without a sampled population fleet (the exhaustive paths
-// do not keep packed per-device accumulators).
+// materialization even at millions of devices. It works on every
+// fleet, the default 200-device one included; ok is false only when
+// no probability is requested.
 func (s *Session) FleetEnergyPercentiles(ps ...float64) ([]float64, bool) {
 	n := s.run.PopulationLen()
 	if n == 0 || len(ps) == 0 {

@@ -180,13 +180,32 @@ func TestSessionOpenValidates(t *testing.T) {
 	}
 }
 
+// TestFleetEnergyPercentilesOnDefaultFleet: the per-device energy
+// distribution streams on the paper's 200-device fleet, not only on
+// scaled populations.
+func TestFleetEnergyPercentilesOnDefaultFleet(t *testing.T) {
+	sess, err := Open(Scenario{Seed: 3, MaxRounds: 20}, PolicyRandom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.RunTo(20)
+	v, ok := sess.FleetEnergyPercentiles(0.05, 0.5, 0.95)
+	if !ok {
+		t.Fatal("FleetEnergyPercentiles not ok on the default fleet")
+	}
+	if !(0 < v[0] && v[0] <= v[1] && v[1] <= v[2]) {
+		t.Errorf("percentiles %v are not positive and ordered", v)
+	}
+}
+
 // TestSessionStepAllocFree pins the PR 3 zero-alloc guarantee through
 // the new streaming API: once warm, a Session.Step — one full
 // aggregation round, policy decision, feedback, observers, event
 // delivery — performs zero steady-state allocations for the learning
-// controller and the planning oracle.
+// controller, the planning oracle, and random selection (the baseline
+// half of every sweep grid).
 func TestSessionStepAllocFree(t *testing.T) {
-	for _, p := range []Policy{PolicyAutoFL, PolicyOParticipant} {
+	for _, p := range []Policy{PolicyAutoFL, PolicyOParticipant, PolicyRandom} {
 		s := Scenario{
 			Workload:  CNNMNIST,
 			Setting:   S3,
