@@ -80,12 +80,12 @@ func groupKey(s sweep.Summary) string {
 	return strings.Join(append(parts, s.Policy), "/")
 }
 
-// measureDistribution runs every gate grid at the paper's 1000-round
+// measureDistribution runs every grid at the paper's 1000-round
 // horizon and returns the per-group means.
-func measureDistribution(t *testing.T) map[string]cellMeans {
+func measureDistribution(t *testing.T, grids []sweep.Grid) map[string]cellMeans {
 	t.Helper()
 	out := map[string]cellMeans{}
-	for _, g := range distributionGrids() {
+	for _, g := range grids {
 		store, err := RunSweep(context.Background(), g, 0, sweep.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -100,34 +100,19 @@ func measureDistribution(t *testing.T) map[string]cellMeans {
 	return out
 }
 
-// energyRatios maps each synchronous (workload, data, env) to its
-// AutoFL/FedAvg-Random energy-to-target ratio.
-func energyRatios(means map[string]cellMeans) map[string]float64 {
-	out := map[string]float64{}
-	for key, m := range means {
-		prefix, ok := strings.CutSuffix(key, "/"+string(PolicyAutoFL))
-		if !ok || strings.Count(prefix, "/") != 2 {
-			continue
-		}
-		if base, ok := means[prefix+"/"+string(PolicyRandom)]; ok {
-			out[prefix] = m.EnergyToTargetJ / base.EnergyToTargetJ
-		}
-	}
-	return out
-}
-
-func relDiff(got, want float64) float64 { return math.Abs(got-want) / math.Abs(want) }
-
-func TestFleetDistributionGate(t *testing.T) {
-	raw, err := os.ReadFile(distributionPath)
+// checkDistribution measures grids and compares every group's means
+// with the reference file at path, each within distributionTolerance.
+// It returns both sides for any further per-gate checks.
+func checkDistribution(t *testing.T, path string, grids []sweep.Grid) (got, want map[string]cellMeans) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want map[string]cellMeans
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	got := measureDistribution(t)
+	got = measureDistribution(t, grids)
 	if len(got) != len(want) {
 		t.Fatalf("measured %d groups, reference has %d", len(got), len(want))
 	}
@@ -151,6 +136,29 @@ func TestFleetDistributionGate(t *testing.T) {
 			}
 		}
 	}
+	return got, want
+}
+
+// energyRatios maps each synchronous (workload, data, env) to its
+// AutoFL/FedAvg-Random energy-to-target ratio.
+func energyRatios(means map[string]cellMeans) map[string]float64 {
+	out := map[string]float64{}
+	for key, m := range means {
+		prefix, ok := strings.CutSuffix(key, "/"+string(PolicyAutoFL))
+		if !ok || strings.Count(prefix, "/") != 2 {
+			continue
+		}
+		if base, ok := means[prefix+"/"+string(PolicyRandom)]; ok {
+			out[prefix] = m.EnergyToTargetJ / base.EnergyToTargetJ
+		}
+	}
+	return out
+}
+
+func relDiff(got, want float64) float64 { return math.Abs(got-want) / math.Abs(want) }
+
+func TestFleetDistributionGate(t *testing.T) {
+	got, want := checkDistribution(t, distributionPath, distributionGrids())
 	wantRatios, gotRatios := energyRatios(want), energyRatios(got)
 	if len(wantRatios) != 12 {
 		t.Fatalf("reference has %d AutoFL/FedAvg-Random ratios, want 12", len(wantRatios))
