@@ -312,7 +312,7 @@ type AggregationSpec struct {
 
 // FleetSpec sizes a device population beyond the paper's 200-device
 // testbed. The population is held in cohort form — an archetype table
-// plus packed struct-of-arrays per-device state (~42 bytes/device) —
+// plus packed struct-of-arrays per-device state (~38 bytes/device) —
 // so one Scenario scales to millions of devices.
 type FleetSpec struct {
 	// High, Mid, Low are the per-tier device counts.

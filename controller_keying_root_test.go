@@ -23,8 +23,8 @@ var keyingFingerprints = map[string]string{
 	"shared/interference": "30|false|0.36538938661007619|46808.509035023962|1504.0862264646616|c0972690749f51f1",
 	"shared/weak-network": "30|false|0.34410290605890148|60368.744217463849|1826.6828344708342|f054ff57833a29a2",
 	"shared/field":        "30|false|0.3483559107376144|48855.0530145718|1555.1100996922114|1639d9eddc89fe19",
-	"population/device":   "30|false|0.38782529056616938|4951785.0021241838|1633.9256523010363|989012e078d97fee",
-	"population/shared":   "30|false|0.3644391653144517|4715054.6703994824|1554.5356771028446|c4539f4dc39d1b79",
+	"population/device":   "30|false|0.37504260262679545|4898203.6986850118|1616.1581878160287|24701f0026359f33",
+	"population/shared":   "30|false|0.31213216572747171|4552519.8993187938|1500.887415242893|5790be37e24f89b6",
 }
 
 func keyingFingerprint(t *testing.T, s Scenario) string {

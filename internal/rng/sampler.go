@@ -1,6 +1,9 @@
 package rng
 
-import "math/rand/v2"
+import (
+	"math/bits"
+	"math/rand/v2"
+)
 
 // splitMix64 is the SplitMix64 finalizer: a cheap, well-mixed bijection
 // on 64-bit words. It is the standard seed-spreading hash (Steele et
@@ -53,55 +56,55 @@ func (r *Reseedable) Seed(seed uint64) *Stream {
 	return &r.s
 }
 
-// Sampler draws k distinct indices from [0, n) in O(k) per draw
-// without materializing permutations — the population engine's
-// replacement for Sample, whose Perm(n) allocation and O(n) shuffle
-// are a wall at n = 10⁶ devices per round.
+// Sampler draws k distinct indices from [0, n), uniformly over all
+// k-subsets, and emits them in ascending order — the population
+// engine's replacement for Sample, whose Perm(n) allocation and O(n)
+// shuffle are a wall at n = 10⁶ devices per round.
 //
-// It keeps one persistent index array and runs a partial Fisher–Yates
-// shuffle over the first k positions, then undoes the swaps so the
-// array is ready for the next draw. The marginal distribution is
-// identical to taking the first k elements of a full Fisher–Yates
-// permutation. A Sampler is not safe for concurrent use.
+// It runs Floyd's algorithm (Bentley & Floyd, CACM 1987): for j from
+// n-k to n-1 it draws t = IntN(j+1) and adds t to the set, or j if t
+// is already a member. Every k-subset comes out with probability
+// 1/C(n, k) from exactly k draws. Membership lives in an n-bit set, so
+// resident state is one bit per element; one scan over its words
+// emits the members in ascending order and clears the set for the next
+// draw. A Sampler is not safe for concurrent use.
 type Sampler struct {
-	idx  []int32 // identity permutation between draws
-	swap []int32 // the j of each swap, for the undo pass
+	n   int
+	set []uint64 // membership; all zero between draws
 }
 
-// NewSampler returns a sampler over [0, n). Resident state is 4 bytes
-// per element.
+// NewSampler returns a sampler over [0, n).
 func NewSampler(n int) *Sampler {
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	return &Sampler{idx: idx}
+	return &Sampler{n: n, set: make([]uint64, (n+63)/64)}
 }
 
-// Len returns the population size n.
-func (sp *Sampler) Len() int { return len(sp.idx) }
+// MemoryBytes returns the sampler's resident state: n bits, rounded
+// up to whole 64-bit words.
+func (sp *Sampler) MemoryBytes() int { return len(sp.set) * 8 }
 
 // SampleInto fills out with len(out) distinct indices drawn uniformly
-// from [0, n), using draws from s. It panics if len(out) > n.
+// from [0, n) in strictly ascending order, using exactly len(out)
+// draws from s. It panics if len(out) > n.
 func (sp *Sampler) SampleInto(s *Stream, out []int32) {
-	k, n := len(out), len(sp.idx)
+	k, n := len(out), sp.n
 	if k > n {
 		panic("rng: SampleInto with k > n")
 	}
-	if cap(sp.swap) < k {
-		sp.swap = make([]int32, k)
+	for j := n - k; j < n; j++ {
+		t := s.IntN(j + 1)
+		if sp.set[t>>6]&(1<<(t&63)) != 0 {
+			t = j
+		}
+		sp.set[t>>6] |= 1 << (t & 63)
 	}
-	swap := sp.swap[:k]
-	for i := 0; i < k; i++ {
-		j := i + s.IntN(n-i)
-		swap[i] = int32(j)
-		sp.idx[i], sp.idx[j] = sp.idx[j], sp.idx[i]
-		out[i] = sp.idx[i]
-	}
-	// Undo in reverse order: the array is the identity again, so the
-	// next draw is position-independent.
-	for i := k - 1; i >= 0; i-- {
-		j := swap[i]
-		sp.idx[i], sp.idx[j] = sp.idx[j], sp.idx[i]
+	// Emit in ascending order, clearing each word as it is read; the
+	// scan stops at the word holding the k-th member.
+	i := 0
+	for w := 0; i < k; w++ {
+		for b := sp.set[w]; b != 0; b &= b - 1 {
+			out[i] = int32(w<<6 | bits.TrailingZeros64(b))
+			i++
+		}
+		sp.set[w] = 0
 	}
 }

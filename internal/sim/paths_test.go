@@ -192,42 +192,42 @@ var pathFingerprints = map[string]string{
 	"fleet/semi-async/solar/OFL":              "40|0.38028818994750069|25526.799325066051|8ce6706c04d86e84",
 	"fleet/semi-async/solar/AutoFL":           "40|0.38341886832708955|35834.00289020998|b4ad7478b3a6c87f",
 	"fleet/semi-async/solar/Battery-Weighted": "40|0.33195431603738268|45483.173315984888|8a3938bbc3a41ee3",
-	"pop/sync/none/FedAvg-Random":             "40|0.43810884231071334|1371060.6721038504|58fb1cfd4d9ad95c",
-	"pop/sync/none/FedNova":                   "40|0.503405157518373|1371060.6721038504|1d23631b21b0b01b",
-	"pop/sync/none/FEDL":                      "40|0.50893018264694612|1371060.6721038504|d00e3f8a20a3a1f2",
-	"pop/sync/none/OFL":                       "40|0.53537420709802908|954272.22437539918|eccffa9f5c0ebf89",
-	"pop/sync/none/AutoFL":                    "40|0.47325900828334522|1319815.8933442137|e6a4828f4132aa6b",
-	"pop/sync/none/Battery-Weighted":          "40|0.45663168755093259|1362783.2945180635|1549e9a6c5fcfeed",
-	"pop/sync/solar/FedAvg-Random":            "40|0.43810884231071334|1371060.6721038504|147467beed4d3192",
-	"pop/sync/solar/FedNova":                  "40|0.503405157518373|1371060.6721038504|bbe1ca206b8e5f45",
-	"pop/sync/solar/FEDL":                     "40|0.50893018264694612|1371060.6721038504|a407bdc1733a155c",
-	"pop/sync/solar/OFL":                      "40|0.53537420709802908|954272.22437539918|4f6df72769c94174",
-	"pop/sync/solar/AutoFL":                   "40|0.47325900828334522|1319815.8933442137|efabe8b7569ecb93",
-	"pop/sync/solar/Battery-Weighted":         "40|0.43973371836519293|1363837.8066542062|7dbe3e3f875c18b6",
-	"pop/async/none/FedAvg-Random":            "40|0.13519417924340107|54711.215964641175|156a0513eb9ef8ed",
-	"pop/async/none/FedNova":                  "40|0.14376736133025284|54711.215964641175|40fac92f0effb93a",
-	"pop/async/none/FEDL":                     "40|0.14492273955253723|54711.215964641175|eb7eb2fd0ca949e4",
-	"pop/async/none/OFL":                      "40|0.14526655777870093|46447.4257154835|5395217f64f972d2",
-	"pop/async/none/AutoFL":                   "40|0.14846456972801944|83885.10437838205|1a6c41e7b6215098",
-	"pop/async/none/Battery-Weighted":         "40|0.13136301118639121|62824.428551020304|0c627d8ed25c71ce",
-	"pop/async/solar/FedAvg-Random":           "40|0.13519417924340107|54711.215964641175|18e842cff6c98f72",
-	"pop/async/solar/FedNova":                 "40|0.14376736133025284|54711.215964641175|952791d3544298fd",
-	"pop/async/solar/FEDL":                    "40|0.14492273955253723|54711.215964641175|b0c8b958f46a476f",
-	"pop/async/solar/OFL":                     "40|0.14526655777870093|46447.4257154835|7546bc00436fa923",
-	"pop/async/solar/AutoFL":                  "40|0.14846456972801944|83885.10437838205|eea327051bb312b3",
-	"pop/async/solar/Battery-Weighted":        "40|0.13209611731113571|59420.987964342297|cc6f25429eba2fae",
-	"pop/semi-async/none/FedAvg-Random":       "40|0.3250240436082556|677029.73555096274|44a7a64ee60f0ec6",
-	"pop/semi-async/none/FedNova":             "40|0.36474814951936885|677029.73555096274|94d49b4905e62a3a",
-	"pop/semi-async/none/FEDL":                "40|0.36882449805297507|677029.73555096274|569fc2de6def3bde",
-	"pop/semi-async/none/OFL":                 "40|0.37386085245900241|457480.03576148342|d7a78e5075842afb",
-	"pop/semi-async/none/AutoFL":              "40|0.38715008726926448|802941.83413628291|858501f79c2f2858",
-	"pop/semi-async/none/Battery-Weighted":    "40|0.34399086322764366|652652.27686295169|80083a6ffe535cab",
-	"pop/semi-async/solar/FedAvg-Random":      "40|0.3250240436082556|677029.73555096274|082dc6394e62cc73",
-	"pop/semi-async/solar/FedNova":            "40|0.36474814951936885|677029.73555096274|8d24cb1af93a8c77",
-	"pop/semi-async/solar/FEDL":               "40|0.36882449805297507|677029.73555096274|d8a68dffea96be93",
-	"pop/semi-async/solar/OFL":                "40|0.37386085245900241|457480.03576148342|eed433940cc450de",
-	"pop/semi-async/solar/AutoFL":             "40|0.38715008726926448|802941.83413628291|eac813cbccecfd17",
-	"pop/semi-async/solar/Battery-Weighted":   "40|0.33069254802326403|690151.71040182398|dd8d2074cb3ca134",
+	"pop/sync/none/FedAvg-Random":             "40|0.43898239380840343|1370399.8725208913|4034920faa7a1df7",
+	"pop/sync/none/FedNova":                   "40|0.50388580265063365|1370399.8725208913|ea83f5fc78c14593",
+	"pop/sync/none/FEDL":                      "40|0.5115475750662819|1370399.8725208913|ed7bd3983570c4f1",
+	"pop/sync/none/OFL":                       "40|0.54022328339789905|948760.17610962549|1e2c0bfaf36ad70c",
+	"pop/sync/none/AutoFL":                    "40|0.45990876446480966|1343542.1825031068|8475c6ca10a33504",
+	"pop/sync/none/Battery-Weighted":          "40|0.43107353825551481|1379092.7977538942|60edbcb5d3815680",
+	"pop/sync/solar/FedAvg-Random":            "40|0.43898239380840343|1370399.8725208913|062b4a3a332322cb",
+	"pop/sync/solar/FedNova":                  "40|0.50388580265063365|1370399.8725208913|f4bd0886f46c028f",
+	"pop/sync/solar/FEDL":                     "40|0.5115475750662819|1370399.8725208913|60d17cf3107a6c55",
+	"pop/sync/solar/OFL":                      "40|0.54022328339789905|948760.17610962549|2815391d99dab448",
+	"pop/sync/solar/AutoFL":                   "40|0.45990876446480966|1343542.1825031068|fb43f38b1c277507",
+	"pop/sync/solar/Battery-Weighted":         "40|0.4481537033691933|1346930.5239040786|ec747051eb66db8b",
+	"pop/async/none/FedAvg-Random":            "40|0.13409184317317821|55313.17995033662|15cc322b61a2f126",
+	"pop/async/none/FedNova":                  "40|0.14326902027786914|55313.17995033662|e5f729c0e1729d37",
+	"pop/async/none/FEDL":                     "40|0.1450129966376176|55313.17995033662|75ad6def92840684",
+	"pop/async/none/OFL":                      "40|0.14551334435897753|47238.365125413227|e850b36d876d9e76",
+	"pop/async/none/AutoFL":                   "40|0.15016803233273615|76041.66594541735|5134d79f28cd04f0",
+	"pop/async/none/Battery-Weighted":         "40|0.12532892283758662|62274.652481628626|52d6f92e83e07afe",
+	"pop/async/solar/FedAvg-Random":           "40|0.13409184317317821|55313.17995033662|14e4f90af5e48b85",
+	"pop/async/solar/FedNova":                 "40|0.14326902027786914|55313.17995033662|2c07e24b30781a88",
+	"pop/async/solar/FEDL":                    "40|0.1450129966376176|55313.17995033662|04706435b4bd5567",
+	"pop/async/solar/OFL":                     "40|0.14551334435897753|47238.365125413227|554d16fab0a0c1a1",
+	"pop/async/solar/AutoFL":                  "40|0.15016803233273615|76041.66594541735|ee1a61fac7f02af8",
+	"pop/async/solar/Battery-Weighted":        "40|0.13337555040454463|54493.851803704674|32b24b417d642202",
+	"pop/semi-async/none/FedAvg-Random":       "40|0.32692431606907424|680966.79557883181|6e1698a030c53fb7",
+	"pop/semi-async/none/FedNova":             "40|0.36517634200388721|680966.79557883181|1a5af5f5b88a001a",
+	"pop/semi-async/none/FEDL":                "40|0.37080139761559122|680966.79557883181|6e85152efb1fbe60",
+	"pop/semi-async/none/OFL":                 "40|0.37433295019379792|466637.74174190551|7ecd0193608908b6",
+	"pop/semi-async/none/AutoFL":              "40|0.38557130974183668|834160.98867777549|7dc39660e811c7fe",
+	"pop/semi-async/none/Battery-Weighted":    "40|0.32327276831291796|672406.53308234643|b24c1d11b34e7a69",
+	"pop/semi-async/solar/FedAvg-Random":      "40|0.32692431606907424|680966.79557883181|ef1d924797b0c8fb",
+	"pop/semi-async/solar/FedNova":            "40|0.36517634200388721|680966.79557883181|a4ef3a2daa61431e",
+	"pop/semi-async/solar/FEDL":               "40|0.37080139761559122|680966.79557883181|063c779013974df0",
+	"pop/semi-async/solar/OFL":                "40|0.37433295019379792|466637.74174190551|8bc5b6a072c6d00b",
+	"pop/semi-async/solar/AutoFL":             "40|0.38557130974183668|834160.98867777549|b2a14994060dbae6",
+	"pop/semi-async/solar/Battery-Weighted":   "40|0.33676981577743087|673536.45355044887|bff321dc012a3bac",
 }
 
 // TestEnginePathFingerprints pins the output of every round body —

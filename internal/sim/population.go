@@ -3,9 +3,10 @@ package sim
 // This file is the per-device half of the engine's state: what the
 // round bodies (runRound in sim.go, runRoundAsync in async.go) read
 // about the device population. The population is an archetype table
-// plus packed struct-of-arrays per-device state (~42 bytes/device
-// resident). Each round draws a Sample-candidate pool with an O(Sample)
-// partial Fisher–Yates sampler — or, when Sample covers the whole
+// plus packed struct-of-arrays per-device state (~38 bytes/device
+// resident). Each round draws a Sample-candidate pool already in
+// ascending device order, with Floyd's subset sampler over a
+// one-bit-per-device set — or, when Sample covers the whole
 // population, takes every device in index order with no draw — and
 // presents policies a candidate-sized RoundContext view, so the whole
 // round is O(Sample + participants), not O(population).
@@ -19,7 +20,6 @@ package sim
 import (
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 
 	"autofl/internal/data"
@@ -45,7 +45,8 @@ type popState struct {
 	// fleetIdle is the population-wide idle draw, O(archetypes) once.
 	fleetIdle float64
 
-	// sampler draws the per-round candidate pool; sampleRng feeds it.
+	// sampler draws the per-round candidate pool in ascending order;
+	// sampleRng feeds it.
 	sampler   *rng.Sampler
 	sampleRng *rng.Stream
 	// envSeed/actSeed key the per-(round, device) observation and
@@ -157,13 +158,12 @@ func (e *Engine) observe(sc *roundScratch, round int, accuracy float64) *RoundCo
 	}
 	cand = cand[:k]
 	if k < p.n {
-		p.sampler.SampleInto(p.sampleRng, cand)
 		// Ascending global order: deterministic, cache-friendly, and
 		// stable for positional policy state (tie priorities, pools).
-		slices.Sort(cand)
+		p.sampler.SampleInto(p.sampleRng, cand)
 	} else {
 		// Every device is a candidate: the identity, which is exactly
-		// what sorting a full shuffle yields, without the draw.
+		// what a full draw yields, without the draw.
 		for v := range cand {
 			cand[v] = int32(v)
 		}
@@ -257,11 +257,11 @@ func (e *Engine) PackedData() *data.Packed { return e.pop.part }
 // PopulationMemoryBytes is the resident per-device state of the
 // engine: the packed partition, the participation memory, the
 // last-action record, the cumulative-energy accumulator, and the
-// sampler's index array.
+// sampler's membership set (one bit per device).
 func (e *Engine) PopulationMemoryBytes() int {
 	p := e.pop
 	perDevice := len(p.emaW)*4 + len(p.emaRound)*4 + len(p.lastStep) +
-		len(p.lastTarget) + len(p.extraJ)*8 + p.sampler.Len()*4
+		len(p.lastTarget) + len(p.extraJ)*8 + p.sampler.MemoryBytes()
 	if e.async != nil {
 		// Asynchronous regimes add two packed bytes per device: the
 		// busy flag and the last-staleness record.

@@ -56,8 +56,10 @@ import (
 // caches. v2 removed the horizon from the digest identity and added
 // per-entry horizons and trace payloads. v3 orphans the outcomes of
 // the retired materialized-fleet engine: the default 200-device fleet
-// now runs on the population engine's keyed draws.
-const formatVersion = 3
+// now runs on the population engine's keyed draws. v4 orphans the
+// sampled-population outcomes (Sample < N) drawn by the retired
+// shuffle-and-sort candidate sampler.
+const formatVersion = 4
 
 const (
 	manifestName = "manifest.json"
