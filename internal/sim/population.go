@@ -9,7 +9,8 @@ package sim
 // one-bit-per-device set — or, when Sample covers the whole
 // population, takes every device in index order with no draw — and
 // presents policies a candidate-sized RoundContext view, so the whole
-// round is O(Sample + participants), not O(population).
+// round is O(Sample + participants) plus the sampler's scan of
+// population/64 words, never a pass over per-device state.
 //
 // Determinism is by construction: every per-device draw comes from a
 // stream keyed by rng.Mix(seedBase, round, deviceIndex), so results
