@@ -323,11 +323,10 @@ type FleetSpec struct {
 	// O(Sample) instead of O(fleet). Zero, or any value from the
 	// device count up, runs the population exhaustively — every device
 	// a candidate each round, exactly as the default 200-device fleet
-	// runs — fine for thousands of devices, a wall at millions.
+	// runs — fine for thousands of devices, a wall at millions. The
+	// engine observes a large pool in parallel as GOMAXPROCS allows;
+	// results do not depend on it.
 	Sample int
-	// Shards is the engine's intra-round parallelism (0 = automatic).
-	// Results are independent of the shard count.
-	Shards int
 }
 
 // ScaledFleet builds a FleetSpec with n devices in the paper's tier
@@ -455,7 +454,6 @@ func (s Scenario) simConfig() (sim.Config, error) {
 		}
 		cfg.Population = pop
 		cfg.Sample = s.Fleet.Sample
-		cfg.Shards = s.Fleet.Shards
 	}
 	if s.Aggregation != nil {
 		// sim.NewEngine validates the mode and knob combinations,

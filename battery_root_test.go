@@ -133,10 +133,10 @@ func TestSimJainMatchesMetrics(t *testing.T) {
 // battery-enabled sampled populations: the packed engine's battery
 // settle pass runs inside the parallel observe pass, and its results
 // must not depend on how candidates are partitioned across shards.
+// The 2,048-candidate pool is above the fan-out threshold, so every
+// GOMAXPROCS above 1 really observes in parallel.
 func TestBatteryShardInvariance(t *testing.T) {
-	run := func(shards int, profile BatteryProfile) *Report {
-		fleet := ScaledFleet(20_000, 512)
-		fleet.Shards = shards
+	run := func(procs int, profile BatteryProfile) *Report {
 		s := Scenario{
 			Workload:  CNNMNIST,
 			Setting:   S3,
@@ -144,12 +144,14 @@ func TestBatteryShardInvariance(t *testing.T) {
 			Env:       EnvField,
 			Seed:      11,
 			MaxRounds: 25,
-			Fleet:     fleet,
+			Fleet:     ScaledFleet(20_000, 2048),
 			Battery:   DefaultBattery(profile),
 		}
-		r, err := s.Run(PolicyBatteryWeighted)
+		var r *Report
+		var err error
+		withProcs(procs, func() { r, err = s.Run(PolicyBatteryWeighted) })
 		if err != nil {
-			t.Fatalf("shards=%d profile=%s: %v", shards, profile, err)
+			t.Fatalf("GOMAXPROCS=%d profile=%s: %v", procs, profile, err)
 		}
 		return r
 	}
@@ -158,9 +160,9 @@ func TestBatteryShardInvariance(t *testing.T) {
 		if base.Battery == nil {
 			t.Fatalf("profile %s: battery-enabled run missing battery report", profile)
 		}
-		for _, shards := range []int{2, 4, 7} {
-			if got := run(shards, profile); !reflect.DeepEqual(base, got) {
-				t.Errorf("profile %s: shards=%d report differs from shards=1", profile, shards)
+		for _, procs := range []int{2, 4, 7} {
+			if got := run(procs, profile); !reflect.DeepEqual(base, got) {
+				t.Errorf("profile %s: GOMAXPROCS=%d report differs from GOMAXPROCS=1", profile, procs)
 			}
 		}
 	}

@@ -39,8 +39,7 @@ func main() {
 		every        = flag.Int("progress-every", 25, "with -progress, print every Nth round")
 		list         = flag.Bool("list", false, "list available policies and exit")
 		devices      = flag.Int("devices", 0, "population size in the paper's tier mix (0 = the 200-device testbed)")
-		sample       = flag.Int("sample", 0, "per-round candidate pool for large populations (0 = exhaustive)")
-		shards       = flag.Int("shards", 0, "engine parallelism for large populations (0 = automatic)")
+		sample       = flag.Int("sample", 0, "per-round candidate pool for large populations (0 = exhaustive; requires -devices)")
 		asyncMode    = flag.String("async-mode", "", "aggregation regime: sync | async | semi-async (empty = sync)")
 		alpha        = flag.Float64("alpha", 0, "staleness-weighting exponent for async modes (0 = default 0.5)")
 		aggK         = flag.Int("agg-k", 0, "semi-async quorum: aggregate at this many arrivals (0 = half the cohort)")
@@ -71,10 +70,14 @@ func main() {
 		Seed:      *seed,
 		MaxRounds: *rounds,
 	}
+	if *devices < 0 {
+		fatal(fmt.Errorf("-devices %d is negative (0 = the 200-device testbed)", *devices))
+	}
+	if *sample != 0 && *devices == 0 {
+		fatal(fmt.Errorf("-sample requires -devices (the 200-device testbed runs exhaustively)"))
+	}
 	if *devices > 0 {
-		fleet := autofl.ScaledFleet(*devices, *sample)
-		fleet.Shards = *shards
-		scenario.Fleet = fleet
+		scenario.Fleet = autofl.ScaledFleet(*devices, *sample)
 	}
 	if *asyncMode != "" || *alpha != 0 || *aggK != 0 || *aggDeadline != 0 {
 		scenario.Aggregation = &autofl.AggregationSpec{
@@ -214,7 +217,7 @@ func usage() {
 		names []string
 	}{
 		{"Scenario", []string{"workload", "setting", "data", "env", "policy", "seed", "rounds"}},
-		{"Population & fleet", []string{"devices", "sample", "shards"}},
+		{"Population & fleet", []string{"devices", "sample"}},
 		{"Aggregation regime", []string{"async-mode", "alpha", "agg-k", "agg-deadline"}},
 		{"Battery & availability", []string{"battery-profile", "battery-capacity", "battery-threshold"}},
 		{"Output", []string{"compare", "progress", "progress-every", "list"}},

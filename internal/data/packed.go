@@ -55,9 +55,9 @@ func classBucket(c, classes int) int {
 // keyed stream; non-IID status is an independent Bernoulli draw per
 // device (the sequential Partition picks an exact count — at
 // population scale the binomial concentrates to the same fraction).
-// workers bounds generation parallelism; 0 selects GOMAXPROCS.
-func PackedPartition(seed uint64, scenario Scenario, n, classes, meanSamples, workers int) *Packed {
-	return packedPartition(seed, scenario.NonIIDFraction, n, classes, meanSamples, workers)
+// Generation runs on GOMAXPROCS goroutines.
+func PackedPartition(seed uint64, scenario Scenario, n, classes, meanSamples int) *Packed {
+	return packedPartition(seed, scenario.NonIIDFraction, n, classes, meanSamples)
 }
 
 // ExactPackedPartition is PackedPartition with exactly round(f·n)
@@ -69,12 +69,12 @@ func PackedPartition(seed uint64, scenario Scenario, n, classes, meanSamples, wo
 // count's ±sqrt(n·f·(1−f)) spread is several percent of the fleet,
 // enough to move runs whose cohort quality sits near the convergence
 // plateau.
-func ExactPackedPartition(seed uint64, scenario Scenario, n, classes, meanSamples, workers int) *Packed {
+func ExactPackedPartition(seed uint64, scenario Scenario, n, classes, meanSamples int) *Packed {
 	f := scenario.NonIIDFraction
 	if f > 0 && f < 1 {
 		f = exactThreshold(seed, f, n, meanSamples)
 	}
-	return packedPartition(seed, f, n, classes, meanSamples, workers)
+	return packedPartition(seed, f, n, classes, meanSamples)
 }
 
 // exactThreshold returns the membership threshold under which exactly
@@ -98,7 +98,7 @@ func exactThreshold(seed uint64, f float64, n, meanSamples int) float64 {
 
 // packedPartition generates the partition with device i non-IID when
 // its membership draw falls below threshold (see Stream.Bool).
-func packedPartition(seed uint64, threshold float64, n, classes, meanSamples, workers int) *Packed {
+func packedPartition(seed uint64, threshold float64, n, classes, meanSamples int) *Packed {
 	buckets := classes
 	if buckets > 64 {
 		buckets = 64
@@ -111,15 +111,7 @@ func packedPartition(seed uint64, threshold float64, n, classes, meanSamples, wo
 		ClassFrac: make([]float32, n),
 		Samples:   make([]int32, n),
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if n == 0 {
-		return p
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo, hi := n*w/workers, n*(w+1)/workers

@@ -3,19 +3,29 @@ package data
 import (
 	"math/bits"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
 	"autofl/internal/rng"
 )
 
+// atProcs returns f() computed under runtime.GOMAXPROCS(n), the
+// partition's worker count, and then restores the previous setting.
+// No test in the module calls t.Parallel, so no other test sees the
+// change.
+func atProcs[T any](n int, f func() T) T {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	return f()
+}
+
 // TestPackedWorkerInvariance pins the keyed-stream property the
 // parallel generator rests on: the assignment for device i is a pure
 // function of (seed, i), so the worker count must not change a byte.
 func TestPackedWorkerInvariance(t *testing.T) {
 	const n = 2000
-	a := PackedPartition(42, NonIID75, n, 10, 500, 1)
-	b := PackedPartition(42, NonIID75, n, 10, 500, 7)
+	gen := func() *Packed { return PackedPartition(42, NonIID75, n, 10, 500) }
+	a, b := atProcs(1, gen), atProcs(7, gen)
 	for i := 0; i < n; i++ {
 		if a.Mask[i] != b.Mask[i] || a.Quality[i] != b.Quality[i] ||
 			a.ClassFrac[i] != b.ClassFrac[i] || a.Samples[i] != b.Samples[i] {
@@ -32,9 +42,10 @@ func TestPackedWorkerInvariance(t *testing.T) {
 func TestExactPackedPartition(t *testing.T) {
 	for _, sc := range Scenarios() {
 		for _, n := range []int{1, 7, 200} {
-			exact := ExactPackedPartition(5, sc, n, 80, 500, 1)
-			bern := PackedPartition(5, sc, n, 80, 500, 1)
-			if !reflect.DeepEqual(exact, ExactPackedPartition(5, sc, n, 80, 500, 3)) {
+			gen := func() *Packed { return ExactPackedPartition(5, sc, n, 80, 500) }
+			exact := atProcs(1, gen)
+			bern := atProcs(1, func() *Packed { return PackedPartition(5, sc, n, 80, 500) })
+			if !reflect.DeepEqual(exact, atProcs(3, gen)) {
 				t.Errorf("%s n=%d: worker count changed the exact partition", sc.Name, n)
 			}
 			nonIID := 0
@@ -57,7 +68,7 @@ func TestExactPackedPartition(t *testing.T) {
 }
 
 func TestPackedIIDDevices(t *testing.T) {
-	p := PackedPartition(1, IdealIID, 100, 10, 500, 0)
+	p := PackedPartition(1, IdealIID, 100, 10, 500)
 	full := uint64(1<<10 - 1)
 	for i := 0; i < p.Len(); i++ {
 		if p.Mask[i] != full {
@@ -81,7 +92,7 @@ func TestPackedIIDDevices(t *testing.T) {
 // realizations, so the comparison is statistical, not byte-wise.
 func TestPackedNonIIDStatistics(t *testing.T) {
 	const n, classes = 5000, 10
-	p := PackedPartition(9, NonIID100, n, classes, 500, 0)
+	p := PackedPartition(9, NonIID100, n, classes, 500)
 	legacy := Partition(rng.New(9), NonIID100, n, classes, 500)
 
 	pq, lq := p.MeanQuality(), MeanIIDQuality(legacy)
@@ -109,7 +120,7 @@ func TestPackedNonIIDStatistics(t *testing.T) {
 // TestPackedBucketFolding pins the >64-class fold: ImageNet's 1000
 // classes map onto a 64-bucket mask.
 func TestPackedBucketFolding(t *testing.T) {
-	p := PackedPartition(3, NonIID100, 200, 1000, 500, 0)
+	p := PackedPartition(3, NonIID100, 200, 1000, 500)
 	if p.Buckets != 64 {
 		t.Fatalf("Buckets = %d, want 64", p.Buckets)
 	}
@@ -128,7 +139,7 @@ func TestPackedBucketFolding(t *testing.T) {
 
 func TestPackedMemoryBytes(t *testing.T) {
 	const n = 1234
-	p := PackedPartition(1, IdealIID, n, 10, 500, 0)
+	p := PackedPartition(1, IdealIID, n, 10, 500)
 	if got, want := p.MemoryBytes(), n*20; got != want {
 		t.Errorf("MemoryBytes = %d, want %d (20 B/device)", got, want)
 	}

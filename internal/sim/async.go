@@ -18,7 +18,8 @@ package sim
 // stochastic draws come from the same identity-keyed streams. Event
 // ordering is total via the queue's (time, push-order)
 // comparison, so async traces are a pure function of the config,
-// independent of Shards, GOMAXPROCS, and distributed execution.
+// independent of GOMAXPROCS, the observe pass's shard count, and
+// distributed execution.
 
 import (
 	"math"

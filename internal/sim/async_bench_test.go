@@ -16,7 +16,7 @@ func benchmarkAsyncRound(b *testing.B, mode sim.AggregationMode, n int) {
 	if sample > n {
 		sample = n
 	}
-	cfg := popConfig(b, n, sample, 0, 1)
+	cfg := popConfig(b, n, sample, 1)
 	cfg.Mode = mode
 	cfg.Data = data.IdealIID
 	cfg.MaxRounds = 1 << 20

@@ -12,9 +12,9 @@ import (
 )
 
 // asyncPopConfig is popConfig with an asynchronous aggregation mode.
-func asyncPopConfig(tb testing.TB, mode sim.AggregationMode, n, sample, shards int, seed uint64) sim.Config {
+func asyncPopConfig(tb testing.TB, mode sim.AggregationMode, n, sample int, seed uint64) sim.Config {
 	tb.Helper()
-	cfg := popConfig(tb, n, sample, shards, seed)
+	cfg := popConfig(tb, n, sample, seed)
 	cfg.Mode = mode
 	return cfg
 }
@@ -47,7 +47,7 @@ func TestAsyncDeterminism(t *testing.T) {
 				t.Error("same-seed legacy async runs differ")
 			}
 
-			pop := asyncPopConfig(t, mode, 3000, 600, 0, 17)
+			pop := asyncPopConfig(t, mode, 3000, 600, 17)
 			c := mustEngine(t, pop).Run(policy.NewRandom(3))
 			d := mustEngine(t, pop).Run(policy.NewRandom(3))
 			if !reflect.DeepEqual(c, d) {
@@ -61,18 +61,15 @@ func TestAsyncDeterminism(t *testing.T) {
 // contract: the event-queue ordering is total over (time, push order),
 // and every stochastic draw is identity-keyed, so the shard count can
 // never change an async trace — serial, 4-way, and an uneven 13-way
-// partition all produce identical results.
+// partition (GOMAXPROCS 1, 4 and 13) all produce identical results.
 func TestAsyncShardInvariance(t *testing.T) {
 	for _, mode := range []sim.AggregationMode{sim.ModeAsync, sim.ModeSemiAsync} {
 		t.Run(string(mode), func(t *testing.T) {
-			serial := asyncPopConfig(t, mode, 5000, 2048, 1, 29)
-			ref := mustEngine(t, serial).Run(policy.NewRandom(3))
-			for _, shards := range []int{4, 13} {
-				cfg := serial
-				cfg.Shards = shards
-				got := mustEngine(t, cfg).Run(policy.NewRandom(3))
-				if !reflect.DeepEqual(ref, got) {
-					t.Errorf("Shards=%d async run differs from serial", shards)
+			cfg := asyncPopConfig(t, mode, 5000, 2048, 29)
+			ref := runAtProcs(t, 1, cfg)
+			for _, procs := range []int{4, 13} {
+				if got := runAtProcs(t, procs, cfg); !reflect.DeepEqual(ref, got) {
+					t.Errorf("GOMAXPROCS=%d async run differs from serial", procs)
 				}
 			}
 		})
@@ -189,25 +186,12 @@ func TestAsyncConfigErrors(t *testing.T) {
 }
 
 // TestAsyncRoundAllocs pins the zero-alloc steady state of the async
-// population round (serial shards, as in TestPopulationRoundAllocs).
+// population round on one shard, as in TestPopulationRoundAllocs. The
+// long warmup lets the flight table and arrival buffer grow to their
+// steady-state capacity.
 func TestAsyncRoundAllocs(t *testing.T) {
-	cfg := asyncPopConfig(t, sim.ModeAsync, 2000, 512, 1, 3)
-	cfg.MaxRounds = 1000
-	cfg.TargetAccuracy = 1 // unreachable: the run never ends early
-	run := mustEngine(t, cfg).Start(policy.NewRandom(9))
-	// Long warmup: the flight table and arrival buffer grow to their
-	// steady-state capacity during the first rounds.
-	for i := 0; i < 20; i++ {
-		if !run.Step() {
-			t.Fatal("run ended during warmup")
-		}
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		if !run.Step() {
-			t.Fatal("run ended mid-measurement")
-		}
-	})
-	if avg != 0 {
+	cfg := asyncPopConfig(t, sim.ModeAsync, 2000, 512, 3)
+	if avg := steadyRoundAllocs(t, 1, cfg, policy.NewRandom(9), 20); avg != 0 {
 		t.Errorf("steady-state async round allocates %v objects, want 0", avg)
 	}
 }

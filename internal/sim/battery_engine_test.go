@@ -11,37 +11,23 @@ import (
 )
 
 // battPopConfig is popConfig with the battery subsystem attached.
-func battPopConfig(tb testing.TB, n, sample, shards int, seed uint64) sim.Config {
+func battPopConfig(tb testing.TB, n, sample int, seed uint64) sim.Config {
 	tb.Helper()
-	cfg := popConfig(tb, n, sample, shards, seed)
+	cfg := popConfig(tb, n, sample, seed)
 	cfg.Battery = &battery.Spec{CapacityJ: 2000}
 	return cfg
 }
 
 // TestBatteryRoundAllocs pins the zero-alloc steady state of the
-// battery-enabled sampled round path: the lazy settle pass, the
-// availability gate, and the incremental Jain moments must all run on
-// preallocated state (serial shards — the parallel observe pass spawns
-// goroutines by design, which the benchmark covers instead).
+// battery-enabled sampled round path on one shard: the lazy settle
+// pass, the availability gate, and the incremental Jain moments must
+// all run on preallocated state.
 func TestBatteryRoundAllocs(t *testing.T) {
-	cfg := battPopConfig(t, 2000, 512, 1, 3)
+	cfg := battPopConfig(t, 2000, 512, 3)
 	// A large cell so depletion never empties the candidate set during
 	// the measurement window.
 	cfg.Battery = &battery.Spec{CapacityJ: 1e7, Harvest: battery.ProfileSolar}
-	cfg.MaxRounds = 1000
-	cfg.TargetAccuracy = 1 // unreachable: the run never ends early
-	run := mustEngine(t, cfg).Start(policy.NewRandom(9))
-	for i := 0; i < 3; i++ {
-		if !run.Step() {
-			t.Fatal("run ended during warmup")
-		}
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		if !run.Step() {
-			t.Fatal("run ended mid-measurement")
-		}
-	})
-	if avg != 0 {
+	if avg := steadyRoundAllocs(t, 1, cfg, policy.NewRandom(9), 3); avg != 0 {
 		t.Errorf("steady-state battery round allocates %v objects, want 0", avg)
 	}
 }
@@ -55,7 +41,7 @@ func TestBatteryMillionDeviceMemoryBudget(t *testing.T) {
 		t.Skip("1M-device smoke skipped in -short")
 	}
 	const n = 1_000_000
-	cfg := battPopConfig(t, n, 4096, 0, 5)
+	cfg := battPopConfig(t, n, 4096, 5)
 	cfg.Data = data.IdealIID // partition generation dominates otherwise
 	cfg.MaxRounds = 3
 
@@ -97,7 +83,7 @@ func TestBatteryGatesEveryAggregationMode(t *testing.T) {
 		t.Run(string(mode), func(t *testing.T) {
 			gatedSeeds := 0
 			for seed := uint64(1); seed <= gatingSeeds; seed++ {
-				cfg := battPopConfig(t, 600, 200, 1, seed)
+				cfg := battPopConfig(t, 600, 200, seed)
 				// A cell small enough that the candidate pool visibly
 				// thins over the horizon.
 				cfg.Battery = &battery.Spec{CapacityJ: 500}

@@ -79,9 +79,6 @@ func (c *Config) validate() error {
 	if c.Sample < 0 {
 		return configErrf("Sample", "negative candidate-sample size %d", c.Sample)
 	}
-	if c.Shards < 0 {
-		return configErrf("Shards", "negative shard count %d", c.Shards)
-	}
 	if c.Params.K > n {
 		return configErrf("Params.K", "participant count %d exceeds the %d-device population", c.Params.K, n)
 	}

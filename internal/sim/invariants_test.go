@@ -34,9 +34,9 @@ func (p *arbitraryPolicy) Select(ctx *RoundContext) []Selection {
 // invariantConfig is the small engine the accounting property drives:
 // a 20-device fleet run exhaustively or a 3,000-device population
 // sampled popShardMin at a time, in the given aggregation mode, optionally with a battery
-// small enough to deplete within a few rounds. The population leaves
-// Shards at its default, so its observe pass fans out across
-// GOMAXPROCS shards (run the test with -cpu 1,2,4 to vary it).
+// small enough to deplete within a few rounds. The population's
+// observe pass fans out across GOMAXPROCS shards (run the test with
+// -cpu 1,2,4 to vary it).
 func invariantConfig(t *testing.T, source string, mode AggregationMode, batt bool) Config {
 	cfg := Config{
 		Workload:  workload.CNNMNIST(),

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"autofl/internal/battery"
@@ -47,7 +48,7 @@ const (
 	pathFanRounds = 20
 )
 
-func pathConfig(tb testing.TB, source string, mode sim.AggregationMode, batt string, sample, shards int) sim.Config {
+func pathConfig(tb testing.TB, source string, mode sim.AggregationMode, batt string, sample int) sim.Config {
 	tb.Helper()
 	cfg := sim.Config{
 		Workload:  workload.CNNMNIST(),
@@ -61,7 +62,6 @@ func pathConfig(tb testing.TB, source string, mode sim.AggregationMode, batt str
 	if source == "pop" {
 		cfg.Population = tieredPopulation(tb, pathPopN)
 		cfg.Sample = sample
-		cfg.Shards = shards
 	}
 	if batt == "solar" {
 		cfg.Battery = &battery.Spec{CapacityJ: 2000, Harvest: battery.ProfileSolar}
@@ -239,7 +239,7 @@ func TestEnginePathFingerprints(t *testing.T) {
 			for _, batt := range pathBattery {
 				for _, pol := range pathPolicies {
 					key := fmt.Sprintf("%s/%s/%s/%s", source, mode, batt, pol)
-					eng := mustEngine(t, pathConfig(t, source, mode, batt, pathSample, 1))
+					eng := mustEngine(t, pathConfig(t, source, mode, batt, pathSample))
 					got := pathFingerprint(eng, eng.Run(pathPolicy(t, pol, batt != "none")))
 					switch want, ok := pathFingerprints[key]; {
 					case !ok:
@@ -255,24 +255,27 @@ func TestEnginePathFingerprints(t *testing.T) {
 
 // TestEnginePathFingerprintsAcrossShards checks that every population
 // path is independent of how the observe pass is partitioned: with a
-// candidate pool above the serial threshold, the default shard count
-// (which follows GOMAXPROCS) and Shards 2 and 8 each reproduce the
-// serial run's fingerprint.
+// candidate pool above the serial threshold, the shard counts that
+// the test's own GOMAXPROCS, 2 and 8 select each reproduce the serial
+// (GOMAXPROCS 1) run's fingerprint.
 func TestEnginePathFingerprintsAcrossShards(t *testing.T) {
+	defaultProcs := runtime.GOMAXPROCS(0)
 	for _, mode := range pathModes {
 		for _, batt := range pathBattery {
 			for _, pol := range pathPolicies {
 				key := fmt.Sprintf("pop/%s/%s/%s", mode, batt, pol)
-				run := func(shards int) string {
-					cfg := pathConfig(t, "pop", mode, batt, pathFanSample, shards)
+				run := func(procs int) string {
+					cfg := pathConfig(t, "pop", mode, batt, pathFanSample)
 					cfg.MaxRounds = pathFanRounds
-					eng := mustEngine(t, cfg)
-					return pathFingerprint(eng, eng.Run(pathPolicy(t, pol, batt != "none")))
+					return atProcs(procs, func() string {
+						eng := mustEngine(t, cfg)
+						return pathFingerprint(eng, eng.Run(pathPolicy(t, pol, batt != "none")))
+					})
 				}
 				serial := run(1)
-				for _, shards := range []int{0, 2, 8} {
-					if got := run(shards); got != serial {
-						t.Errorf("%s: Shards=%d gives %s, serial %s", key, shards, got, serial)
+				for _, procs := range []int{defaultProcs, 2, 8} {
+					if got := run(procs); got != serial {
+						t.Errorf("%s: GOMAXPROCS=%d gives %s, serial %s", key, procs, got, serial)
 					}
 				}
 			}

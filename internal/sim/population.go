@@ -15,8 +15,8 @@ package sim
 // Determinism is by construction: every per-device draw comes from a
 // stream keyed by rng.Mix(seedBase, round, deviceIndex), so results
 // are a pure function of the config — independent of shard count,
-// goroutine scheduling, and the Shards setting. The parallel observe
-// pass just partitions the candidate range.
+// GOMAXPROCS, and goroutine scheduling. The parallel observe pass just
+// partitions the candidate range across min(GOMAXPROCS, 16) shards.
 
 import (
 	"math"
@@ -76,13 +76,7 @@ type popState struct {
 
 func newPopState(c *Config, partRng, envRng, root *rng.Stream) *popState {
 	n := c.Population.Len()
-	shards := c.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-		if shards > 16 {
-			shards = 16
-		}
-	}
+	shards := min(runtime.GOMAXPROCS(0), 16)
 	p := &popState{
 		pop:        c.Population,
 		n:          n,
@@ -114,7 +108,7 @@ func newPopState(c *Config, partRng, envRng, root *rng.Stream) *popState {
 		partition = data.ExactPackedPartition
 	}
 	p.part = partition(partRng.Uint64(), c.Data, n,
-		c.Workload.Dataset.Classes, c.Workload.Dataset.SamplesPerDevice, shards)
+		c.Workload.Dataset.Classes, c.Workload.Dataset.SamplesPerDevice)
 	return p
 }
 

@@ -17,7 +17,7 @@ func benchmarkPopulationRound(b *testing.B, n int) {
 	if sample > n {
 		sample = n
 	}
-	cfg := popConfig(b, n, sample, 0, 1)
+	cfg := popConfig(b, n, sample, 1)
 	cfg.Data = data.IdealIID
 	cfg.MaxRounds = 1 << 16
 	cfg.TargetAccuracy = 1 // unreachable: rounds never stop early

@@ -32,14 +32,13 @@ func tieredPopulation(tb testing.TB, n int) *device.Population {
 	return mustPopulation(tb, high, mid, n-high-mid)
 }
 
-func popConfig(tb testing.TB, n, sample, shards int, seed uint64) sim.Config {
+func popConfig(tb testing.TB, n, sample int, seed uint64) sim.Config {
 	tb.Helper()
 	return sim.Config{
 		Workload:   workload.CNNMNIST(),
 		Params:     workload.S3,
 		Population: tieredPopulation(tb, n),
 		Sample:     sample,
-		Shards:     shards,
 		Data:       data.NonIID50,
 		Env:        sim.EnvField(),
 		Seed:       seed,
@@ -56,8 +55,26 @@ func mustEngine(tb testing.TB, cfg sim.Config) *sim.Engine {
 	return e
 }
 
+// atProcs returns f() computed under runtime.GOMAXPROCS(n) and then
+// restores the previous setting. GOMAXPROCS is the engine's only
+// parallelism lever: NewEngine fixes the observe pass's shard count at
+// min(GOMAXPROCS, 16) and the partition's worker count at GOMAXPROCS.
+// No test in the module calls t.Parallel, so no other test sees the
+// change.
+func atProcs[T any](n int, f func() T) T {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	return f()
+}
+
+// runAtProcs runs cfg to completion under policy.NewRandom(3) with
+// GOMAXPROCS set to procs while the engine is built and run.
+func runAtProcs(tb testing.TB, procs int, cfg sim.Config) *sim.Result {
+	tb.Helper()
+	return atProcs(procs, func() *sim.Result { return mustEngine(tb, cfg).Run(policy.NewRandom(3)) })
+}
+
 func TestSampledPopulationDeterminism(t *testing.T) {
-	cfg := popConfig(t, 3000, 600, 0, 11)
+	cfg := popConfig(t, 3000, 600, 11)
 	a := mustEngine(t, cfg).Run(policy.NewRandom(3))
 	b := mustEngine(t, cfg).Run(policy.NewRandom(3))
 	if !reflect.DeepEqual(a, b) {
@@ -66,25 +83,22 @@ func TestSampledPopulationDeterminism(t *testing.T) {
 }
 
 // TestSampledShardInvariance pins the keyed-stream design: the shard
-// count is a throughput knob, never an output knob. The pool exceeds
-// the serial threshold so the 4-shard run really runs parallel.
+// count, which follows GOMAXPROCS, sets throughput, never output. The
+// pool exceeds the serial threshold so the 4-shard run really runs
+// parallel.
 func TestSampledShardInvariance(t *testing.T) {
-	serial := popConfig(t, 5000, 2048, 1, 23)
-	sharded := serial
-	sharded.Shards = 4
-	a := mustEngine(t, serial).Run(policy.NewRandom(3))
-	b := mustEngine(t, sharded).Run(policy.NewRandom(3))
-	if !reflect.DeepEqual(a, b) {
-		t.Error("Shards=1 and Shards=4 runs differ")
+	cfg := popConfig(t, 5000, 2048, 23)
+	if !reflect.DeepEqual(runAtProcs(t, 1, cfg), runAtProcs(t, 4, cfg)) {
+		t.Error("GOMAXPROCS=1 and GOMAXPROCS=4 runs differ")
 	}
 }
 
 // TestSampleClampsToPopulation: a Sample beyond the population size,
 // and a zero Sample, behave exactly as Sample == n.
 func TestSampleClampsToPopulation(t *testing.T) {
-	exact := mustEngine(t, popConfig(t, 500, 500, 1, 7)).Run(policy.NewRandom(3))
+	exact := mustEngine(t, popConfig(t, 500, 500, 7)).Run(policy.NewRandom(3))
 	for _, sample := range []int{10_000, 0} {
-		got := mustEngine(t, popConfig(t, 500, sample, 1, 7)).Run(policy.NewRandom(3))
+		got := mustEngine(t, popConfig(t, 500, sample, 7)).Run(policy.NewRandom(3))
 		if !reflect.DeepEqual(got, exact) {
 			t.Errorf("Sample=%d differs from Sample == n", sample)
 		}
@@ -113,7 +127,6 @@ func TestConfigValidation(t *testing.T) {
 			Params: workload.GlobalParams{B: -1, E: 5, K: 5},
 		}, "Params"},
 		{"negative Sample", sim.Config{Population: pop, Sample: -1}, "Sample"},
-		{"negative Shards", sim.Config{Population: pop, Shards: -1}, "Shards"},
 		{"Sample below K", sim.Config{
 			Population: pop,
 			Params:     workload.GlobalParams{B: 20, E: 5, K: 10},
@@ -168,7 +181,7 @@ func TestNewPanicsOnInvalidConfig(t *testing.T) {
 // must equal the summed per-round fleet energy the trace reports, on a
 // sampled population and on the default 200-device fleet alike.
 func TestDeviceSnapshotConservesEnergy(t *testing.T) {
-	sampled := popConfig(t, 400, 128, 1, 31)
+	sampled := popConfig(t, 400, 128, 31)
 	sampled.MaxRounds = 40
 	for _, cfg := range []sim.Config{sampled, stepperConfig(31, 40)} {
 		eng := mustEngine(t, cfg)
@@ -200,28 +213,64 @@ func TestDeviceSnapshotConservesEnergy(t *testing.T) {
 	}
 }
 
-// TestPopulationRoundAllocs pins the zero-alloc steady state of the
-// round path, sampled (Sample < N) and exhaustive (Sample == N), with
-// serial shards: the parallel observe pass spawns goroutines by
-// design, which the benchmark covers instead.
-func TestPopulationRoundAllocs(t *testing.T) {
-	for _, sample := range []int{512, 2000} {
-		cfg := popConfig(t, 2000, sample, 1, 3)
-		cfg.MaxRounds = 1000
-		cfg.TargetAccuracy = 1 // unreachable: the run never ends early
-		run := mustEngine(t, cfg).Start(policy.NewRandom(9))
-		for i := 0; i < 3; i++ {
-			if !run.Step() {
-				t.Fatal("run ended during warmup")
-			}
+// steadyRoundAllocs builds cfg's engine under GOMAXPROCS procs, steps
+// warmup rounds, and returns the mean allocations of one more round.
+// The run neither converges nor reaches its horizon in the window.
+func steadyRoundAllocs(t *testing.T, procs int, cfg sim.Config, pol sim.Policy, warmup int) float64 {
+	t.Helper()
+	cfg.MaxRounds = 1000
+	cfg.TargetAccuracy = 1 // unreachable: the run never ends early
+	run := atProcs(procs, func() *sim.Run { return mustEngine(t, cfg).Start(pol) })
+	for i := 0; i < warmup; i++ {
+		if !run.Step() {
+			t.Fatal("run ended during warmup")
 		}
-		avg := testing.AllocsPerRun(100, func() {
-			if !run.Step() {
-				t.Fatal("run ended mid-measurement")
+	}
+	return testing.AllocsPerRun(100, func() {
+		if !run.Step() {
+			t.Fatal("run ended mid-measurement")
+		}
+	})
+}
+
+// TestPopulationRoundAllocs pins the allocations of the steady-state
+// round. On one observe shard the round allocates nothing: sampled
+// (Sample < N) and exhaustive (Sample == N) at 2,000 devices, where at
+// GOMAXPROCS 1 even the 2,000-candidate pool above the fan-out
+// threshold is observed serially. At the shape perfbench's pop1m
+// workloads run — a 4,096-candidate pool, sync FedAvg-Random and async
+// with the solar battery and Battery-Weighted, here over 20,000
+// devices — the fanned-out pass allocates at most one closure and one
+// goroutine frame per shard plus the WaitGroup.
+func TestPopulationRoundAllocs(t *testing.T) {
+	pop1mSync := popConfig(t, 20_000, 4096, 3)
+	pop1mSync.Data = data.NonIID100
+	pop1mAsync := pop1mSync
+	pop1mAsync.Mode = sim.ModeAsync
+	pop1mAsync.Battery = &battery.Spec{CapacityJ: 2000, Harvest: battery.ProfileSolar}
+	random := func() sim.Policy { return policy.NewRandom(9) }
+	cases := []struct {
+		name   string
+		cfg    sim.Config
+		pol    func() sim.Policy
+		warmup int
+		procs  []int
+	}{
+		{"Sample=512", popConfig(t, 2000, 512, 3), random, 3, []int{1}},
+		{"Sample=2000", popConfig(t, 2000, 2000, 3), random, 3, []int{1}},
+		{"pop1m-sync shape", pop1mSync, random, 3, []int{1, 2, 4}},
+		{"pop1m-async-battery shape", pop1mAsync, func() sim.Policy { return policy.NewBatteryWeighted(9) }, 20, []int{1, 2, 4}},
+	}
+	for _, tc := range cases {
+		for _, procs := range tc.procs {
+			limit := float64(2*procs + 1)
+			if procs == 1 {
+				limit = 0
 			}
-		})
-		if avg != 0 {
-			t.Errorf("Sample=%d: steady-state round allocates %v objects, want 0", sample, avg)
+			if avg := steadyRoundAllocs(t, procs, tc.cfg, tc.pol(), tc.warmup); avg > limit {
+				t.Errorf("%s at GOMAXPROCS=%d: steady-state round allocates %v objects, want at most %v",
+					tc.name, procs, avg, limit)
+			}
 		}
 	}
 }
@@ -234,7 +283,7 @@ func TestMillionDeviceMemoryBudget(t *testing.T) {
 		t.Skip("1M-device smoke skipped in -short")
 	}
 	const n = 1_000_000
-	cfg := popConfig(t, n, 4096, 0, 5)
+	cfg := popConfig(t, n, 4096, 5)
 	cfg.Data = data.IdealIID // partition generation dominates otherwise
 	cfg.MaxRounds = 3
 

@@ -89,13 +89,11 @@ type Config struct {
 	// is O(Sample) rather than O(population). It must be at least
 	// Params.K. Zero, or any value from the population size up,
 	// selects the exhaustive round: every device is a candidate, in
-	// index order, with no sampler draw.
+	// index order, with no sampler draw. A pool of 1,024 or more
+	// candidates is observed in parallel on min(GOMAXPROCS, 16)
+	// goroutines; results never depend on that count, since every
+	// per-device draw is keyed by identity.
 	Sample int
-	// Shards is the observe pass's parallelism; 0 selects
-	// min(GOMAXPROCS, 16). Results are independent of the shard count
-	// (all per-device draws are keyed by identity), so Shards is purely
-	// a throughput knob.
-	Shards int
 	// Data is the data-heterogeneity scenario.
 	Data data.Scenario
 	// Env is the runtime-variance environment.

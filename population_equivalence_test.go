@@ -2,6 +2,7 @@ package autofl
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"autofl/internal/device"
@@ -50,6 +51,15 @@ func TestPopulationExhaustiveEquivalence(t *testing.T) {
 	}
 }
 
+// withProcs runs f under runtime.GOMAXPROCS(n), which sets the
+// engine's shard and partition-worker counts, and then restores the
+// previous setting. No test in the module calls t.Parallel, so no
+// other test sees the change.
+func withProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
 // TestScaledFleetScenario drives the root-level population plumbing:
 // a Scenario with a FleetSpec runs end to end in sampled mode, and its
 // result is reproducible and shard-invariant through the public API.
@@ -75,16 +85,13 @@ func TestScaledFleetScenario(t *testing.T) {
 		t.Error("sampled scenario runs are not reproducible")
 	}
 
-	sharded := base
-	f := *base.Fleet
-	f.Shards = 2
-	sharded.Fleet = &f
-	r3, err := sharded.Run(PolicyAutoFL)
+	var r3 *Report
+	withProcs(2, func() { r3, err = base.Run(PolicyAutoFL) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(r1, r3) {
-		t.Error("shard count changed the scenario result")
+		t.Error("GOMAXPROCS=2 changed the scenario result")
 	}
 	if r1.Rounds != 20 {
 		t.Errorf("executed %d rounds, want 20", r1.Rounds)
