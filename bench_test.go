@@ -1,9 +1,9 @@
 // Benchmarks: one entry point per reproduced table/figure (see the
-// per-experiment index in DESIGN.md), plus microbenchmarks for the
-// §6.4 overhead analysis. Figure benchmarks exercise the same code
-// paths as cmd/autofl-bench at a reduced scale (smaller fleet, shorter
-// horizon) so `go test -bench=.` stays fast; the full-scale numbers
-// live in EXPERIMENTS.md.
+// experiment table in README.md), plus microbenchmarks for the §6.4
+// overhead analysis. Figure benchmarks exercise the same code paths as
+// cmd/autofl-bench at a reduced scale (smaller fleet, shorter horizon)
+// so `go test -bench=.` stays fast; `go run ./cmd/autofl-bench` prints
+// the full-scale numbers.
 package autofl
 
 import (
@@ -159,20 +159,11 @@ func BenchmarkOverheadQTableOps(b *testing.B) {
 	})
 	b.Run("update", func(b *testing.B) {
 		b.ReportAllocs()
-		s := rng.New(7)
-		table := qlearn.NewTable(core.Actions(), s)
+		table := qlearn.NewDense(6, rng.New(7)) // 2 targets × 3 DVFS levels
+		row, rowNext := table.Touch(17), table.Touch(23)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			table.Update("s|u1|m0|n0|d2", "CPU@2", 1.5, "s|u0|m0|n0|d2", "CPU@2", 0.9, 0.1)
-		}
-	})
-	b.Run("update-dense", func(b *testing.B) {
-		b.ReportAllocs()
-		s := rng.New(7)
-		table := qlearn.NewDense(len(core.Actions()), s)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			table.Update(17, 2, 1.5, 23, 2, 0.9, 0.1)
+			table.UpdateAt(row, 2, 1.5, rowNext, 2, 0.9, 0.1)
 		}
 	})
 }

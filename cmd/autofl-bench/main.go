@@ -1,7 +1,8 @@
 // Command autofl-bench regenerates the paper's evaluation: every
 // figure and table of the AutoFL paper (MICRO 2021), printed as text
-// tables next to the paper's reported claims. The per-experiment index
-// in DESIGN.md maps each identifier to its paper reference.
+// tables next to the paper's reported claims. `autofl-bench -list`
+// prints the experiment identifiers; the experiment table in the
+// repository README maps each one to its paper reference.
 //
 // Examples:
 //

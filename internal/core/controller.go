@@ -12,39 +12,20 @@ import (
 // levels per target keep the Q-tables compact while spanning the
 // energy-relevant range of the ladder (the energy-optimal operating
 // point sits in the interior — see internal/device tests).
-var dvfsLevels = []float64{0.45, 0.70, 1.00}
+var dvfsLevels = [...]float64{0.45, 0.70, 1.00}
 
-// Actions enumerates the 2 targets × 3 DVFS levels. The slice order is
-// the controller's action index space; it is lexicographic by action
-// name, so index-order argmax tie-breaking matches the legacy
-// sorted-name behavior.
-func Actions() []qlearn.Action {
-	var out []qlearn.Action
-	for _, t := range []device.Target{device.CPU, device.GPU} {
-		for lvl := range dvfsLevels {
-			out = append(out, qlearn.FormatAction(t.String(), lvl))
-		}
-	}
-	return out
-}
+// numActions is the size of the controller's action index space: the 2
+// targets × 3 DVFS levels. Index a is target a/len(dvfsLevels) (CPU,
+// then GPU) at level a%len(dvfsLevels). BestAt breaks ties to the lowest
+// index and exploration draws IntN(numActions), so this order is part
+// of every simulated result.
+const numActions = device.NumTargets * len(dvfsLevels)
 
-// DecodeAction maps an action key back to a concrete (target, step)
-// for a given device spec.
-func DecodeAction(a qlearn.Action, spec *device.Spec) (device.Target, int) {
-	target := device.CPU
-	s := string(a)
-	lvl := 2
-	if len(s) > 0 {
-		if s[0] == 'G' {
-			target = device.GPU
-		}
-		lvl = int(s[len(s)-1] - '0')
-		if lvl < 0 || lvl >= len(dvfsLevels) {
-			lvl = len(dvfsLevels) - 1
-		}
-	}
-	proc := spec.Proc(target)
-	step := int(dvfsLevels[lvl]*float64(proc.TopStep()) + 0.5)
+// decodeAction maps an action index to a concrete (target, step) for a
+// given device spec.
+func decodeAction(a int, spec *device.Spec) (device.Target, int) {
+	target := device.Target(a / len(dvfsLevels))
+	step := int(dvfsLevels[a%len(dvfsLevels)]*float64(spec.Proc(target).TopStep()) + 0.5)
 	return target, step
 }
 
@@ -101,12 +82,11 @@ type Controller struct {
 	opts    Options
 	buckets Buckets
 	coder   StateCoder
-	actions []qlearn.Action // fixed action ordering (index space)
 	explore *rng.Stream
 
 	// slots holds each Q-learning agent with its value prior, indexed
 	// by device ID, or by performance category with SharedTables. A
-	// slot with a nil agent has not been used yet.
+	// slot with a nil table has not been used yet.
 	slots []agentSlot
 
 	// Pending round bookkeeping: one round's (S, A) pairs held until
@@ -170,14 +150,15 @@ func New(opts Options) *Controller {
 		opts:    opts,
 		buckets: b,
 		coder:   NewStateCoder(b),
-		actions: Actions(),
 		explore: rng.New(opts.Seed ^ 0xa07f1),
 	}
 }
 
-// agentSlot is one Q-learning agent and its value prior.
+// agentSlot is one Q-learning agent: its Q-table, its exploration
+// stream, and its value prior.
 type agentSlot struct {
-	agent *qlearn.DenseAgent
+	table   *qlearn.Dense
+	explore *rng.Stream
 	// value is an exponential moving average of the slot's rewards,
 	// used as the initialization prior for its Q-table rows:
 	// device-constant traits (data quality, hardware efficiency)
@@ -201,8 +182,8 @@ func (c *Controller) Explored() bool { return c.lastExplored }
 func (c *Controller) MemoryBytes() int {
 	total := 0
 	for _, s := range c.slots {
-		if s.agent != nil {
-			total += s.agent.Table.MemoryBytes()
+		if s.table != nil {
+			total += s.table.MemoryBytes()
 		}
 	}
 	return total
@@ -210,14 +191,15 @@ func (c *Controller) MemoryBytes() int {
 
 // agentFor returns the Q-learning agent for a device, creating it on
 // first use. With SharedTables, devices of the same performance
-// category share one agent.
-func (c *Controller) agentFor(ds *sim.DeviceState) *qlearn.DenseAgent {
+// category share one agent. The pointer is valid until the next
+// agentFor call, which may grow c.slots.
+func (c *Controller) agentFor(ds *sim.DeviceState) *agentSlot {
 	key := c.slotIndex(ds)
 	if key >= len(c.slots) {
 		c.slots = append(c.slots, make([]agentSlot, key+1-len(c.slots))...)
 	}
 	s := &c.slots[key]
-	if s.agent == nil {
+	if s.table == nil {
 		// Informed prior: the FL protocol reports each device's
 		// data-class count to the server (paper footnote 3), and class
 		// coverage is the single strongest predictor of a device's
@@ -227,15 +209,14 @@ func (c *Controller) agentFor(ds *sim.DeviceState) *qlearn.DenseAgent {
 		// interference and network behaviour. The scale matches a
 		// typical improving-round reward.
 		s.value = 0.5 * ds.Data.ClassFraction
-		a := qlearn.NewDenseAgent(len(c.actions), c.explore)
-		a.Epsilon = c.opts.Epsilon
-		a.LearningRate = c.opts.LearningRate
-		a.Discount = c.opts.Discount
+		// Fork order is part of every simulated result: table init
+		// first, exploration second.
+		s.table = qlearn.NewDense(numActions, c.explore.Fork())
+		s.explore = c.explore.Fork()
 		// Index on every call: growing c.slots moves the slot.
-		a.Table.Init = func() float64 { return c.slots[key].value }
-		s.agent = a
+		s.table.Init = func() float64 { return c.slots[key].value }
 	}
-	return s.agent
+	return s
 }
 
 // slotIndex returns the index of the device's agent slot.
@@ -307,9 +288,8 @@ func (c *Controller) Select(ctx *sim.RoundContext) []sim.Selection {
 		}
 		c.explore.PermInto(c.permBuf)
 		for _, i := range c.permBuf[:k] {
-			agent := c.agentFor(&ctx.Devices[i])
-			action := agent.RandomAction()
-			target, step := DecodeAction(c.actions[action], ctx.Devices[i].Device.Spec)
+			action := c.agentFor(&ctx.Devices[i]).explore.IntN(numActions)
+			target, step := decodeAction(action, ctx.Devices[i].Device.Spec)
 			selections = append(selections, sim.Selection{Index: i, Target: target, Step: step})
 			c.stage(i, c.keys[i], action)
 		}
@@ -327,14 +307,13 @@ func (c *Controller) Select(ctx *sim.RoundContext) []sim.Selection {
 	}
 	top := c.ranked[:0]
 	for i := range ctx.Devices {
-		agent := c.agentFor(&ctx.Devices[i])
-		row := agent.Table.Touch(c.keys[i])
-		action, value := agent.Table.BestAt(row)
+		table := c.agentFor(&ctx.Devices[i]).table
+		action, value := table.BestAt(table.Touch(c.keys[i]))
 		top = insertTopK(top, k, ranked{idx: i, value: value, tie: c.tieFor(i), action: int8(action)})
 	}
 
 	for _, r := range top {
-		target, step := DecodeAction(c.actions[r.action], ctx.Devices[r.idx].Device.Spec)
+		target, step := decodeAction(int(r.action), ctx.Devices[r.idx].Device.Spec)
 		selections = append(selections, sim.Selection{Index: r.idx, Target: target, Step: step})
 		c.stage(r.idx, c.keys[r.idx], int(r.action))
 	}
@@ -503,20 +482,19 @@ func (c *Controller) Feedback(ctx *sim.RoundContext, res *sim.RoundResult) {
 
 // completePendingUpdate applies the Algorithm 1 update for the
 // previous round using this round's states as S' and the greedy
-// actions as A'. Touching S' here (before reading its argmax)
-// reproduces the legacy row-creation order: S' rows materialize
-// before the S row a first Update creates.
+// actions as A'. S' is touched before S: that order decides which
+// first-visit row draws its init values first.
 func (c *Controller) completePendingUpdate(ctx *sim.RoundContext) {
 	if !c.havePending || !c.pendReady {
 		return
 	}
 	for j, idx := range c.pendIdx {
-		agent := c.agentFor(&ctx.Devices[idx])
-		rowNext := agent.Table.Touch(c.keys[idx])
-		aNext, _ := agent.Table.BestAt(rowNext)
-		rowS := agent.Table.Touch(c.pendKey[j])
-		agent.Table.UpdateAt(rowS, int(c.pendAct[j]), c.pendReward[j],
-			rowNext, aNext, agent.LearningRate, agent.Discount)
+		table := c.agentFor(&ctx.Devices[idx]).table
+		rowNext := table.Touch(c.keys[idx])
+		aNext, _ := table.BestAt(rowNext)
+		rowS := table.Touch(c.pendKey[j])
+		table.UpdateAt(rowS, int(c.pendAct[j]), c.pendReward[j],
+			rowNext, aNext, c.opts.LearningRate, c.opts.Discount)
 	}
 	c.havePending = false
 	c.pendReady = false

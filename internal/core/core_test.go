@@ -6,7 +6,6 @@ import (
 
 	"autofl/internal/data"
 	"autofl/internal/device"
-	"autofl/internal/qlearn"
 	"autofl/internal/rng"
 	"autofl/internal/sim"
 	"autofl/internal/workload"
@@ -48,7 +47,7 @@ func TestGlobalStateKeyBuckets(t *testing.T) {
 func TestLocalStateKeyBuckets(t *testing.T) {
 	b := DefaultBuckets()
 	base := sim.DeviceState{
-		Device:        device.DefaultFleet()[0],
+		Device:        &device.Device{Spec: device.HighEndSpec()},
 		BandwidthMbps: 100,
 		Data:          &data.DeviceData{ClassFraction: 1},
 	}
@@ -90,37 +89,36 @@ func TestNoneBucketIsExactZero(t *testing.T) {
 	}
 }
 
-func TestActionsEnumeration(t *testing.T) {
-	acts := Actions()
-	if len(acts) != device.NumTargets*len(dvfsLevels) {
-		t.Fatalf("action space = %d, want %d", len(acts), device.NumTargets*len(dvfsLevels))
-	}
-	seen := map[qlearn.Action]bool{}
-	for _, a := range acts {
-		if seen[a] {
-			t.Fatalf("duplicate action %s", a)
-		}
-		seen[a] = true
-	}
-}
-
+// TestDecodeAction pins the action index space on every tier: the six
+// indices decode to distinct (target, step) pairs inside the ladder,
+// CPU first, so index 2 is the CPU top step and index 3 a GPU interior
+// step.
 func TestDecodeAction(t *testing.T) {
-	spec := device.HighEndSpec()
-	target, step := DecodeAction("CPU@2", spec)
-	if target != device.CPU || step != spec.CPU.TopStep() {
-		t.Errorf("CPU@2 = (%v, %d), want (CPU, top)", target, step)
+	if numActions != 6 {
+		t.Fatalf("action space = %d, want 2 targets × 3 levels", numActions)
 	}
-	target, step = DecodeAction("GPU@0", spec)
-	if target != device.GPU {
-		t.Errorf("GPU@0 target = %v", target)
-	}
-	if step >= spec.GPU.TopStep() || step < 0 {
-		t.Errorf("GPU@0 step = %d, want interior low step", step)
-	}
-	// Unknown action decodes to a safe default rather than panicking.
-	target, step = DecodeAction("", spec)
-	if target != device.CPU || step != spec.CPU.TopStep() {
-		t.Error("empty action should decode to CPU top step")
+	for _, spec := range []*device.Spec{device.HighEndSpec(), device.MidEndSpec(), device.LowEndSpec()} {
+		type action struct {
+			target device.Target
+			step   int
+		}
+		seen := map[action]bool{}
+		for a := 0; a < numActions; a++ {
+			target, step := decodeAction(a, spec)
+			if top := spec.Proc(target).TopStep(); step < 0 || step > top {
+				t.Errorf("%v: action %d step %d outside [0, %d]", spec.Category, a, step, top)
+			}
+			if seen[action{target, step}] {
+				t.Errorf("%v: action %d duplicates (%v, %d)", spec.Category, a, target, step)
+			}
+			seen[action{target, step}] = true
+		}
+		if target, step := decodeAction(2, spec); target != device.CPU || step != spec.CPU.TopStep() {
+			t.Errorf("%v: action 2 = (%v, %d), want (CPU, top)", spec.Category, target, step)
+		}
+		if target, step := decodeAction(3, spec); target != device.GPU || step <= 0 || step >= spec.GPU.TopStep() {
+			t.Errorf("%v: action 3 = (%v, %d), want a GPU interior step", spec.Category, target, step)
+		}
 	}
 }
 
@@ -320,7 +318,7 @@ func TestSharedTablesUseFewerAgents(t *testing.T) {
 func numAgents(c *Controller) int {
 	n := 0
 	for _, s := range c.slots {
-		if s.agent != nil {
+		if s.table != nil {
 			n++
 		}
 	}

@@ -11,8 +11,6 @@
 package core
 
 import (
-	"fmt"
-
 	"autofl/internal/dbscan"
 	"autofl/internal/network"
 	"autofl/internal/qlearn"
@@ -92,36 +90,6 @@ var (
 	kBoundaries    = []float64{10, 50}
 )
 
-// GlobalStateKey encodes the round-invariant state: NN layer mix
-// (S_CONV, S_FC, S_RC) and global parameters (S_B, S_E, S_K).
-func GlobalStateKey(w *workload.Model, p workload.GlobalParams) qlearn.State {
-	conv, fc, rc := w.CountLayers()
-	return qlearn.JoinState(
-		fmt.Sprintf("c%d", dbscan.Bucket(float64(conv), convBoundaries)),
-		fmt.Sprintf("f%d", dbscan.Bucket(float64(fc), fcBoundaries)),
-		fmt.Sprintf("r%d", dbscan.Bucket(float64(rc), rcBoundaries)),
-		fmt.Sprintf("b%d", dbscan.Bucket(float64(p.B), bBoundaries)),
-		fmt.Sprintf("e%d", dbscan.Bucket(float64(p.E), eBoundaries)),
-		fmt.Sprintf("k%d", dbscan.Bucket(float64(p.K), kBoundaries)),
-	)
-}
-
-// LocalStateKey encodes one device's runtime-variance and data state:
-// S_Co_CPU, S_Co_MEM, S_Network, S_Data, and the extensions S_Stale
-// (last applied-update staleness; always bucket 0 in synchronous runs)
-// and S_Batt (state of charge; always bucket 0 without a battery
-// model).
-func (b Buckets) LocalStateKey(ds *sim.DeviceState) qlearn.State {
-	return qlearn.JoinState(
-		fmt.Sprintf("u%d", bucketWithNone(ds.Load.CPUUtil, b.CoCPU)),
-		fmt.Sprintf("m%d", bucketWithNone(ds.Load.MemUtil, b.CoMem)),
-		fmt.Sprintf("n%d", dbscan.Bucket(ds.BandwidthMbps, b.NetworkMbps)),
-		fmt.Sprintf("d%d", dbscan.Bucket(ds.Data.ClassFraction, b.DataFraction)),
-		fmt.Sprintf("s%d", dbscan.Bucket(float64(ds.Staleness), b.Staleness)),
-		fmt.Sprintf("y%d", dbscan.Bucket(ds.Battery, b.Battery)),
-	)
-}
-
 // bucketWithNone reserves bucket 0 for exact-zero observations ("none"
 // in Table 1) and shifts the boundary buckets up by one.
 func bucketWithNone(v float64, boundaries []float64) int {
@@ -131,19 +99,11 @@ func bucketWithNone(v float64, boundaries []float64) int {
 	return 1 + dbscan.Bucket(v, boundaries)
 }
 
-// StateKey joins the global and local state for Q-table lookup —
-// Q(S_global, S_local, A) of Algorithm 1.
-func StateKey(global, local qlearn.State) qlearn.State {
-	return qlearn.JoinState(string(global), string(local))
-}
-
 // StateCoder packs the Table 1 feature buckets into a single
 // qlearn.StateKey using a mixed-radix encoding: each feature
 // contributes one digit whose radix is its bucket count (static per
-// run, since bucket boundaries are fixed at calibration time). Packed
-// keys replace the fmt.Sprintf/JoinState string keys on the controller
-// hot path — the string forms above remain the debug/serialization
-// representation (see Format).
+// run, since bucket boundaries are fixed at calibration time), so a
+// state compares, hashes, and copies as one machine word.
 //
 // The encoding is injective: every digit is strictly below its radix
 // (dbscan.Bucket returns at most len(boundaries), bucketWithNone at
@@ -187,14 +147,8 @@ func NewStateCoder(b Buckets) StateCoder {
 	return c
 }
 
-// StateSpace returns the total number of encodable (global, local)
-// states — the key space the interner draws from.
-func (c StateCoder) StateSpace() uint64 {
-	return c.nConv * c.nFC * c.nRC * c.nB * c.nE * c.nK * c.localSpace
-}
-
-// GlobalKey packs the round-invariant state (the packed counterpart of
-// GlobalStateKey).
+// GlobalKey packs the round-invariant state: NN layer mix (S_CONV,
+// S_FC, S_RC) and global parameters (S_B, S_E, S_K).
 func (c *StateCoder) GlobalKey(w *workload.Model, p workload.GlobalParams) qlearn.StateKey {
 	conv, fc, rc := w.CountLayers()
 	k := uint64(dbscan.Bucket(float64(conv), convBoundaries))
@@ -206,8 +160,11 @@ func (c *StateCoder) GlobalKey(w *workload.Model, p workload.GlobalParams) qlear
 	return qlearn.StateKey(k)
 }
 
-// LocalKey packs one device's runtime-variance and data state (the
-// packed counterpart of LocalStateKey).
+// LocalKey packs one device's runtime-variance and data state:
+// S_Co_CPU, S_Co_MEM, S_Network, S_Data, and the extensions S_Stale
+// (last applied-update staleness; always bucket 0 in synchronous runs)
+// and S_Batt (state of charge; always bucket 0 without a battery
+// model).
 func (c *StateCoder) LocalKey(ds *sim.DeviceState) qlearn.StateKey {
 	k := uint64(bucketWithNone(ds.Load.CPUUtil, c.buckets.CoCPU))
 	k = k*c.nM + uint64(bucketWithNone(ds.Load.MemUtil, c.buckets.CoMem))
@@ -219,36 +176,7 @@ func (c *StateCoder) LocalKey(ds *sim.DeviceState) qlearn.StateKey {
 }
 
 // Key joins a packed global key with a device's packed local state —
-// the packed counterpart of StateKey(GlobalStateKey(…),
-// LocalStateKey(…)).
+// the Q(S_global, S_local, A) lookup key of Algorithm 1.
 func (c *StateCoder) Key(global qlearn.StateKey, ds *sim.DeviceState) qlearn.StateKey {
 	return qlearn.StateKey(uint64(global)*c.localSpace) + c.LocalKey(ds)
-}
-
-// Format renders a packed key in the legacy string-key layout
-// ("c…|f…|r…|b…|e…|k…|u…|m…|n…|d…|s…|y…") by peeling the mixed-radix
-// digits back off — the debug/serialization bridge between the two
-// forms.
-func (c StateCoder) Format(k qlearn.StateKey) string {
-	v := uint64(k)
-	digits := [12]uint64{}
-	radices := [12]uint64{c.nConv, c.nFC, c.nRC, c.nB, c.nE, c.nK, c.nU, c.nM, c.nN, c.nD, c.nS, c.nY}
-	for i := len(radices) - 1; i >= 0; i-- {
-		digits[i] = v % radices[i]
-		v /= radices[i]
-	}
-	return string(qlearn.JoinState(
-		fmt.Sprintf("c%d", digits[0]),
-		fmt.Sprintf("f%d", digits[1]),
-		fmt.Sprintf("r%d", digits[2]),
-		fmt.Sprintf("b%d", digits[3]),
-		fmt.Sprintf("e%d", digits[4]),
-		fmt.Sprintf("k%d", digits[5]),
-		fmt.Sprintf("u%d", digits[6]),
-		fmt.Sprintf("m%d", digits[7]),
-		fmt.Sprintf("n%d", digits[8]),
-		fmt.Sprintf("d%d", digits[9]),
-		fmt.Sprintf("s%d", digits[10]),
-		fmt.Sprintf("y%d", digits[11]),
-	))
 }

@@ -47,7 +47,7 @@ func modelWithLayers(conv, fc, rc int) *workload.Model {
 // values (staleness 0, the synchronous default).
 func deviceStateFor(cpu, mem, bw, frac float64) sim.DeviceState {
 	return sim.DeviceState{
-		Device:        device.DefaultFleet()[0],
+		Device:        &device.Device{Spec: device.HighEndSpec()},
 		Load:          interference.Load{CPUUtil: cpu, MemUtil: mem},
 		BandwidthMbps: bw,
 		Data:          &data.DeviceData{ClassFraction: frac},
@@ -71,8 +71,8 @@ func TestStateCoderInjective(t *testing.T) {
 	eVals := []int{1, 5, 8, 10, 20}
 	kVals := []int{5, 10, 30, 50, 80}
 
-	globalSeen := map[qlearn.State]qlearn.StateKey{}
-	packedSeen := map[qlearn.StateKey]qlearn.State{}
+	globalSeen := map[string]qlearn.StateKey{}
+	packedSeen := map[qlearn.StateKey]string{}
 	for _, conv := range convVals {
 		for _, fc := range fcVals {
 			for _, rc := range rcVals {
@@ -106,8 +106,8 @@ func TestStateCoderInjective(t *testing.T) {
 	fracVals := bucketSamplesPositive(b.DataFraction)
 	staleVals := []int{0, 1, 2, 3, 4, 9}
 
-	localSeen := map[qlearn.State]qlearn.StateKey{}
-	localPacked := map[qlearn.StateKey]qlearn.State{}
+	localSeen := map[string]qlearn.StateKey{}
+	localPacked := map[qlearn.StateKey]string{}
 	for _, cpu := range cpuVals {
 		for _, mem := range memVals {
 			for _, bw := range bwVals {
@@ -131,7 +131,7 @@ func TestStateCoderInjective(t *testing.T) {
 		}
 	}
 
-	// Joined keys: every (global, local) pair distinct, and the debug
+	// Joined keys: every (global, local) pair distinct, and the
 	// Format matches the legacy string form exactly.
 	joined := map[qlearn.StateKey]bool{}
 	for gStr, gPacked := range globalSeen {
@@ -143,7 +143,7 @@ func TestStateCoderInjective(t *testing.T) {
 				t.Fatalf("joined key %d not unique", full)
 			}
 			joined[full] = true
-			if got, want := coder.Format(full), string(StateKey(gStr, lStr)); got != want {
+			if got, want := coder.Format(full), StateKey(gStr, lStr); got != want {
 				t.Fatalf("Format(%d) = %q, want legacy %q", full, got, want)
 			}
 		}
@@ -183,7 +183,7 @@ func TestStateCoderMatchesControllerKey(t *testing.T) {
 		stale,
 	} {
 		full := coder.Key(g, &ds)
-		want := string(StateKey(GlobalStateKey(w, p), b.LocalStateKey(&ds)))
+		want := StateKey(GlobalStateKey(w, p), b.LocalStateKey(&ds))
 		if got := coder.Format(full); got != want {
 			t.Errorf("Key/Format = %q, want %q", got, want)
 		}
@@ -232,7 +232,7 @@ func TestStateCoderBatteryDigit(t *testing.T) {
 		ds := deviceStateFor(0.2, 0.4, 30, 0.8)
 		ds.Battery = charge
 		full := coder.Key(g, &ds)
-		want := string(StateKey(GlobalStateKey(w, p), b.LocalStateKey(&ds)))
+		want := StateKey(GlobalStateKey(w, p), b.LocalStateKey(&ds))
 		if got := coder.Format(full); got != want {
 			t.Errorf("charge %g: Format = %q, want legacy %q", charge, got, want)
 		}

@@ -367,9 +367,6 @@ type Device struct {
 // Category is a convenience accessor for the device tier.
 func (d *Device) Category() Category { return d.Spec.Category }
 
-// Fleet is the population of candidate FL devices.
-type Fleet []*Device
-
 // Counts per tier in the paper's 200-device testbed (§5.1): 30 high,
 // 70 mid, 100 low — "representative of in-the-field system performance
 // distribution".
@@ -378,45 +375,3 @@ const (
 	DefaultMidCount  = 70
 	DefaultLowCount  = 100
 )
-
-// NewFleet builds a fleet with the given tier counts. Device IDs are
-// assigned densely with high-end devices first; the ordering carries no
-// semantic weight (selection policies never rely on it).
-func NewFleet(high, mid, low int) Fleet {
-	fleet := make(Fleet, 0, high+mid+low)
-	specs := [NumCategories]*Spec{HighEndSpec(), MidEndSpec(), LowEndSpec()}
-	counts := [NumCategories]int{high, mid, low}
-	id := 0
-	for c := 0; c < NumCategories; c++ {
-		for i := 0; i < counts[c]; i++ {
-			fleet = append(fleet, &Device{ID: id, Spec: specs[c]})
-			id++
-		}
-	}
-	return fleet
-}
-
-// DefaultFleet builds the paper's 200-device fleet.
-func DefaultFleet() Fleet {
-	return NewFleet(DefaultHighCount, DefaultMidCount, DefaultLowCount)
-}
-
-// CountByCategory tallies devices per tier.
-func (f Fleet) CountByCategory() [NumCategories]int {
-	var counts [NumCategories]int
-	for _, d := range f {
-		counts[d.Category()]++
-	}
-	return counts
-}
-
-// ByCategory returns the devices of one tier, preserving fleet order.
-func (f Fleet) ByCategory(c Category) []*Device {
-	var out []*Device
-	for _, d := range f {
-		if d.Category() == c {
-			out = append(out, d)
-		}
-	}
-	return out
-}

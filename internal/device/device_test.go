@@ -171,36 +171,6 @@ func TestEnergyOptimalStepIsInterior(t *testing.T) {
 	}
 }
 
-func TestFleetComposition(t *testing.T) {
-	f := DefaultFleet()
-	if len(f) != 200 {
-		t.Fatalf("fleet size = %d, want 200", len(f))
-	}
-	counts := f.CountByCategory()
-	if counts[High] != 30 || counts[Mid] != 70 || counts[Low] != 100 {
-		t.Errorf("fleet mix = %v, want [30 70 100]", counts)
-	}
-	seen := map[int]bool{}
-	for _, d := range f {
-		if seen[d.ID] {
-			t.Fatalf("duplicate device ID %d", d.ID)
-		}
-		seen[d.ID] = true
-	}
-}
-
-func TestByCategory(t *testing.T) {
-	f := NewFleet(2, 3, 4)
-	if got := len(f.ByCategory(Mid)); got != 3 {
-		t.Errorf("ByCategory(Mid) = %d devices, want 3", got)
-	}
-	for _, d := range f.ByCategory(Low) {
-		if d.Category() != Low {
-			t.Error("ByCategory returned a device of the wrong tier")
-		}
-	}
-}
-
 func TestIdleWattsComposition(t *testing.T) {
 	s := HighEndSpec()
 	want := s.CPU.IdleWatts + s.GPU.IdleWatts + s.RadioIdleWatts

@@ -11,18 +11,17 @@ import "fmt"
 // memory, cumulative energy) lives in the simulator's packed
 // struct-of-arrays, keyed by the same dense index space.
 //
-// Index layout matches NewFleet: dense IDs, archetypes in declaration
-// order (high first for the tiered constructor), so device i of
-// NewPopulation(h, m, l) has the Spec of device i of NewFleet(h, m, l).
+// Index layout: dense IDs, archetypes in declaration order (high first
+// for the tiered constructor), so NewPopulation(h, m, l) holds devices
+// 0..h−1 high-end, the next m mid-end and the last l low-end.
 type Population struct {
 	specs   []*Spec
 	offsets []int // offsets[a] is the first index of archetype a; offsets[len] = Len
 }
 
 // NewPopulation builds a tiered population with the given per-tier
-// device counts, the cohort analogue of NewFleet. Unlike NewFleet it
-// rejects degenerate shapes: negative counts and the empty population
-// are errors rather than silently-empty fleets.
+// device counts. It rejects degenerate shapes: negative counts and the
+// empty population are errors.
 func NewPopulation(high, mid, low int) (*Population, error) {
 	counts := [NumCategories]int{high, mid, low}
 	for c, n := range counts {
@@ -41,25 +40,6 @@ func NewPopulation(high, mid, low int) (*Population, error) {
 		}
 		p.specs = append(p.specs, specs[c])
 		p.offsets = append(p.offsets, p.offsets[len(p.offsets)-1]+counts[c])
-	}
-	return p, nil
-}
-
-// Population converts a materialized fleet into cohort form. Runs of
-// consecutive devices sharing a *Spec collapse into one archetype; a
-// hand-built fleet with per-device specs degenerates gracefully to one
-// archetype per run. It returns an error for an empty fleet.
-func (f Fleet) Population() (*Population, error) {
-	if len(f) == 0 {
-		return nil, fmt.Errorf("device: empty fleet has no population form")
-	}
-	p := &Population{offsets: []int{0}}
-	for i, d := range f {
-		if len(p.specs) == 0 || d.Spec != p.specs[len(p.specs)-1] {
-			p.specs = append(p.specs, d.Spec)
-			p.offsets = append(p.offsets, i)
-		}
-		p.offsets[len(p.offsets)-1] = i + 1
 	}
 	return p, nil
 }
@@ -93,7 +73,7 @@ func (p *Population) ArchetypeOf(i int) int {
 // Spec returns device i's hardware description.
 func (p *Population) Spec(i int) *Spec { return p.specs[p.ArchetypeOf(i)] }
 
-// CountByCategory tallies devices per tier, like Fleet.CountByCategory.
+// CountByCategory tallies devices per tier.
 func (p *Population) CountByCategory() [NumCategories]int {
 	var counts [NumCategories]int
 	for a, s := range p.specs {

@@ -1,23 +1,6 @@
 package device
 
-import (
-	"reflect"
-	"testing"
-)
-
-// sameSpecs reports whether device i of p has a Spec equal to that of
-// fleet[i], for every i.
-func sameSpecs(p *Population, fleet Fleet) bool {
-	if p.Len() != len(fleet) {
-		return false
-	}
-	for i, d := range fleet {
-		if d.ID != i || !reflect.DeepEqual(p.Spec(i), d.Spec) {
-			return false
-		}
-	}
-	return true
-}
+import "testing"
 
 func TestNewPopulationRejectsDegenerateShapes(t *testing.T) {
 	if _, err := NewPopulation(-1, 5, 5); err == nil {
@@ -31,22 +14,6 @@ func TestNewPopulationRejectsDegenerateShapes(t *testing.T) {
 	}
 }
 
-// TestPopulationMaterializesNewFleet pins the index layout:
-// NewPopulation(h, m, l) describes NewFleet(h, m, l) device for
-// device.
-func TestPopulationMaterializesNewFleet(t *testing.T) {
-	p, err := NewPopulation(3, 7, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameSpecs(p, NewFleet(3, 7, 10)) {
-		t.Error("population differs from NewFleet")
-	}
-	if (&Population{}).Len() != 0 {
-		t.Error("zero Population has devices")
-	}
-}
-
 func TestPopulationIndexing(t *testing.T) {
 	p, err := NewPopulation(3, 7, 10)
 	if err != nil {
@@ -54,6 +21,9 @@ func TestPopulationIndexing(t *testing.T) {
 	}
 	if p.Len() != 20 {
 		t.Fatalf("Len = %d, want 20", p.Len())
+	}
+	if (&Population{}).Len() != 0 {
+		t.Error("zero Population has devices")
 	}
 	wantCounts := [NumCategories]int{3, 7, 10}
 	if got := p.CountByCategory(); got != wantCounts {
@@ -96,24 +66,10 @@ func TestPopulationIdleWattsMatchesFleetSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := 0.0
-	for _, d := range NewFleet(6, 14, 20) {
-		sum += d.Spec.IdleWatts()
+	for i := 0; i < p.Len(); i++ {
+		sum += p.Spec(i).IdleWatts()
 	}
 	if got := p.IdleWatts(); got != sum {
 		t.Errorf("IdleWatts = %v, fleet sum = %v", got, sum)
-	}
-}
-
-func TestFleetPopulationRoundTrip(t *testing.T) {
-	fleet := NewFleet(4, 5, 6)
-	p, err := fleet.Population()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameSpecs(p, fleet) {
-		t.Error("Fleet → Population conversion differs from the fleet")
-	}
-	if _, err := (Fleet{}).Population(); err == nil {
-		t.Error("empty fleet converted without error")
 	}
 }

@@ -3,8 +3,8 @@
 // per figure, each returning structured series that cmd/autofl-bench
 // renders next to the paper's reported numbers.
 //
-// The DESIGN.md per-experiment index maps each runner to its paper
-// reference, workloads, and bench target.
+// `autofl-bench -list` prints the runner identifiers; the experiment
+// table in the repository README maps each one to its paper reference.
 package experiments
 
 import (
@@ -56,12 +56,13 @@ type Series struct {
 
 // Figure is a reproduced result with its paper reference.
 type Figure struct {
-	// ID is the experiment identifier from DESIGN.md (e.g. "fig08").
+	// ID is the experiment identifier that `autofl-bench -list` prints
+	// (e.g. "fig08").
 	ID string
 	// Title summarizes the experiment.
 	Title string
-	// PaperClaim states what the paper reports, for side-by-side
-	// comparison in EXPERIMENTS.md.
+	// PaperClaim states what the paper reports; Render prints it
+	// beside the measured series.
 	PaperClaim string
 	// Series holds the measured data.
 	Series []Series

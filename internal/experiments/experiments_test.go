@@ -97,7 +97,7 @@ func TestFig11BaselinesStallAutoFLConverges(t *testing.T) {
 		t.Fatal("missing AutoFL point")
 	}
 	// Quick horizons compress the gap; the full-horizon reproduction
-	// (EXPERIMENTS.md) shows the multi-x factor of the paper.
+	// (`autofl-bench -run fig11`) shows the multi-x factor of the paper.
 	if auto <= 1.2 {
 		t.Errorf("AutoFL PPW at Non-IID(75%%) = %.2fx, want a clear win (paper: 9.3x)", auto)
 	}

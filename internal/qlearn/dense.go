@@ -8,21 +8,18 @@ import (
 // occupies one digit of a mixed-radix encoding (see internal/core's
 // StateCoder). A StateKey compares, hashes, and copies as a single
 // machine word, which is what lets the dense table's hot path run
-// without allocating — the string form built by JoinState is kept only
-// for debugging and serialization.
+// without allocating.
 type StateKey uint64
 
 // Dense is a slice-backed Q-table over packed StateKeys: a compact
 // interner maps each *visited* state to a dense row number, and all
 // action values live in one flat []float64 indexed by
-// row*numActions+action. Compared to the string-keyed Table this
-// removes per-read key construction, per-row map allocation, and the
-// sort inside argmax; steady-state reads and updates are
+// row*numActions+action. Steady-state reads and updates are
 // allocation-free.
 //
-// The write/read contract matches Table: rows are created only by
-// Touch, Set, and Update; Q, Best, BestAt, and BestValue are
-// side-effect free and report the Init prior for never-visited states.
+// Rows are created only by Touch, which also hands out the row handle
+// that BestAt and UpdateAt take; reads never create a row or draw from
+// the init stream.
 type Dense struct {
 	numActions int
 	index      map[StateKey]int32 // visited-state interner: state → row
@@ -31,15 +28,18 @@ type Dense struct {
 
 	// Init, when set, supplies the base value for lazily-created rows
 	// (a small random jitter is still added per entry for
-	// tie-breaking), exactly as on Table.
+	// tie-breaking). AutoFL uses it to seed fresh state rows with a
+	// per-device value prior, so that device-constant knowledge (for
+	// example, its data quality) generalizes to runtime-variance
+	// states the device has not been observed in yet.
 	Init func() float64
 }
 
 // NewDense creates a dense Q-table over numActions actions. The rng
-// stream drives random initialization of lazily-created rows with the
-// same draw sequence as Table (one Float64 per action, in action
-// order), so a Dense and a Table seeded alike produce identical
-// values.
+// stream drives random initialization of lazily-created rows: one
+// Float64 per action, in action order, matching Algorithm 1's
+// "initialize Q with random values" without allocating the full state
+// cross product up front.
 func NewDense(numActions int, s *rng.Stream) *Dense {
 	if numActions <= 0 {
 		panic("qlearn: NewDense requires at least one action")
@@ -50,9 +50,6 @@ func NewDense(numActions int, s *rng.Stream) *Dense {
 		initRng:    s,
 	}
 }
-
-// NumActions returns the size of the action index space.
-func (t *Dense) NumActions() int { return t.numActions }
 
 // base returns the prior value for entries of not-yet-created rows.
 func (t *Dense) base() float64 {
@@ -80,38 +77,10 @@ func (t *Dense) Touch(s StateKey) int32 {
 	return row
 }
 
-// Row returns the row handle for s and whether s has been visited. It
-// is a pure read.
-func (t *Dense) Row(s StateKey) (int32, bool) {
-	row, ok := t.index[s]
-	return row, ok
-}
-
-// Q returns the current value estimate for (s, a). Pure read: a
-// never-visited state reports the Init prior without jitter.
-func (t *Dense) Q(s StateKey, a int) float64 {
-	if row, ok := t.index[s]; ok {
-		return t.values[int(row)*t.numActions+a]
-	}
-	return t.base()
-}
-
-// QAt reads an entry through a row handle obtained from Touch or Row.
-func (t *Dense) QAt(row int32, a int) float64 {
-	return t.values[int(row)*t.numActions+a]
-}
-
-// Set overwrites the value for (s, a), creating the row if absent.
-func (t *Dense) Set(s StateKey, a int, v float64) {
-	row := t.Touch(s)
-	t.values[int(row)*t.numActions+a] = v
-}
-
 // BestAt returns the argmax action index and value of a materialized
 // row: a linear scan over the row's contiguous values, no allocation,
-// no sort. Ties break to the lowest action index — with actions
-// registered in name order this matches Table's sorted-name
-// tie-breaking.
+// no sort. Ties break to the lowest action index, so the caller's
+// action ordering decides them.
 func (t *Dense) BestAt(row int32) (int, float64) {
 	off := int(row) * t.numActions
 	best, bestV := 0, t.values[off]
@@ -123,44 +92,15 @@ func (t *Dense) BestAt(row int32) (int, float64) {
 	return best, bestV
 }
 
-// Best returns the argmax action index and value for s. Pure read: a
-// never-visited state reports action 0 at the Init prior.
-func (t *Dense) Best(s StateKey) (int, float64) {
-	if row, ok := t.index[s]; ok {
-		return t.BestAt(row)
-	}
-	return 0, t.base()
-}
-
-// BestValue returns max_a Q(s, a) — the device-ranking score Algorithm
-// 1 sorts by.
-func (t *Dense) BestValue(s StateKey) float64 {
-	_, v := t.Best(s)
-	return v
-}
-
-// Update applies the Algorithm 1 value update for the transition
-// (s, a) → (s', a') with reward r. As a write, it creates the row for
-// s; the (s', a') operand is a pure read.
-func (t *Dense) Update(s StateKey, a int, reward float64, sNext StateKey, aNext int, learningRate, discount float64) {
-	row := t.Touch(s)
-	i := int(row)*t.numActions + a
-	cur := t.values[i]
-	target := reward + discount*t.Q(sNext, aNext)
-	t.values[i] = cur + learningRate*(target-cur)
-}
-
-// UpdateAt is Update through row handles, for callers that already
-// hold both rows: no interner lookups at all.
+// UpdateAt applies the Algorithm 1 value update for the transition
+// (row, a) → (rowNext, aNext) with the given reward, through row
+// handles from Touch.
 func (t *Dense) UpdateAt(row int32, a int, reward float64, rowNext int32, aNext int, learningRate, discount float64) {
 	i := int(row)*t.numActions + a
 	cur := t.values[i]
 	target := reward + discount*t.values[int(rowNext)*t.numActions+aNext]
 	t.values[i] = cur + learningRate*(target-cur)
 }
-
-// States returns the number of distinct states the table has visited.
-func (t *Dense) States() int { return len(t.index) }
 
 // MemoryBytes estimates the table's resident size for the §6.4
 // footprint analysis: the flat value array (8 bytes per entry, counted
@@ -169,47 +109,4 @@ func (t *Dense) States() int { return len(t.index) }
 // ~48 bytes per entry in total) and the struct itself.
 func (t *Dense) MemoryBytes() int {
 	return cap(t.values)*8 + len(t.index)*48 + 96
-}
-
-// DenseAgent couples a Dense Q-table with the epsilon-greedy policy
-// and the paper's hyperparameters, mirroring Agent over the packed
-// representation. Actions are integer indices into a caller-held
-// action ordering.
-type DenseAgent struct {
-	Table *Dense
-	// LearningRate is γ in the paper's Algorithm 1.
-	LearningRate float64
-	// Discount is µ.
-	Discount float64
-	// Epsilon is the exploration probability.
-	Epsilon float64
-
-	explore *rng.Stream
-}
-
-// NewDenseAgent builds an agent with the paper's default
-// hyperparameters. It forks the parent stream in the same order as
-// NewAgent (table init first, exploration second), so a DenseAgent and
-// an Agent built from identical streams stay draw-for-draw aligned.
-func NewDenseAgent(numActions int, s *rng.Stream) *DenseAgent {
-	return &DenseAgent{
-		Table:        NewDense(numActions, s.Fork()),
-		LearningRate: DefaultLearningRate,
-		Discount:     DefaultDiscount,
-		Epsilon:      DefaultEpsilon,
-		explore:      s.Fork(),
-	}
-}
-
-// Explore reports whether this decision should be exploratory (a
-// uniform-random draw below epsilon), per Algorithm 1.
-func (a *DenseAgent) Explore() bool { return a.explore.Bool(a.Epsilon) }
-
-// RandomAction returns a uniformly random action index, used on
-// exploration steps.
-func (a *DenseAgent) RandomAction() int { return a.explore.IntN(a.Table.numActions) }
-
-// Learn applies the update rule with the agent's hyperparameters.
-func (a *DenseAgent) Learn(s StateKey, act int, reward float64, sNext StateKey, aNext int) {
-	a.Table.Update(s, act, reward, sNext, aNext, a.LearningRate, a.Discount)
 }

@@ -1,115 +1,112 @@
 package qlearn
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"autofl/internal/rng"
 )
 
-// TestDenseMatchesTable pins the dense table to the legacy string
-// table draw for draw: identically seeded instances must produce
-// identical init values, argmax decisions, and update trajectories.
-// This is the equivalence that lets the controller swap representations
-// without changing any simulated number.
+// q reads (s, a) from a visited row.
+func q(d *Dense, s StateKey, a int) float64 {
+	row, ok := d.index[s]
+	if !ok {
+		panic(fmt.Sprintf("state %d not visited", s))
+	}
+	return d.values[int(row)*d.numActions+a]
+}
+
+// set overwrites (s, a), materializing the row first.
+func set(d *Dense, s StateKey, a int, v float64) {
+	d.values[int(d.Touch(s))*d.numActions+a] = v
+}
+
+// TestDenseMatchesTable pins the dense table to the string-keyed
+// reference draw for draw, driven through the controller's own update
+// sequence (Touch S′, BestAt, Touch S, UpdateAt) under a value prior
+// that moves between row creations: identically seeded instances must
+// produce identical init values, argmax decisions, and update
+// trajectories.
 func TestDenseMatchesTable(t *testing.T) {
-	acts := actions() // name-sorted, so index order == sorted-name order
+	acts := testActions()
+	prior := 0.0
 	legacy := NewTable(acts, rng.New(42))
 	dense := NewDense(len(acts), rng.New(42))
+	legacy.Init = func() float64 { return prior }
+	dense.Init = legacy.Init
 
-	states := []State{"s0", "s1", "s2", "s3"}
-	keys := []StateKey{10, 11, 12, 13}
-
-	// Same materialization order → same init draws.
+	states := make([]State, 8)
 	for i := range states {
-		legacy.Touch(states[i])
-		dense.Touch(keys[i])
+		states[i] = JoinState("c1", "f0", fmt.Sprintf("u%d", i))
 	}
-	for i := range states {
-		for ai, a := range acts {
-			if lv, dv := legacy.Q(states[i], a), dense.Q(keys[i], ai); lv != dv {
-				t.Fatalf("init mismatch at (%s,%s): %v vs %v", states[i], a, lv, dv)
-			}
+	drive := rng.New(43)
+	for step := 0; step < 400; step++ {
+		s, sn := drive.IntN(len(states)), drive.IntN(len(states))
+		a := drive.IntN(len(acts))
+		reward := 4*drive.Float64() - 2
+		prior = drive.Float64() - 0.5
+
+		legacy.Touch(states[sn])
+		rowNext := dense.Touch(StateKey(sn))
+		la, lv := legacy.Best(states[sn])
+		aNext, dv := dense.BestAt(rowNext)
+		if la != acts[aNext] || lv != dv {
+			t.Fatalf("step %d: argmax of %s = (%s, %v) vs dense (%s, %v)", step, states[sn], la, lv, acts[aNext], dv)
 		}
-		la, lv := legacy.Best(states[i])
-		da, dv := dense.Best(keys[i])
-		if string(la) != string(acts[da]) || lv != dv {
-			t.Fatalf("argmax mismatch at %s: (%s,%v) vs (%s,%v)", states[i], la, lv, acts[da], dv)
-		}
+		legacy.Touch(states[s])
+		row := dense.Touch(StateKey(s))
+		legacy.Update(states[s], acts[a], reward, states[sn], la, 0.9, 0.1)
+		dense.UpdateAt(row, a, reward, rowNext, aNext, 0.9, 0.1)
 	}
-
-	// Identical update sequences stay identical.
-	seq := []struct {
-		s, sn  int
-		a, an  int
-		reward float64
-	}{
-		{0, 1, 0, 2, 1.5}, {1, 2, 2, 1, -0.7}, {2, 0, 1, 0, 3.2}, {0, 3, 2, 2, 0.05},
+	if len(legacy.q) != len(states) || len(dense.index) != len(states) {
+		t.Fatalf("visited %d legacy / %d dense states, want %d", len(legacy.q), len(dense.index), len(states))
 	}
-	for _, u := range seq {
-		legacy.Update(states[u.s], acts[u.a], u.reward, states[u.sn], acts[u.an], 0.9, 0.1)
-		dense.Update(keys[u.s], u.a, u.reward, keys[u.sn], u.an, 0.9, 0.1)
-	}
-	for i := range states {
+	for i, st := range states {
 		for ai, a := range acts {
-			if lv, dv := legacy.Q(states[i], a), dense.Q(keys[i], ai); lv != dv {
-				t.Fatalf("post-update mismatch at (%s,%s): %v vs %v", states[i], a, lv, dv)
+			if lv, dv := legacy.Q(st, a), q(dense, StateKey(i), ai); lv != dv {
+				t.Fatalf("value mismatch at (%s,%s): %v vs %v", st, a, lv, dv)
 			}
 		}
 	}
 }
 
+// TestDenseReadsAreSideEffectFree: only the first Touch of a state
+// draws from the init stream; BestAt and repeat Touches are reads, so
+// interleaving them leaves every later row's init values unchanged.
 func TestDenseReadsAreSideEffectFree(t *testing.T) {
 	a := NewDense(3, rng.New(5))
 	b := NewDense(3, rng.New(5))
 	for i := 0; i < 100; i++ {
-		_ = a.Q(StateKey(1000+i), 0)
-		_, _ = a.Best(StateKey(2000 + i))
-		_ = a.BestValue(StateKey(3000 + i))
-		if _, ok := a.Row(StateKey(4000 + i)); ok {
-			t.Fatal("Row reported an unvisited state as present")
+		ra := a.Touch(StateKey(i))
+		b.Touch(StateKey(i))
+		for j := 0; j < 5; j++ {
+			_, _ = a.BestAt(ra)
+			if a.Touch(StateKey(i)) != ra {
+				t.Fatal("repeat Touch returned a different row")
+			}
 		}
 	}
-	if a.States() != 0 {
-		t.Fatalf("pure reads created %d states", a.States())
-	}
-	// The init stream must be untouched: both tables draw the same row.
-	ra, rb := a.Touch(7), b.Touch(7)
-	for i := 0; i < 3; i++ {
-		if a.QAt(ra, i) != b.QAt(rb, i) {
-			t.Fatal("reads advanced the init stream")
-		}
-	}
-}
-
-func TestDenseUnseenReadsReportPrior(t *testing.T) {
-	d := NewDense(4, rng.New(6))
-	d.Init = func() float64 { return -1.5 }
-	if got := d.Q(99, 2); got != -1.5 {
-		t.Errorf("unseen Q = %v, want prior", got)
-	}
-	if a, v := d.Best(99); a != 0 || v != -1.5 {
-		t.Errorf("unseen Best = (%d, %v), want (0, prior)", a, v)
-	}
-	if d.States() != 0 {
-		t.Error("prior reads must not intern states")
+	if len(a.index) != len(b.index) || !slices.Equal(a.values, b.values) {
+		t.Fatal("reads changed the table or advanced the init stream")
 	}
 }
 
 func TestDenseBestTieBreaksToLowestIndex(t *testing.T) {
 	d := NewDense(3, rng.New(7))
-	d.Set(1, 0, 2)
-	d.Set(1, 1, 2)
-	d.Set(1, 2, 2)
-	if a, _ := d.Best(1); a != 0 {
+	set(d, 1, 0, 2)
+	set(d, 1, 1, 2)
+	set(d, 1, 2, 2)
+	if a, _ := d.BestAt(d.Touch(1)); a != 0 {
 		t.Errorf("tie broke to %d, want lowest index 0", a)
 	}
-	d.Set(2, 0, 1)
-	d.Set(2, 1, 5)
-	d.Set(2, 2, 5)
-	if a, v := d.Best(2); a != 1 || v != 5 {
-		t.Errorf("Best = (%d, %v), want (1, 5)", a, v)
+	set(d, 2, 0, 1)
+	set(d, 2, 1, 5)
+	set(d, 2, 2, 5)
+	if a, v := d.BestAt(d.Touch(2)); a != 1 || v != 5 {
+		t.Errorf("BestAt = (%d, %v), want (1, 5)", a, v)
 	}
 }
 
@@ -119,11 +116,10 @@ func TestDenseSteadyStateOpsAllocFree(t *testing.T) {
 		d.Touch(StateKey(s))
 	}
 	ops := func() {
-		row := d.Touch(17)
-		_, _ = d.BestAt(row)
-		_ = d.Q(23, 3)
-		d.Update(23, 1, 0.7, 17, 2, 0.9, 0.1)
-		_ = d.BestValue(48)
+		rowNext := d.Touch(17)
+		aNext, _ := d.BestAt(rowNext)
+		row := d.Touch(23)
+		d.UpdateAt(row, 1, 0.7, rowNext, aNext, 0.9, 0.1)
 	}
 	if avg := testing.AllocsPerRun(200, ops); avg != 0 {
 		t.Errorf("steady-state dense ops allocated %.2f/run, want 0", avg)
@@ -154,38 +150,14 @@ func TestDenseMemoryBytesAgainstMeasuredBaseline(t *testing.T) {
 	if got < measured/2 || got > measured*2 {
 		t.Errorf("MemoryBytes = %d, measured heap growth = %d; accounting drifted beyond 2x", got, measured)
 	}
-	// And the dense form must undercut the legacy map accounting for
-	// the same content — the point of the representation change.
-	legacy := NewTable(actions6(), rng.New(9))
+	// And the dense form must undercut the string-keyed map accounting
+	// for the same content — the point of the representation change.
+	legacy := NewTable(testActions(), rng.New(9))
 	for s := 0; s < states; s++ {
 		legacy.Touch(State(rune('a'+s%26)) + State(rune('a'+(s/26)%26)) + State(rune('a'+s/676)))
 	}
 	if got >= legacy.MemoryBytes() {
 		t.Errorf("dense MemoryBytes %d not below legacy %d", got, legacy.MemoryBytes())
-	}
-}
-
-func actions6() []Action {
-	return []Action{"CPU@0", "CPU@1", "CPU@2", "GPU@0", "GPU@1", "GPU@2"}
-}
-
-// TestDenseAgentMatchesAgent verifies the two agent flavours stay
-// draw-for-draw aligned: same parent stream, same exploration and
-// random-action sequences.
-func TestDenseAgentMatchesAgent(t *testing.T) {
-	acts := actions()
-	s1, s2 := rng.New(77), rng.New(77)
-	legacy := NewAgent(acts, s1)
-	dense := NewDenseAgent(len(acts), s2)
-	for i := 0; i < 500; i++ {
-		if legacy.Explore() != dense.Explore() {
-			t.Fatalf("explore draw %d diverged", i)
-		}
-		la := legacy.RandomAction()
-		da := dense.RandomAction()
-		if string(la) != string(acts[da]) {
-			t.Fatalf("random action draw %d diverged: %s vs %s", i, la, acts[da])
-		}
 	}
 }
 
@@ -199,16 +171,17 @@ func TestNewDensePanicsWithoutActions(t *testing.T) {
 }
 
 func TestDenseUpdateAtMatchesUpdate(t *testing.T) {
-	a := NewDense(3, rng.New(55))
+	acts := []Action{"a0", "a1", "a2"}
+	a := NewTable(acts, rng.New(55))
 	b := NewDense(3, rng.New(55))
-	a.Touch(1)
-	a.Touch(2)
+	a.Touch("1")
+	a.Touch("2")
 	rb1, rb2 := b.Touch(1), b.Touch(2)
-	a.Update(1, 2, 0.8, 2, 0, 0.9, 0.1)
+	a.Update("1", "a2", 0.8, "2", "a0", 0.9, 0.1)
 	b.UpdateAt(rb1, 2, 0.8, rb2, 0, 0.9, 0.1)
 	for s := StateKey(1); s <= 2; s++ {
 		for act := 0; act < 3; act++ {
-			if a.Q(s, act) != b.Q(s, act) {
+			if a.Q(State(fmt.Sprint(s)), acts[act]) != q(b, s, act) {
 				t.Fatalf("UpdateAt diverged from Update at (%d,%d)", s, act)
 			}
 		}

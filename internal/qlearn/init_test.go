@@ -7,47 +7,49 @@ import (
 )
 
 func TestInitPriorSeedsFreshRows(t *testing.T) {
-	tb := NewTable([]Action{"a", "b"}, rng.New(1))
+	d := NewDense(2, rng.New(1))
 	prior := 5.0
-	tb.Init = func() float64 { return prior }
-	tb.Touch("fresh")
-	v := tb.Q("fresh", "a")
+	d.Init = func() float64 { return prior }
+	d.Touch(1)
+	v := q(d, 1, 0)
 	if v < 5 || v >= 5.001 {
 		t.Errorf("fresh row value = %v, want prior 5 plus tiny jitter", v)
 	}
 	// Changing the prior affects only rows created afterwards.
 	prior = -3
-	if got := tb.Q("fresh", "a"); got != v {
+	d.Touch(1)
+	if got := q(d, 1, 0); got != v {
 		t.Error("existing rows must not move when the prior changes")
 	}
-	tb.Touch("fresh2")
-	v2 := tb.Q("fresh2", "b")
+	d.Touch(2)
+	v2 := q(d, 2, 1)
 	if v2 > -2.99 || v2 < -3 {
 		t.Errorf("second fresh row = %v, want prior -3 plus jitter", v2)
 	}
 }
 
 func TestInitPriorPreservesOrdering(t *testing.T) {
-	// Two tables with different priors: their unvisited states must
-	// rank in prior order — the mechanism AutoFL uses to generalize
-	// device-constant knowledge across runtime-variance states.
+	// Two tables with different priors: their freshly touched states
+	// must rank in prior order — the mechanism AutoFL uses to
+	// generalize device-constant knowledge across runtime-variance
+	// states.
 	s := rng.New(2)
-	good := NewTable([]Action{"a"}, s.Fork())
-	bad := NewTable([]Action{"a"}, s.Fork())
+	good := NewDense(1, s.Fork())
+	bad := NewDense(1, s.Fork())
 	good.Init = func() float64 { return 1.0 }
 	bad.Init = func() float64 { return 0.1 }
-	for _, state := range []State{"s1", "s2", "s3"} {
-		if good.BestValue(state) <= bad.BestValue(state) {
-			t.Errorf("state %s: good prior %v not above bad prior %v",
-				state, good.BestValue(state), bad.BestValue(state))
+	for state := StateKey(1); state <= 3; state++ {
+		_, gv := good.BestAt(good.Touch(state))
+		_, bv := bad.BestAt(bad.Touch(state))
+		if gv <= bv {
+			t.Errorf("state %d: good prior %v not above bad prior %v", state, gv, bv)
 		}
 	}
 }
 
 func TestNoInitDefaultsToSmallRandom(t *testing.T) {
-	tb := NewTable([]Action{"a"}, rng.New(3))
-	tb.Touch("s")
-	if v := tb.Q("s", "a"); v <= 0 || v >= 1e-3 {
+	d := NewDense(1, rng.New(3))
+	if _, v := d.BestAt(d.Touch(1)); v <= 0 || v >= 1e-3 {
 		t.Errorf("default init = %v, want (0, 1e-3)", v)
 	}
 }

@@ -8,236 +8,141 @@ import (
 	"autofl/internal/rng"
 )
 
-func actions() []Action { return []Action{"cpu@0", "cpu@1", "gpu@0"} }
+// epsilonGreedy picks an action for a touched row the way the AutoFL
+// controller does: with probability eps a uniform index drawn from
+// explore, otherwise the row's argmax.
+func epsilonGreedy(d *Dense, row int32, explore *rng.Stream, eps float64) int {
+	if explore.Bool(eps) {
+		return explore.IntN(d.numActions)
+	}
+	a, _ := d.BestAt(row)
+	return a
+}
+
+// playBandit runs rounds of a single-state bandit with the given
+// payouts on d, learning with the paper's hyperparameters.
+func playBandit(d *Dense, explore *rng.Stream, payout []float64, rounds int) {
+	row := d.Touch(0)
+	for i := 0; i < rounds; i++ {
+		a := epsilonGreedy(d, row, explore, DefaultEpsilon)
+		greedy, _ := d.BestAt(row)
+		d.UpdateAt(row, a, payout[a], row, greedy, DefaultLearningRate, DefaultDiscount)
+	}
+}
 
 func TestLazyInitSmallRandom(t *testing.T) {
-	tb := NewTable(actions(), rng.New(1))
-	tb.Touch("s0")
-	v := tb.Q("s0", "cpu@0")
+	d := NewDense(3, rng.New(1))
+	row := d.Touch(0)
+	v := q(d, 0, 0)
 	if v <= 0 || v >= 1e-3 {
 		t.Errorf("initial Q = %v, want small random in (0, 1e-3)", v)
 	}
-	if tb.Q("s0", "cpu@0") != v {
-		t.Error("repeated reads must return the same initialized value")
-	}
-}
-
-func TestReadsAreSideEffectFree(t *testing.T) {
-	// Q/Best/BestValue on never-visited states must not create rows or
-	// advance the init stream: two identically seeded tables must draw
-	// identical init values for a state regardless of how many unseen
-	// states were read in between (the old create-on-read behavior made
-	// results depend on read order).
-	a := NewTable(actions(), rng.New(21))
-	b := NewTable(actions(), rng.New(21))
-	for i := 0; i < 50; i++ {
-		_ = a.Q(State(JoinState("unseen", string(rune('a'+i)))), "cpu@0")
-		_, _ = a.Best("another-unseen")
-		_ = a.BestValue("yet-another")
-	}
-	if a.States() != 0 {
-		t.Fatalf("pure reads created %d states", a.States())
-	}
-	a.Touch("s")
-	b.Touch("s")
-	for _, act := range actions() {
-		if a.Q("s", act) != b.Q("s", act) {
-			t.Fatalf("reads advanced the init stream: %v vs %v", a.Q("s", act), b.Q("s", act))
-		}
-	}
-}
-
-func TestUnseenStateReadsReportPrior(t *testing.T) {
-	tb := NewTable(actions(), rng.New(22))
-	tb.Init = func() float64 { return 2.5 }
-	if got := tb.Q("unseen", "cpu@1"); got != 2.5 {
-		t.Errorf("unseen Q = %v, want Init prior 2.5", got)
-	}
-	a, v := tb.Best("unseen")
-	if a != "cpu@0" || v != 2.5 {
-		t.Errorf("unseen Best = (%s, %v), want name-first action at the prior", a, v)
+	if d.Touch(0) != row || q(d, 0, 0) != v {
+		t.Error("repeated touches must return the same initialized row")
 	}
 }
 
 func TestBestPrefersHighest(t *testing.T) {
-	tb := NewTable(actions(), rng.New(2))
-	tb.Set("s", "cpu@0", 1)
-	tb.Set("s", "cpu@1", 5)
-	tb.Set("s", "gpu@0", 3)
-	a, v := tb.Best("s")
-	if a != "cpu@1" || v != 5 {
-		t.Errorf("Best = (%s, %v), want (cpu@1, 5)", a, v)
-	}
-	if tb.BestValue("s") != 5 {
-		t.Error("BestValue mismatch")
+	d := NewDense(3, rng.New(2))
+	set(d, 1, 0, 1)
+	set(d, 1, 1, 5)
+	set(d, 1, 2, 3)
+	if a, v := d.BestAt(d.Touch(1)); a != 1 || v != 5 {
+		t.Errorf("BestAt = (%d, %v), want (1, 5)", a, v)
 	}
 }
 
 func TestBestTieBreaksDeterministically(t *testing.T) {
-	tb := NewTable(actions(), rng.New(3))
-	tb.Set("s", "cpu@0", 2)
-	tb.Set("s", "cpu@1", 2)
-	tb.Set("s", "gpu@0", 2)
-	a1, _ := tb.Best("s")
-	a2, _ := tb.Best("s")
+	d := NewDense(3, rng.New(3))
+	set(d, 1, 0, 2)
+	set(d, 1, 1, 2)
+	set(d, 1, 2, 2)
+	row := d.Touch(1)
+	a1, _ := d.BestAt(row)
+	a2, _ := d.BestAt(row)
 	if a1 != a2 {
 		t.Error("tie-breaking must be deterministic")
 	}
-	if a1 != "cpu@0" {
-		t.Errorf("tie should break to lexicographically first action, got %s", a1)
+	if a1 != 0 {
+		t.Errorf("tie should break to the first action, got %d", a1)
 	}
 }
 
 func TestUpdateMovesTowardTarget(t *testing.T) {
-	tb := NewTable(actions(), rng.New(4))
-	tb.Set("s", "cpu@0", 0)
-	tb.Set("s2", "cpu@1", 10)
-	tb.Update("s", "cpu@0", 5, "s2", "cpu@1", 0.5, 0.1)
+	d := NewDense(3, rng.New(4))
+	set(d, 1, 0, 0)
+	set(d, 2, 1, 10)
+	d.UpdateAt(d.Touch(1), 0, 5, d.Touch(2), 1, 0.5, 0.1)
 	// target = 5 + 0.1*10 = 6; new Q = 0 + 0.5*(6-0) = 3.
-	if got := tb.Q("s", "cpu@0"); math.Abs(got-3) > 1e-12 {
+	if got := q(d, 1, 0); math.Abs(got-3) > 1e-12 {
 		t.Errorf("Q after update = %v, want 3", got)
 	}
 }
 
 func TestUpdateConvergesToConstantReward(t *testing.T) {
-	tb := NewTable(actions(), rng.New(5))
+	d := NewDense(3, rng.New(5))
 	// Repeatedly receiving reward 4 in an absorbing state with
 	// discount 0 should drive Q to 4.
+	row := d.Touch(1)
 	for i := 0; i < 200; i++ {
-		tb.Update("s", "cpu@0", 4, "s", "cpu@0", 0.9, 0)
+		d.UpdateAt(row, 0, 4, row, 0, 0.9, 0)
 	}
-	if got := tb.Q("s", "cpu@0"); math.Abs(got-4) > 1e-6 {
+	if got := q(d, 1, 0); math.Abs(got-4) > 1e-6 {
 		t.Errorf("Q = %v, want 4", got)
 	}
 }
 
 func TestAgentLearnsBandit(t *testing.T) {
-	// Three-armed bandit: gpu@0 pays 10, others pay 1. The agent must
-	// identify the best arm.
+	// Three-armed bandit: arm 2 pays 10, the others pay 1. An
+	// epsilon-greedy learner must identify the best arm.
 	s := rng.New(6)
-	ag := NewAgent(actions(), s)
-	payout := map[Action]float64{"cpu@0": 1, "cpu@1": 1, "gpu@0": 10}
-	const state = State("bandit")
-	for i := 0; i < 500; i++ {
-		a := ag.Choose(state)
-		ag.Learn(state, a, payout[a], state, ag.ChooseGreedy(state))
-	}
-	if got := ag.ChooseGreedy(state); got != "gpu@0" {
-		t.Errorf("greedy action after training = %s, want gpu@0", got)
+	d, explore := NewDense(3, s.Fork()), s.Fork()
+	playBandit(d, explore, []float64{1, 1, 10}, 500)
+	if got, _ := d.BestAt(d.Touch(0)); got != 2 {
+		t.Errorf("greedy action after training = %d, want 2", got)
 	}
 }
 
 func TestAgentAdaptsToChange(t *testing.T) {
 	// The high learning rate the paper selects (γ = 0.9) exists to
-	// adapt quickly when the environment shifts; verify the agent
+	// adapt quickly when the environment shifts; verify the learner
 	// re-learns after the best arm changes.
 	s := rng.New(7)
-	ag := NewAgent(actions(), s)
-	const state = State("shift")
-	pay := map[Action]float64{"cpu@0": 10, "cpu@1": 1, "gpu@0": 1}
-	for i := 0; i < 300; i++ {
-		a := ag.Choose(state)
-		ag.Learn(state, a, pay[a], state, ag.ChooseGreedy(state))
+	d, explore := NewDense(3, s.Fork()), s.Fork()
+	playBandit(d, explore, []float64{10, 1, 1}, 300)
+	if got, _ := d.BestAt(d.Touch(0)); got != 0 {
+		t.Fatalf("phase 1 best = %d, want 0", got)
 	}
-	if got := ag.ChooseGreedy(state); got != "cpu@0" {
-		t.Fatalf("phase 1 best = %s, want cpu@0", got)
-	}
-	pay = map[Action]float64{"cpu@0": 1, "cpu@1": 1, "gpu@0": 10}
-	for i := 0; i < 300; i++ {
-		a := ag.Choose(state)
-		ag.Learn(state, a, pay[a], state, ag.ChooseGreedy(state))
-	}
-	if got := ag.ChooseGreedy(state); got != "gpu@0" {
-		t.Errorf("agent failed to adapt; greedy = %s, want gpu@0", got)
-	}
-}
-
-func TestExplorationRate(t *testing.T) {
-	s := rng.New(8)
-	ag := NewAgent(actions(), s)
-	ag.Epsilon = 0.25
-	hits := 0
-	const n = 20000
-	for i := 0; i < n; i++ {
-		if ag.Explore() {
-			hits++
-		}
-	}
-	rate := float64(hits) / n
-	if math.Abs(rate-0.25) > 0.02 {
-		t.Errorf("exploration rate = %.3f, want ~0.25", rate)
-	}
-}
-
-func TestEpsilonZeroNeverExplores(t *testing.T) {
-	s := rng.New(9)
-	ag := NewAgent(actions(), s)
-	ag.Epsilon = 0
-	for i := 0; i < 1000; i++ {
-		if ag.Explore() {
-			t.Fatal("epsilon=0 agent explored")
-		}
+	playBandit(d, explore, []float64{1, 1, 10}, 300)
+	if got, _ := d.BestAt(d.Touch(0)); got != 2 {
+		t.Errorf("learner failed to adapt; greedy = %d, want 2", got)
 	}
 }
 
 func TestDefaults(t *testing.T) {
-	ag := NewAgent(actions(), rng.New(10))
-	if ag.LearningRate != 0.9 || ag.Discount != 0.1 || ag.Epsilon != 0.1 {
+	if DefaultLearningRate != 0.9 || DefaultDiscount != 0.1 || DefaultEpsilon != 0.1 {
 		t.Errorf("defaults = (%v, %v, %v), want paper's (0.9, 0.1, 0.1)",
-			ag.LearningRate, ag.Discount, ag.Epsilon)
+			DefaultLearningRate, DefaultDiscount, DefaultEpsilon)
 	}
 }
 
 func TestStatesAndMemoryAccounting(t *testing.T) {
-	tb := NewTable(actions(), rng.New(11))
-	if tb.States() != 0 {
+	d := NewDense(3, rng.New(11))
+	if len(d.index) != 0 {
 		t.Error("fresh table should have no states")
 	}
-	tb.Touch("a")
-	tb.Touch("b")
-	if tb.States() != 2 {
-		t.Errorf("States = %d, want 2", tb.States())
+	d.Touch(1)
+	d.Touch(2)
+	if len(d.index) != 2 {
+		t.Errorf("states = %d, want 2", len(d.index))
 	}
-	if tb.MemoryBytes() <= 0 {
+	if d.MemoryBytes() <= 0 {
 		t.Error("MemoryBytes should be positive for a non-empty table")
 	}
-	grown := tb.MemoryBytes()
-	tb.Touch("c")
-	if tb.MemoryBytes() <= grown {
+	grown := d.MemoryBytes()
+	d.Touch(3)
+	if d.MemoryBytes() <= grown {
 		t.Error("MemoryBytes should grow with states")
-	}
-}
-
-func TestJoinStateAndFormatAction(t *testing.T) {
-	if JoinState("a", "b", "c") != "a|b|c" {
-		t.Errorf("JoinState = %q", JoinState("a", "b", "c"))
-	}
-	if JoinState() != "" {
-		t.Error("empty JoinState should be empty")
-	}
-	if FormatAction("CPU", 2) != "CPU@2" {
-		t.Errorf("FormatAction = %q", FormatAction("CPU", 2))
-	}
-}
-
-func TestNewTablePanicsWithoutActions(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewTable with no actions should panic")
-		}
-	}()
-	NewTable(nil, rng.New(1))
-}
-
-func TestRandomActionCoversActionSet(t *testing.T) {
-	s := rng.New(12)
-	ag := NewAgent(actions(), s)
-	seen := map[Action]bool{}
-	for i := 0; i < 300; i++ {
-		seen[ag.RandomAction()] = true
-	}
-	if len(seen) != len(actions()) {
-		t.Errorf("random actions covered %d/%d arms", len(seen), len(actions()))
 	}
 }
 
@@ -245,15 +150,15 @@ func TestRandomActionCoversActionSet(t *testing.T) {
 // post-update value always lies between the old value and the target
 // for learning rates in (0, 1].
 func TestUpdateContractionProperty(t *testing.T) {
-	tb := NewTable(actions(), rng.New(13))
+	d := NewDense(3, rng.New(13))
 	f := func(q0Raw, rewardRaw int8, lrRaw uint8) bool {
 		q0 := float64(q0Raw)
 		reward := float64(rewardRaw)
 		lr := (float64(lrRaw%100) + 1) / 100
-		tb.Set("p", "cpu@0", q0)
-		tb.Set("pn", "cpu@0", 0)
-		tb.Update("p", "cpu@0", reward, "pn", "cpu@0", lr, 0)
-		got := tb.Q("p", "cpu@0")
+		set(d, 1, 0, q0)
+		set(d, 2, 0, 0)
+		d.UpdateAt(d.Touch(1), 0, reward, d.Touch(2), 0, lr, 0)
+		got := q(d, 1, 0)
 		lo, hi := math.Min(q0, reward), math.Max(q0, reward)
 		return got >= lo-1e-9 && got <= hi+1e-9
 	}

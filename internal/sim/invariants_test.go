@@ -45,7 +45,7 @@ func invariantConfig(t *testing.T, source string, mode AggregationMode, batt boo
 		Mode:      mode,
 	}
 	if source == "fleet" {
-		cfg.Population = testPopulation(t, device.NewFleet(3, 7, 10))
+		cfg.Population = testPopulation(t, 3, 7, 10)
 	} else {
 		pop, err := device.NewPopulation(400, 900, 1700)
 		if err != nil {
@@ -180,7 +180,7 @@ func TestAccuracyIndependentOfGenerousDeadlines(t *testing.T) {
 		cfg := Config{
 			Workload:        workload.CNNMNIST(),
 			Params:          workload.GlobalParams{B: 16, E: 5, K: 10},
-			Population:      testPopulation(t, device.NewFleet(3, 7, 10)),
+			Population:      testPopulation(t, 3, 7, 10),
 			Data:            data.IdealIID,
 			Env:             EnvIdeal(),
 			Seed:            77,

@@ -81,7 +81,6 @@ type Config struct {
 	// table plus packed per-device state (see population.go), sized
 	// for million-device populations. Nil selects the paper's
 	// 200-device testbed (30 high-, 70 mid-, 100 low-end devices).
-	// Hand-built fleets convert with device.Fleet.Population.
 	Population *device.Population
 	// Sample is the per-round candidate-pool size: each round the
 	// engine draws Sample candidates uniformly from the population and
@@ -639,9 +638,9 @@ func New(cfg Config) *Engine {
 }
 
 // NewEngine builds an engine, rejecting degenerate configurations
-// (empty population, K larger than the population, negative sample or
-// shard counts, a candidate sample smaller than K, a NaN or infinite
-// float) with a *ConfigError.
+// (empty population, K larger than the population, a negative sample
+// count, a candidate sample smaller than K, a NaN or infinite float)
+// with a *ConfigError.
 func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.checkFinite(); err != nil {
 		return nil, err
@@ -672,10 +671,11 @@ func (e *Engine) Config() Config { return e.cfg }
 
 // RunRound executes one aggregation round with the given policy and
 // current accuracy, returning the context it observed and the measured
-// result. It is exported for step-by-step callers (the TCP server and
-// the experiment harness); each call returns freshly allocated
-// snapshots. Run loops the same logic over the engine's reusable
-// buffers instead.
+// result. It is exported for step-by-step callers (the experiment
+// runners OverheadAnalysis, EnergyModelError and
+// Fig12PredictionAccuracy, and tests); each call returns freshly
+// allocated snapshots. Run loops the same logic over the engine's
+// reusable buffers instead.
 func (e *Engine) RunRound(p Policy, round int, accuracy float64) (*RoundContext, *RoundResult) {
 	return e.runRound(p, round, accuracy, new(roundScratch))
 }

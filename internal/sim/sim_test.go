@@ -27,11 +27,11 @@ func (p *randomPolicy) Select(ctx *RoundContext) []Selection {
 	return out
 }
 
-// testPopulation converts a hand-built fleet into the engine's
-// population form.
-func testPopulation(tb testing.TB, f device.Fleet) *device.Population {
+// testPopulation builds a tiered population with the given per-tier
+// device counts.
+func testPopulation(tb testing.TB, high, mid, low int) *device.Population {
 	tb.Helper()
-	p, err := f.Population()
+	p, err := device.NewPopulation(high, mid, low)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestStragglerDeadlineDropsSlowDevices(t *testing.T) {
 	cfg := Config{
 		Workload:        workload.CNNMNIST(),
 		Params:          workload.GlobalParams{B: 16, E: 5, K: 20},
-		Population:      testPopulation(t, device.NewFleet(19, 0, 1)),
+		Population:      testPopulation(t, 19, 0, 1),
 		Data:            data.IdealIID,
 		Env:             EnvIdeal(),
 		Seed:            9,
@@ -227,7 +227,7 @@ func TestPartialUpdatesKeepStragglerMass(t *testing.T) {
 	cfg := Config{
 		Workload:        workload.CNNMNIST(),
 		Params:          workload.GlobalParams{B: 16, E: 5, K: 20},
-		Population:      testPopulation(t, device.NewFleet(19, 0, 1)),
+		Population:      testPopulation(t, 19, 0, 1),
 		Data:            data.IdealIID,
 		Env:             EnvIdeal(),
 		Seed:            9,
