@@ -16,9 +16,11 @@
 //	}
 //	report, err := scenario.Run(autofl.PolicyAutoFL)
 //
-// Reports carry energy, time-to-convergence and accuracy; Compare
-// normalizes a set of reports against a baseline the way the paper's
-// figures do.
+// A Report is the engine's own result (sim.Result): energy,
+// time-to-convergence, accuracy and the per-round trace, with the
+// paper's efficiency metrics as its GlobalPPW and LocalPPW methods.
+// Compare normalizes a set of reports against a baseline the way the
+// paper's figures do.
 package autofl
 
 import (
@@ -356,39 +358,14 @@ type AutoFLOptions struct {
 	FairnessWeight float64
 }
 
-// Report is the outcome of one simulated FL run.
-type Report struct {
-	// Policy that produced the run.
-	Policy Policy
-	// Converged reports whether the accuracy target was reached.
-	Converged bool
-	// ConvergedRound is the 1-based round at which the target was
-	// reached; 0 means the run never converged.
-	ConvergedRound int
-	// Rounds executed (equals the convergence round when converged).
-	Rounds int
-	// TimeToTargetSec and EnergyToTargetJ cover the run until
-	// convergence (or the full horizon when stalled).
-	TimeToTargetSec float64
-	EnergyToTargetJ float64
-	// GlobalPPW and LocalPPW are the paper's efficiency metrics:
-	// training progress per joule, fleet-wide and participants-only.
-	GlobalPPW float64
-	LocalPPW  float64
-	// FinalAccuracy is the model accuracy at the end of the run.
-	FinalAccuracy float64
-	// MeanStaleness averages the per-round mean applied-update
-	// staleness over the run; 0 for synchronous runs.
-	MeanStaleness float64
-	// AccuracyTrace holds per-round accuracy (Fig 6a-style curves).
-	AccuracyTrace []float64
-	// RewardTrace holds AutoFL's per-round mean reward (Fig 15); nil
-	// for other policies.
-	RewardTrace []float64
-	// Battery summarizes the battery subsystem at the end of the run;
-	// nil when the scenario has no battery model.
-	Battery *BatteryReport
-}
+// Report is the outcome of one simulated FL run: the engine's own
+// record (sim.Result), not a copy of it. Its fields carry convergence,
+// time and energy to target, final accuracy, staleness, the per-round
+// Trace (Trace.Accuracy is the Fig 6a curve), AutoFL's RewardTrace
+// (Fig 15) and the battery summary; its GlobalPPW and LocalPPW methods
+// are the paper's efficiency metrics. Policy holds the name of the
+// Policy that produced the run.
+type Report = sim.Result
 
 // BatteryReport is the end-of-run battery summary of a battery-enabled
 // scenario: Jain's participation-fairness index and the final round's
@@ -526,26 +503,6 @@ func (s Scenario) policy(p Policy) (sim.Policy, error) {
 	}
 }
 
-// reportFromResult converts an engine-level result into the public
-// report.
-func reportFromResult(p Policy, res *sim.Result) *Report {
-	return &Report{
-		Policy:          p,
-		Converged:       res.Converged,
-		ConvergedRound:  res.ConvergedRound,
-		Rounds:          res.Rounds,
-		TimeToTargetSec: res.TimeToTargetSec,
-		EnergyToTargetJ: res.EnergyToTargetJ,
-		GlobalPPW:       res.GlobalPPW(),
-		LocalPPW:        res.LocalPPW(),
-		FinalAccuracy:   res.FinalAccuracy,
-		MeanStaleness:   res.MeanStaleness,
-		AccuracyTrace:   res.Trace.Accuracy,
-		RewardTrace:     res.RewardTrace,
-		Battery:         res.Battery,
-	}
-}
-
 // Run simulates the scenario under the given selection policy. It is
 // a Session stepped to completion — Open the scenario instead for
 // round-by-round control, observers, and early stopping.
@@ -575,95 +532,19 @@ func (s Scenario) RunAll(ps ...Policy) ([]*Report, error) {
 }
 
 // Comparison normalizes reports against a baseline, mirroring the
-// paper's normalized-PPW figures.
-type Comparison struct {
-	// Baseline is the policy everything is normalized to.
-	Baseline Policy
-	// Rows holds one entry per report, in input order.
-	Rows []ComparisonRow
-}
+// paper's normalized-PPW figures; its String method renders the table.
+type Comparison = metrics.Comparison
 
-// ComparisonRow is one policy's improvement factors over the baseline.
-type ComparisonRow struct {
-	Policy Policy
-	// GlobalPPWx, LocalPPWx and ConvTimex are improvement multipliers
-	// (1.0 = parity with the baseline).
-	GlobalPPWx, LocalPPWx, ConvTimex float64
-	Converged                        bool
-	FinalAccuracy                    float64
-}
+// ComparisonRow is one policy's improvement factors over the baseline
+// (1.0 = parity), with its convergence round and final accuracy.
+type ComparisonRow = metrics.Row
 
 // Compare normalizes the reports against the named baseline policy,
 // which must be present among them.
 func Compare(baseline Policy, reports []*Report) (*Comparison, error) {
-	results := make([]*sim.Result, 0, len(reports))
-	for _, r := range reports {
-		results = append(results, reportToResult(r))
-	}
-	cmp, err := metrics.Compare(string(baseline), results)
+	cmp, err := metrics.Compare(string(baseline), reports)
 	if err != nil {
 		return nil, err
 	}
-	out := &Comparison{Baseline: baseline}
-	for _, row := range cmp.Rows {
-		out.Rows = append(out.Rows, ComparisonRow{
-			Policy:        Policy(row.Policy),
-			GlobalPPWx:    row.GlobalPPWx,
-			LocalPPWx:     row.LocalPPWx,
-			ConvTimex:     row.ConvTimex,
-			Converged:     row.Converged,
-			FinalAccuracy: row.FinalAccuracy,
-		})
-	}
-	return out, nil
-}
-
-// reportToResult reconstructs the sim.Result fields Compare needs.
-func reportToResult(r *Report) *sim.Result {
-	res := &sim.Result{
-		Policy:          string(r.Policy),
-		Converged:       reportConverged(r),
-		ConvergedRound:  r.ConvergedRound,
-		Rounds:          r.Rounds,
-		TimeToTargetSec: r.TimeToTargetSec,
-		EnergyToTargetJ: r.EnergyToTargetJ,
-		FinalAccuracy:   r.FinalAccuracy,
-	}
-	// Invert the PPW definitions to recover the progress-normalized
-	// energies metrics.Compare expects.
-	if r.GlobalPPW > 0 {
-		res.EnergyToTargetJ = 1 / r.GlobalPPW * progressOf(r)
-	}
-	if r.LocalPPW > 0 {
-		res.ParticipantEnergyToTargetJ = 1 / r.LocalPPW * progressOf(r)
-	}
-	// Carry floor/target so Progress() reproduces the original value.
-	res.AccuracyFloor = 0
-	res.TargetAccuracy = 1
-	if res.Converged {
-		res.FinalAccuracy = 1
-	} else {
-		res.FinalAccuracy = progressOf(r)
-	}
-	return res
-}
-
-// reportConverged applies the never-converged guard to a report's
-// convergence claim: a report that says Converged while recording
-// neither a convergence round nor any executed rounds is the
-// never-converged zero value mislabeled. Normalizing it as full
-// progress would hand it an infinite efficiency edge in Compare;
-// treat it as no progress instead.
-func reportConverged(r *Report) bool {
-	return r.Converged && !(r.ConvergedRound == 0 && r.Rounds == 0)
-}
-
-func progressOf(r *Report) float64 {
-	if reportConverged(r) {
-		return 1
-	}
-	if r.EnergyToTargetJ > 0 && r.GlobalPPW > 0 {
-		return r.GlobalPPW * r.EnergyToTargetJ
-	}
-	return 0
+	return &cmp, nil
 }

@@ -21,7 +21,7 @@ func TestScenarioDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Policy != PolicyRandom {
+	if r.Policy != string(PolicyRandom) {
 		t.Errorf("policy = %q", r.Policy)
 	}
 	if r.Rounds == 0 || r.EnergyToTargetJ <= 0 {
@@ -72,35 +72,69 @@ func TestAutoFLReportHasRewardTrace(t *testing.T) {
 }
 
 func TestRunAllAndCompare(t *testing.T) {
-	s := quick(5)
-	s.Env = EnvField
-	reports, err := s.RunAll(PolicyRandom, PolicyAutoFL, PolicyOFL)
-	if err != nil {
-		t.Fatal(err)
+	field := quick(5)
+	field.Env = EnvField
+	// Under the strongest heterogeneity no policy converges within 150
+	// rounds, so every non-unit ratio compares partial progress.
+	stalled := Scenario{
+		Workload:  CNNMNIST,
+		Data:      NonIID100,
+		Seed:      7,
+		MaxRounds: 150,
 	}
-	if len(reports) != 3 {
-		t.Fatalf("RunAll returned %d reports", len(reports))
-	}
-	cmp, err := Compare(PolicyRandom, reports)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var baseRow *ComparisonRow
-	for i := range cmp.Rows {
-		if cmp.Rows[i].Policy == PolicyRandom {
-			baseRow = &cmp.Rows[i]
-		}
-	}
-	if baseRow == nil {
-		t.Fatal("baseline row missing")
-	}
-	if math.Abs(baseRow.GlobalPPWx-1) > 1e-9 {
-		t.Errorf("baseline normalizes to %v, want 1.0", baseRow.GlobalPPWx)
-	}
-	for _, row := range cmp.Rows {
-		if row.Policy == PolicyAutoFL && row.GlobalPPWx <= 1 {
-			t.Errorf("AutoFL PPW improvement = %v, want > 1 in the field env", row.GlobalPPWx)
-		}
+	for _, tc := range []struct {
+		name        string
+		s           Scenario
+		wantStalled bool
+	}{
+		{"field-iid", field, false},
+		{"noniid100-150", stalled, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reports, err := tc.s.RunAll(PolicyRandom, PolicyAutoFL, PolicyOFL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(reports) != 3 {
+				t.Fatalf("RunAll returned %d reports", len(reports))
+			}
+			cmp, err := Compare(PolicyRandom, reports)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cmp.Rows) != len(reports) {
+				t.Fatalf("%d rows for %d reports", len(cmp.Rows), len(reports))
+			}
+			base := reports[0]
+			stalledRows := 0
+			for i, row := range cmp.Rows {
+				r := reports[i]
+				if row.Policy != r.Policy {
+					t.Fatalf("row %d is %q, report is %q", i, row.Policy, r.Policy)
+				}
+				if row.FinalAccuracy != r.FinalAccuracy {
+					t.Errorf("%s: accuracy cell %v, report %v", row.Policy, row.FinalAccuracy, r.FinalAccuracy)
+				}
+				if want := r.GlobalPPW() / base.GlobalPPW(); row.GlobalPPWx != want {
+					t.Errorf("%s: global PPW %vx, want %vx", row.Policy, row.GlobalPPWx, want)
+				}
+				if want := r.LocalPPW() / base.LocalPPW(); row.LocalPPWx != want {
+					t.Errorf("%s: local PPW %vx, want %vx", row.Policy, row.LocalPPWx, want)
+				}
+				if !row.Converged {
+					stalledRows++
+				}
+				if row.Policy == string(PolicyAutoFL) && row.GlobalPPWx <= 1 {
+					t.Errorf("AutoFL PPW improvement = %v, want > 1 in the field env", row.GlobalPPWx)
+				}
+			}
+			if math.Abs(cmp.Rows[0].GlobalPPWx-1) > 1e-9 {
+				t.Errorf("baseline normalizes to %v, want 1.0", cmp.Rows[0].GlobalPPWx)
+			}
+			if tc.wantStalled && stalledRows == 0 {
+				t.Error("want at least one unconverged row")
+			}
+		})
 	}
 }
 

@@ -311,16 +311,7 @@ func benchSweepRunner() sweep.Runner {
 		default:
 			return sweep.Outcome{}, fmt.Errorf("unknown policy %q", c.Policy)
 		}
-		res := sim.New(cfg).Run(p)
-		return sweep.Outcome{
-			Converged:       res.Converged,
-			Rounds:          res.Rounds,
-			TimeToTargetSec: res.TimeToTargetSec,
-			EnergyToTargetJ: res.EnergyToTargetJ,
-			GlobalPPW:       res.GlobalPPW(),
-			LocalPPW:        res.LocalPPW(),
-			FinalAccuracy:   res.FinalAccuracy,
-		}, nil
+		return sweep.OutcomeOf(sim.New(cfg).Run(p)), nil
 	}
 }
 

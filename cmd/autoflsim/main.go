@@ -164,25 +164,9 @@ func runComparison(s autofl.Scenario) error {
 	if err != nil {
 		return err
 	}
-	header := []string{"policy", "global-ppw", "local-ppw", "conv-time", "accuracy", "converged"}
-	var rows [][]string
-	for _, r := range cmp.Rows {
-		conv := "no"
-		if r.Converged {
-			conv = "yes"
-		}
-		rows = append(rows, []string{
-			string(r.Policy),
-			metrics.FormatX(r.GlobalPPWx),
-			metrics.FormatX(r.LocalPPWx),
-			metrics.FormatX(r.ConvTimex),
-			fmt.Sprintf("%.3f", r.FinalAccuracy),
-			conv,
-		})
-	}
 	fmt.Printf("scenario: workload=%s setting=%s data=%s env=%s seed=%d\n",
 		s.Workload, s.Setting, s.Data, s.Env, s.Seed)
-	fmt.Print(metrics.Table(header, rows))
+	fmt.Print(cmp.String())
 	return nil
 }
 
@@ -197,8 +181,8 @@ func printReport(r *autofl.Report) {
 	fmt.Printf("final accuracy:    %.3f\n", r.FinalAccuracy)
 	fmt.Printf("time to target:    %.0f s\n", r.TimeToTargetSec)
 	fmt.Printf("fleet energy:      %.0f J\n", r.EnergyToTargetJ)
-	fmt.Printf("global PPW:        %.3g progress/J\n", r.GlobalPPW)
-	fmt.Printf("local PPW:         %.3g progress/J\n", r.LocalPPW)
+	fmt.Printf("global PPW:        %.3g progress/J\n", r.GlobalPPW())
+	fmt.Printf("local PPW:         %.3g progress/J\n", r.LocalPPW())
 	if b := r.Battery; b != nil {
 		fmt.Printf("participation jain: %.3f\n", b.ParticipationJain)
 		fmt.Printf("mean charge:       %.2f (available %d, depleted %d)\n",

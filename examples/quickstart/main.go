@@ -54,5 +54,5 @@ func main() {
 	fmt.Printf("AutoFL:        converged=%v rounds=%d energy=%.0fJ\n",
 		auto.Converged, auto.Rounds, auto.EnergyToTargetJ)
 	fmt.Printf("AutoFL energy-efficiency improvement: %.1fx global, %.1fx per-participant\n",
-		auto.GlobalPPW/baseline.GlobalPPW, auto.LocalPPW/baseline.LocalPPW)
+		auto.GlobalPPW()/baseline.GlobalPPW(), auto.LocalPPW()/baseline.LocalPPW())
 }

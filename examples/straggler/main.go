@@ -34,6 +34,6 @@ func main() {
 			env,
 			random.EnergyToTargetJ/1e3, random.TimeToTargetSec/3600,
 			auto.EnergyToTargetJ/1e3, auto.TimeToTargetSec/3600,
-			auto.GlobalPPW/random.GlobalPPW)
+			auto.GlobalPPW()/random.GlobalPPW())
 	}
 }

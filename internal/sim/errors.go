@@ -121,6 +121,9 @@ func (c *Config) validate() error {
 		if b.CapacityJ <= 0 {
 			return configErrf("Battery.CapacityJ", "battery capacity %g J is not positive", b.CapacityJ)
 		}
+		if b.CapacityJ > math.MaxFloat32 {
+			return configErrf("Battery.CapacityJ", "battery capacity %g J overflows the model's float32 charge store", b.CapacityJ)
+		}
 		switch b.Harvest {
 		case battery.ProfileNone, battery.ProfileCharger, battery.ProfileSolar:
 		default:
@@ -141,8 +144,11 @@ func (c *Config) validate() error {
 		if b.ChargerFrac < 0 || b.ChargerFrac > 1 {
 			return configErrf("Battery.ChargerFrac", "charger fraction %g outside [0, 1]", b.ChargerFrac)
 		}
-		if b.DaySec <= 0 {
-			return configErrf("Battery.DaySec", "diurnal period %g s is not positive", b.DaySec)
+		if b.DaySec < 1 {
+			// Shorter periods are below the virtual clock's float32
+			// resolution, and a subnormal one overflows the solar
+			// phase to ±Inf.
+			return configErrf("Battery.DaySec", "diurnal period %g s is under one second", b.DaySec)
 		}
 	}
 	return nil

@@ -143,12 +143,14 @@ func TestConfigValidation(t *testing.T) {
 		{"-Inf straggler factor", sim.Config{StragglerFactor: math.Inf(-1)}, "StragglerFactor"},
 		{"NaN battery capacity", sim.Config{Battery: &battery.Spec{CapacityJ: math.NaN()}}, "Battery.CapacityJ"},
 		{"infinite battery capacity", sim.Config{Battery: &battery.Spec{CapacityJ: math.Inf(1)}}, "Battery.CapacityJ"},
+		{"battery capacity beyond float32", sim.Config{Battery: &battery.Spec{CapacityJ: 1e300}}, "Battery.CapacityJ"},
 		{"NaN battery threshold", sim.Config{Battery: &battery.Spec{CapacityJ: 2000, ThresholdJ: math.NaN()}}, "Battery.ThresholdJ"},
 		{"NaN initial charge", sim.Config{Battery: &battery.Spec{CapacityJ: 2000, InitialFracLo: math.NaN(), InitialFracHi: 0.9}}, "Battery.InitialFrac"},
 		{"infinite initial charge", sim.Config{Battery: &battery.Spec{CapacityJ: 2000, InitialFracHi: math.Inf(1)}}, "Battery.InitialFrac"},
 		{"infinite harvest", sim.Config{Battery: &battery.Spec{CapacityJ: 2000, Harvest: battery.ProfileSolar, HarvestW: math.Inf(1)}}, "Battery.HarvestW"},
 		{"NaN charger fraction", sim.Config{Battery: &battery.Spec{CapacityJ: 2000, Harvest: battery.ProfileCharger, ChargerFrac: math.NaN()}}, "Battery.ChargerFrac"},
 		{"-Inf day", sim.Config{Battery: &battery.Spec{CapacityJ: 2000, Harvest: battery.ProfileSolar, DaySec: math.Inf(-1)}}, "Battery.DaySec"},
+		{"subnormal day", sim.Config{Battery: &battery.Spec{CapacityJ: 2000, Harvest: battery.ProfileSolar, DaySec: 1e-320}}, "Battery.DaySec"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -181,7 +181,7 @@ func TestResultStringNeverConverged(t *testing.T) {
 	if s := converged.String(); s != "p: acc=0.000 converged=round 7 time=0s energy=0J" {
 		t.Errorf("converged rendering = %q", s)
 	}
-	// Converged with no recorded round (a reconstructed result) falls
+	// Converged with no recorded round (a hand-built result) falls
 	// back to the executed count instead of claiming round 0.
 	odd := &sim.Result{Policy: "p", Converged: true, Rounds: 12}
 	if s := odd.String(); s != "p: acc=0.000 converged=round 12 time=0s energy=0J" {

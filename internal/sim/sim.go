@@ -478,9 +478,9 @@ func (r *Result) LocalPPW() float64 {
 
 // String renders a one-line summary. A never-converged run
 // (ConvergedRound == 0) is rendered distinctly — "never (N rounds)" —
-// so it cannot be misread as convergence at round 0; a result that
-// claims convergence without a recorded round (hand-built or
-// reconstructed) falls back to the executed round count.
+// so it cannot be misread as convergence at round 0; a hand-built
+// result that claims convergence without a recorded round falls back
+// to the executed round count.
 func (r *Result) String() string {
 	conv := fmt.Sprintf("never (%d rounds)", r.Rounds)
 	if r.Converged {

@@ -8,8 +8,8 @@ import (
 	"sync/atomic"
 )
 
-// Outcome is the measurement a Runner produces for one cell. It
-// mirrors the headline fields of an autofl.Report (the accuracy and
+// Outcome is the measurement a Runner produces for one cell: the
+// headline scalars of a sim.Result (see OutcomeOf; the accuracy and
 // reward traces are dropped: sweeps aggregate scalars).
 type Outcome struct {
 	Converged       bool    `json:"converged"`

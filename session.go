@@ -23,7 +23,6 @@ type RoundEvent = sim.RoundInfo
 // A Session is not safe for concurrent use. It holds live simulator
 // state; Close it (or just drop it) when done.
 type Session struct {
-	policy    Policy
 	run       *sim.Run
 	observers []func(RoundEvent)
 	stops     []func(RoundEvent) bool
@@ -47,7 +46,7 @@ func Open(s Scenario, p Policy) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{policy: p, run: eng.Start(pol)}, nil
+	return &Session{run: eng.Start(pol)}, nil
 }
 
 // Observe registers a per-round callback, invoked after every
@@ -120,7 +119,7 @@ func (s *Session) Done() bool { return s.closed || s.stopped || s.run.Done() }
 // called repeatedly, before and after Close.
 func (s *Session) Result() *Report {
 	res := s.run.Snapshot()
-	return reportFromResult(s.policy, &res)
+	return &res
 }
 
 // FleetEnergyPercentiles streams the population's per-device
@@ -149,11 +148,4 @@ func (s *Session) FleetEnergyPercentiles(ps ...float64) ([]float64, bool) {
 // Result remains available.
 func (s *Session) Close() {
 	s.closed = true
-}
-
-// simResult finishes the run and exposes the engine-level result —
-// including the per-round trace — to the traced sweep runner.
-func (s *Session) simResult() *sim.Result {
-	s.closed = true
-	return s.run.Result()
 }

@@ -80,8 +80,8 @@ func TestSessionObservers(t *testing.T) {
 		if ev.Round != i+1 {
 			t.Fatalf("event %d has round %d", i, ev.Round)
 		}
-		if ev.Accuracy != rep.AccuracyTrace[i] {
-			t.Fatalf("round %d: observed accuracy %v != trace %v", ev.Round, ev.Accuracy, rep.AccuracyTrace[i])
+		if ev.Accuracy != rep.Trace.Accuracy[i] {
+			t.Fatalf("round %d: observed accuracy %v != trace %v", ev.Round, ev.Accuracy, rep.Trace.Accuracy[i])
 		}
 		if ev.Reward != 0 {
 			sawReward = true

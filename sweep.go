@@ -103,12 +103,7 @@ func sweepCell(ctx context.Context, c sweep.Cell, seed uint64, maxRounds int, tr
 	if err != nil {
 		return sweep.Outcome{}, err
 	}
-	for {
-		if _, ok := sess.Step(); !ok {
-			break
-		}
-	}
-	res := sess.simResult()
+	res := sess.Run()
 	out := sweep.OutcomeOf(res)
 	if traced {
 		out.Trace = sweep.NewRunTrace(res)
