@@ -119,40 +119,21 @@ const (
 	PolicyFEDL         Policy = "FEDL"
 	// Battery-aware selection baselines (see Scenario.Battery). Not part
 	// of Policies(): they exist to baseline the battery subsystem, not
-	// the paper's evaluation matrix.
+	// the paper's evaluation matrix. Sweeps name them on the policy axis
+	// like any other policy.
 	PolicyBatteryWeighted Policy = "Battery-Weighted"
 	PolicyAllAvailable    Policy = "All-Available"
 )
 
 // Policies lists every policy of the paper's evaluation matrix. The
 // battery-aware baselines (PolicyBatteryWeighted, PolicyAllAvailable)
-// are runnable but intentionally excluded — see Selections.
+// are runnable but intentionally excluded.
 func Policies() []Policy {
 	return []Policy{
 		PolicyRandom, PolicyPerformance, PolicyPower,
 		PolicyOParticipant, PolicyOFL, PolicyAutoFL,
 		PolicyFedNova, PolicyFEDL,
 	}
-}
-
-// Selections lists the battery-aware selection baseline names used by
-// the sweep plane's selection axis, in comparison order.
-func Selections() []string {
-	return []string{"random", "battery_weighted", "all_available"}
-}
-
-// SelectionPolicy resolves a selection baseline name (see Selections)
-// to the policy implementing it.
-func SelectionPolicy(name string) (Policy, error) {
-	switch name {
-	case "random":
-		return PolicyRandom, nil
-	case "battery_weighted":
-		return PolicyBatteryWeighted, nil
-	case "all_available":
-		return PolicyAllAvailable, nil
-	}
-	return "", fmt.Errorf("autofl: unknown selection baseline %q (want random, battery_weighted, or all_available)", name)
 }
 
 // Scenario describes one federated-learning deployment to simulate.

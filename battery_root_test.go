@@ -168,23 +168,23 @@ func TestBatteryShardInvariance(t *testing.T) {
 	}
 }
 
-// batteryGrid crosses a small scenario slice with the battery and
-// selection axes.
+// batteryGrid crosses a small scenario slice with the battery axis and
+// a battery-aware baseline on the policy axis.
 func batteryGrid(seed uint64) sweep.Grid {
 	return sweep.Grid{
 		Workloads:  []string{string(CNNMNIST)},
 		Settings:   []string{string(S3)},
 		Data:       []string{string(IdealIID)},
 		Envs:       []string{string(EnvField)},
+		Policies:   []string{string(PolicyRandom), string(PolicyBatteryWeighted)},
 		Batteries:  []string{string(BatteryNone), string(BatteryCharger)},
-		Selections: []string{"random", "battery_weighted"},
 		Replicates: 2,
 		Seed:       seed,
 	}
 }
 
 // TestBatterySweepDistributedMatchesSerial pins placement invariance
-// for the battery axes: a battery × selection grid farmed to loopback
+// for the battery axis: a battery × policy grid farmed to loopback
 // worker processes emits byte-identical JSON to an in-process serial
 // sweep, and the CSV carries the battery column group.
 func TestBatterySweepDistributedMatchesSerial(t *testing.T) {
@@ -237,7 +237,7 @@ func TestBatterySweepDistributedMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	header := strings.SplitN(csv.String(), "\n", 2)[0]
-	for _, col := range []string{"battery", "selection", "participation_jain_mean", "battery_mean_frac_mean"} {
+	for _, col := range []string{"battery", "participation_jain_mean", "battery_mean_frac_mean"} {
 		if !strings.Contains(header, col) {
 			t.Errorf("battery CSV header missing %q: %s", col, header)
 		}
@@ -259,8 +259,8 @@ func TestBatteryWeightedRaisesJain(t *testing.T) {
 		Settings:   []string{string(S3)},
 		Data:       []string{string(IdealIID)},
 		Envs:       []string{string(EnvField)},
+		Policies:   []string{string(PolicyRandom), string(PolicyBatteryWeighted)},
 		Batteries:  []string{string(BatteryNone)},
-		Selections: []string{"random", "battery_weighted"},
 		Replicates: 3,
 		Seed:       7,
 	}
@@ -271,20 +271,20 @@ func TestBatteryWeightedRaisesJain(t *testing.T) {
 	jain := map[string]float64{}
 	for _, s := range store.Summaries() {
 		if s.Errors > 0 {
-			t.Fatalf("selection %s: %d errored replicates", s.Selection, s.Errors)
+			t.Fatalf("policy %s: %d errored replicates", s.Policy, s.Errors)
 		}
 		if s.ParticipationJain == nil {
-			t.Fatalf("selection %s: no participation_jain summary", s.Selection)
+			t.Fatalf("policy %s: no participation_jain summary", s.Policy)
 		}
-		jain[s.Selection] = s.ParticipationJain.Mean
+		jain[s.Policy] = s.ParticipationJain.Mean
 	}
-	r, okR := jain["random"]
-	b, okB := jain["battery_weighted"]
+	r, okR := jain[string(PolicyRandom)]
+	b, okB := jain[string(PolicyBatteryWeighted)]
 	if !okR || !okB {
-		t.Fatalf("missing selection summaries: %v", jain)
+		t.Fatalf("missing policy summaries: %v", jain)
 	}
 	// "Measurably": a full point of Jain margin, not float noise.
 	if b < r+0.01 {
-		t.Errorf("battery_weighted Jain %.4f does not measurably beat random %.4f", b, r)
+		t.Errorf("Battery-Weighted Jain %.4f does not measurably beat FedAvg-Random %.4f", b, r)
 	}
 }

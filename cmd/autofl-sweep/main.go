@@ -27,13 +27,13 @@
 //	autofl-sweep -async-modes async,semi-async -alphas 0.3,0.5,1 \
 //	    -devices 100000 -samples 512 -rounds 100
 //
-// The battery subsystem adds two more axes: -battery-profiles attaches
-// the per-device battery model under the named harvesting presets, and
-// -selection sweeps battery-aware selection baselines in place of the
-// policy axis (the two flags are mutually exclusive with -policies):
+// The battery subsystem adds one more axis: -battery-profiles attaches
+// the per-device battery model under the named harvesting presets.
+// -policies also takes the battery-aware baselines Battery-Weighted and
+// All-Available ('all' stays the paper's eight policies):
 //
 //	autofl-sweep -workloads CNN-MNIST -battery-profiles none,charger \
-//	    -selection random,battery_weighted -rounds 100 -format csv
+//	    -policies FedAvg-Random,Battery-Weighted -rounds 100 -format csv
 //
 // With -cache-dir, every completed cell is persisted with its
 // per-round trace, so an interrupted run resumes where it stopped, an
@@ -96,6 +96,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -115,13 +116,12 @@ func main() {
 		settings   = flag.String("settings", "all", "comma-separated (B,E,K) settings, or 'all'")
 		dataAxis   = flag.String("data", "all", "comma-separated data scenarios, or 'all'")
 		envs       = flag.String("envs", "all", "comma-separated environments, or 'all'")
-		policies   = flag.String("policies", "all", "comma-separated policies, or 'all'")
+		policies   = flag.String("policies", "all", "comma-separated policies, or 'all' for the paper's eight (Battery-Weighted and All-Available are named explicitly)")
 		asyncModes = flag.String("async-modes", "", "comma-separated aggregation regimes (sync, async, semi-async) as a grid axis (empty = sync only)")
 		alphas     = flag.String("alphas", "", "comma-separated staleness exponents as a grid axis (requires -async-modes; crossing with 'sync' yields loud per-cell errors — sweep sync separately)")
 		devicesAx  = flag.String("devices", "", "comma-separated population sizes as a grid axis (empty = explicit testbed fleet)")
 		samplesAx  = flag.String("samples", "", "comma-separated per-round cohort sizes as a grid axis (requires -devices)")
 		batteries  = flag.String("battery-profiles", "", "comma-separated battery harvesting presets (none, charger, solar-diurnal) as a grid axis (empty = no battery model)")
-		selection  = flag.String("selection", "", "comma-separated battery-aware selection baselines (random, battery_weighted, all_available) as a grid axis replacing -policies (the two are mutually exclusive)")
 		replicates = flag.Int("replicates", 1, "seed replicates per cell")
 		seed       = flag.Uint64("seed", 42, "grid master seed")
 		parallel   = flag.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS)")
@@ -189,13 +189,9 @@ func main() {
 	grid.Settings = pickAxis("settings", *settings, full.Settings)
 	grid.Data = pickAxis("data", *dataAxis, full.Data)
 	grid.Envs = pickAxis("envs", *envs, full.Envs)
-	grid.Policies = pickAxis("policies", *policies, full.Policies)
+	grid.Policies = pickAxis("policies", *policies, full.Policies, batteryPolicies...)
 	if *asyncModes != "" {
-		var known []string
-		for _, m := range autofl.AggregationModes() {
-			known = append(known, string(m))
-		}
-		grid.Modes = pickAxis("async-modes", *asyncModes, known)
+		grid.Modes = pickAxis("async-modes", *asyncModes, names(autofl.AggregationModes()))
 	}
 	if *alphas != "" {
 		if *asyncModes == "" {
@@ -213,22 +209,7 @@ func main() {
 		grid.Samples = pickIntAxis("samples", *samplesAx)
 	}
 	if *batteries != "" {
-		var known []string
-		for _, p := range autofl.BatteryProfiles() {
-			known = append(known, string(p))
-		}
-		grid.Batteries = pickAxis("battery-profiles", *batteries, known)
-	}
-	if *selection != "" {
-		policiesSet := false
-		flag.Visit(func(f *flag.Flag) { policiesSet = policiesSet || f.Name == "policies" })
-		if policiesSet {
-			fatalf("-selection and -policies are mutually exclusive (the selection axis replaces the policy axis)")
-		}
-		grid.Selections = pickAxis("selection", *selection, autofl.Selections())
-		// Selection cells carry an empty policy axis; the runner maps
-		// each selection name to its baseline policy.
-		grid.Policies = nil
+		grid.Batteries = pickAxis("battery-profiles", *batteries, names(autofl.BatteryProfiles()))
 	}
 
 	// Open the output before running so a bad path fails fast, not
@@ -491,14 +472,15 @@ func runClient(ctx context.Context, baseURL string, grid sweep.Grid, rounds int,
 	}
 }
 
-// pickAxis resolves a comma-separated flag against the axis's known
-// values ("all" selects every one).
-func pickAxis(name, arg string, known []string) []string {
+// pickAxis resolves a comma-separated flag against the axis's values:
+// "all" selects every one of all, and extra values are valid only when
+// named.
+func pickAxis(name, arg string, all []string, extra ...string) []string {
 	if arg == "all" || arg == "" {
-		return known
+		return all
 	}
 	valid := map[string]bool{}
-	for _, v := range known {
+	for _, v := range slices.Concat(all, extra) {
 		valid[v] = true
 	}
 	var out []string
@@ -571,14 +553,6 @@ func pickIntAxis(name, arg string) []string {
 
 func listAxes() {
 	g := autofl.SweepGrid(0, 1)
-	var modes []string
-	for _, m := range autofl.AggregationModes() {
-		modes = append(modes, string(m))
-	}
-	var profiles []string
-	for _, p := range autofl.BatteryProfiles() {
-		profiles = append(profiles, string(p))
-	}
 	axes := []struct {
 		name string
 		vals []string
@@ -588,13 +562,26 @@ func listAxes() {
 		{"data", g.Data},
 		{"envs", g.Envs},
 		{"policies", g.Policies},
-		{"async-modes", modes},
-		{"battery-profiles", profiles},
-		{"selection", autofl.Selections()},
+		{"policies (not in 'all')", batteryPolicies},
+		{"async-modes", names(autofl.AggregationModes())},
+		{"battery-profiles", names(autofl.BatteryProfiles())},
 	}
 	for _, a := range axes {
 		fmt.Printf("%s: %s\n", a.name, strings.Join(a.vals, ", "))
 	}
+}
+
+// batteryPolicies are the battery-aware baselines -policies accepts
+// beyond the paper's eight.
+var batteryPolicies = names([]autofl.Policy{autofl.PolicyBatteryWeighted, autofl.PolicyAllAvailable})
+
+// names lists the string values of an axis enumeration.
+func names[T ~string](vals []T) []string {
+	out := make([]string, len(vals))
+	for i, v := range vals {
+		out[i] = string(v)
+	}
+	return out
 }
 
 func fatalf(format string, args ...any) {

@@ -28,8 +28,9 @@
 //
 // SIGINT/SIGTERM drains gracefully: intake stops with 503, running
 // grids get -drain-timeout to finish before being canceled, and
-// still-queued job specs are persisted under -cache-dir for the next
-// daemon to resume. A second signal force-quits.
+// still-queued jobs stay open in the journal under -cache-dir, so the
+// next daemon resumes them under their IDs. A second signal
+// force-quits.
 //
 // Example:
 //
@@ -111,11 +112,8 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if n := len(service.Jobs()); n > 0 {
-		fmt.Fprintf(os.Stderr, "autofl-sweepd: resumed %d persisted jobs\n", n)
-	}
 	if n := service.ResumedJobs(); n > 0 {
-		fmt.Fprintf(os.Stderr, "autofl-sweepd: journal: recovered %d jobs interrupted by the previous daemon\n", n)
+		fmt.Fprintf(os.Stderr, "autofl-sweepd: journal: resumed %d jobs the previous daemon left unfinished\n", n)
 	}
 
 	ln, err := net.Listen("tcp", *listen)

@@ -7,22 +7,22 @@ import (
 )
 
 // TestWriteIdentityBatteryBytes pins the tagged append-only encoding of
-// the battery axes: tagged segments after the population tags, absent
-// entirely at the axes' defaults so every pre-battery seed and cache
+// the battery axis: a tagged segment after the population tags, absent
+// entirely at the axis default so every pre-battery seed and cache
 // digest survives.
 func TestWriteIdentityBatteryBytes(t *testing.T) {
 	var b strings.Builder
 	Cell{
 		Workload: "w", Setting: "s", Data: "d", Env: "e", Policy: "p",
-		Replicate: 0, Battery: "charger", Selection: "battery_weighted",
+		Replicate: 0, Battery: "charger",
 	}.WriteIdentity(&b)
-	want := "1:w|1:s|1:d|1:e|1:p|#0|battery=7:charger|selection=16:battery_weighted"
+	want := "1:w|1:s|1:d|1:e|1:p|#0|battery=7:charger"
 	if b.String() != want {
 		t.Errorf("battery identity = %q, want %q", b.String(), want)
 	}
 
-	// Battery axes at their defaults contribute no bytes, even when the
-	// earlier extension axes are in play.
+	// The battery axis at its default contributes no bytes, even when
+	// the earlier extension axes are in play.
 	var ext, extBatt strings.Builder
 	base := Cell{
 		Workload: "w", Setting: "s", Data: "d", Env: "e", Policy: "p",
@@ -30,7 +30,7 @@ func TestWriteIdentityBatteryBytes(t *testing.T) {
 	}
 	base.WriteIdentity(&ext)
 	withDefaults := base
-	withDefaults.Battery, withDefaults.Selection = "", ""
+	withDefaults.Battery = ""
 	withDefaults.WriteIdentity(&extBatt)
 	if ext.String() != extBatt.String() {
 		t.Errorf("default battery axes changed the identity: %q vs %q", ext.String(), extBatt.String())
@@ -58,13 +58,13 @@ func TestCellSeedInjectiveAcrossBatteryAxes(t *testing.T) {
 		{Policy: "p"},
 		{Policy: "p", Battery: "none"},
 		{Policy: "p", Battery: "charger"},
-		{Policy: "p", Selection: "random"},
-		{Policy: "p", Battery: "none", Selection: "random"},
+		{Policy: "Battery-Weighted", Battery: "none"},
 		{Policy: "p", Mode: "async", Battery: "none"},
+		{Policy: "p", Sample: "64", Battery: "none"},
 		// Crafted values embedding the tag syntax stay distinct thanks to
 		// the length prefixes.
 		{Policy: "p|battery=4:none"},
-		{Policy: "p", Battery: "none|selection=6:random"},
+		{Policy: "p", Sample: "64|battery=4:none"},
 	}
 	seen := map[uint64]string{}
 	for _, c := range cells {
@@ -76,15 +76,16 @@ func TestCellSeedInjectiveAcrossBatteryAxes(t *testing.T) {
 	}
 }
 
-// TestGridBatteryExpansion: the battery axes multiply into Size and
-// expand innermost of the value axes (selection inside battery, both
-// outside only the replicate index).
+// TestGridBatteryExpansion: the battery axis multiplies into Size and
+// expands innermost of the value axes (inside the policy axis that
+// carries the battery-aware baselines, outside only the replicate
+// index).
 func TestGridBatteryExpansion(t *testing.T) {
 	g := Grid{
 		Workloads: []string{"w"}, Settings: []string{"s"},
 		Data: []string{"d"}, Envs: []string{"e"},
+		Policies:   []string{"FedAvg-Random", "Battery-Weighted"},
 		Batteries:  []string{"none", "charger"},
-		Selections: []string{"random", "battery_weighted"},
 		Replicates: 3,
 		Seed:       1,
 	}
@@ -99,11 +100,11 @@ func TestGridBatteryExpansion(t *testing.T) {
 	if cells[0].Replicate != 0 || cells[1].Replicate != 1 {
 		t.Errorf("replicates not innermost: %+v %+v", cells[0], cells[1])
 	}
-	if cells[0].Selection != "random" || cells[3].Selection != "battery_weighted" {
-		t.Errorf("selection not second-innermost: %+v %+v", cells[0], cells[3])
+	if cells[0].Battery != "none" || cells[3].Battery != "charger" {
+		t.Errorf("battery not second-innermost: %+v %+v", cells[0], cells[3])
 	}
-	if cells[0].Battery != "none" || cells[6].Battery != "charger" {
-		t.Errorf("battery not outside selection: %+v %+v", cells[0], cells[6])
+	if cells[0].Policy != "FedAvg-Random" || cells[6].Policy != "Battery-Weighted" {
+		t.Errorf("policy not outside battery: %+v %+v", cells[0], cells[6])
 	}
 	seen := map[string]bool{}
 	for _, c := range cells {
@@ -114,18 +115,18 @@ func TestGridBatteryExpansion(t *testing.T) {
 	}
 }
 
-// TestCellOrderingBatteryAxes: the battery axes order after the
-// population axes and before the replicate index.
+// TestCellOrderingBatteryAxes: the battery axis orders after the
+// policy and population axes and before the replicate index.
 func TestCellOrderingBatteryAxes(t *testing.T) {
 	a := Cell{Policy: "p", Battery: "charger", Replicate: 5}
 	b := Cell{Policy: "p", Battery: "none", Replicate: 0}
 	if !a.less(b) || b.less(a) {
 		t.Error("battery must order before replicate")
 	}
-	c := Cell{Policy: "p", Battery: "none", Selection: "battery_weighted"}
-	d := Cell{Policy: "p", Battery: "none", Selection: "random"}
+	c := Cell{Policy: "Battery-Weighted", Battery: "none"}
+	d := Cell{Policy: "FedAvg-Random", Battery: "charger"}
 	if !c.less(d) || d.less(c) {
-		t.Error("selection must order within a battery value")
+		t.Error("policy must order before battery")
 	}
 	e := Cell{Policy: "p", Sample: "64", Battery: "z"}
 	f := Cell{Policy: "p", Sample: "65", Battery: "a"}
@@ -135,12 +136,12 @@ func TestCellOrderingBatteryAxes(t *testing.T) {
 }
 
 // TestSameGroupSeparatesBatteryAxes: replicate groups never mix battery
-// or selection configurations.
+// configurations or battery-aware baselines.
 func TestSameGroupSeparatesBatteryAxes(t *testing.T) {
 	base := Cell{Workload: "w", Policy: "p", Replicate: 0}
 	for _, mut := range []func(*Cell){
 		func(c *Cell) { c.Battery = "none" },
-		func(c *Cell) { c.Selection = "random" },
+		func(c *Cell) { c.Policy = "Battery-Weighted" },
 	} {
 		other := base
 		mut(&other)
@@ -196,10 +197,13 @@ func TestWriteCSVBatteryColumnsGated(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := buf.String()
-	for _, col := range []string{"battery", "selection", "participation_jain_mean", "battery_mean_frac_stddev"} {
+	for _, col := range []string{"battery", "participation_jain_mean", "battery_mean_frac_stddev"} {
 		if !strings.Contains(got, col) {
 			t.Errorf("battery CSV missing %q: %q", col, got)
 		}
+	}
+	if strings.Contains(got, "selection") {
+		t.Errorf("battery CSV carries the retired selection column: %q", got)
 	}
 	// The battery group rides with, not instead of, the mode group when
 	// both are present.
@@ -218,7 +222,6 @@ func TestSummaryBatteryStatsGated(t *testing.T) {
 	plain := Cell{Workload: "w", Setting: "s", Data: "d", Env: "e", Policy: "p"}
 	batt := plain
 	batt.Battery = "none"
-	batt.Selection = "random"
 	st.Add(
 		Result{Cell: plain, Outcome: Outcome{Rounds: 1}},
 		Result{Cell: batt, Outcome: Outcome{Rounds: 1, ParticipationJain: 0.8, BatteryMeanFrac: 0.4}},

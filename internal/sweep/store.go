@@ -98,14 +98,13 @@ type Summary struct {
 	Env      string `json:"env"`
 	Policy   string `json:"policy"`
 	// The extension axes mirror Cell's: empty for groups at the
-	// default (synchronous, explicit-fleet) configuration, so legacy
-	// grids summarize to byte-identical JSON.
-	Mode      string `json:"mode,omitempty"`
-	Alpha     string `json:"alpha,omitempty"`
-	Devices   string `json:"devices,omitempty"`
-	Sample    string `json:"sample,omitempty"`
-	Battery   string `json:"battery,omitempty"`
-	Selection string `json:"selection,omitempty"`
+	// default (synchronous, explicit-fleet, batteryless)
+	// configuration, so legacy grids summarize to byte-identical JSON.
+	Mode    string `json:"mode,omitempty"`
+	Alpha   string `json:"alpha,omitempty"`
+	Devices string `json:"devices,omitempty"`
+	Sample  string `json:"sample,omitempty"`
+	Battery string `json:"battery,omitempty"`
 	// Replicates counts the group's successful runs; Errors the
 	// failed (or panicked) ones.
 	Replicates int `json:"replicates"`
@@ -132,6 +131,26 @@ type Summary struct {
 	BatteryMeanFrac   *Stats `json:"battery_mean_frac,omitempty"`
 }
 
+// axisValues returns the summary's axis fields in axes order.
+func (s *Summary) axisValues() [len(axes)]*string {
+	return [...]*string{
+		&s.Workload, &s.Setting, &s.Data, &s.Env, &s.Policy,
+		&s.Mode, &s.Alpha, &s.Devices, &s.Sample, &s.Battery,
+	}
+}
+
+// tier returns the summary's values on the axes of one extension tier
+// and whether any of them is off its default.
+func (s Summary) tier(t int) (vals []string, on bool) {
+	for i, p := range s.axisValues() {
+		if axes[i].tier == t {
+			vals = append(vals, *p)
+			on = on || *p != ""
+		}
+	}
+	return vals, on
+}
+
 // Summaries aggregates the store's results by replicate group, sorted
 // by cell axes.
 func (s *ResultStore) Summaries() []Summary {
@@ -151,11 +170,10 @@ func (s *ResultStore) Summaries() []Summary {
 // summarize folds one sorted replicate group into a Summary.
 func summarize(group []Result) Summary {
 	c := group[0].Cell
-	sum := Summary{
-		Workload: c.Workload, Setting: c.Setting, Data: c.Data,
-		Env: c.Env, Policy: c.Policy,
-		Mode: c.Mode, Alpha: c.Alpha, Devices: c.Devices, Sample: c.Sample,
-		Battery: c.Battery, Selection: c.Selection,
+	var sum Summary
+	cv := c.axisValues()
+	for i, p := range sum.axisValues() {
+		*p = *cv[i]
 	}
 	var rounds, timeTo, energy, gppw, lppw, acc, stale, jain, batt []float64
 	converged := 0
@@ -215,9 +233,7 @@ func (s *ResultStore) WriteJSON(w io.Writer) error {
 	return enc.Encode(export{Results: s.Results(), Summaries: s.Summaries()})
 }
 
-// csvHeader names the base WriteCSV columns. Summaries on an
-// extension axis add csvHeaderExt; grids that never touch those axes
-// emit the legacy header and rows byte-identically.
+// csvHeader names the base WriteCSV columns.
 var csvHeader = []string{
 	"workload", "setting", "data", "env", "policy",
 	"replicates", "errors", "converged_frac",
@@ -229,52 +245,44 @@ var csvHeader = []string{
 	"final_accuracy_mean", "final_accuracy_stddev",
 }
 
-// csvHeaderExt names the extension columns appended when any summary
-// group sits on a non-default aggregation or population axis.
-var csvHeaderExt = []string{
-	"mode", "alpha", "devices", "sample",
-	"mean_staleness_mean", "mean_staleness_stddev",
-}
-
-// csvHeaderBattery names the battery columns appended — after the
-// aggregation/population group — when any summary sits on a battery or
-// selection axis. A separate group so sweeps that never touch the
-// battery axes (including pre-battery extended sweeps) keep their
-// exact CSV bytes.
-var csvHeaderBattery = []string{
-	"battery", "selection",
-	"participation_jain_mean", "participation_jain_stddev",
-	"battery_mean_frac_mean", "battery_mean_frac_stddev",
-}
-
-// extended reports whether the summary uses any aggregation or
-// population extension axis.
-func (s Summary) extended() bool {
-	return s.Mode != "" || s.Alpha != "" || s.Devices != "" || s.Sample != ""
-}
-
-// batteryExtended reports whether the summary uses a battery axis.
-func (s Summary) batteryExtended() bool {
-	return s.Battery != "" || s.Selection != ""
+// csvTiers are the gated CSV column groups, one per extension tier in
+// tier order: the tier's axis columns, then the statistics it gates. A
+// group is appended only when some summary sits off the default on one
+// of its axes, so sweeps that never touch a tier keep their exact CSV
+// bytes.
+var csvTiers = [...]struct {
+	tier  int
+	stats []string
+	of    func(Summary) []*Stats
+}{
+	{1, []string{"mean_staleness"}, func(s Summary) []*Stats { return []*Stats{s.MeanStaleness} }},
+	{2, []string{"participation_jain", "battery_mean_frac"},
+		func(s Summary) []*Stats { return []*Stats{s.ParticipationJain, s.BatteryMeanFrac} }},
 }
 
 // WriteCSV writes one row per replicate-group summary.
 func (s *ResultStore) WriteCSV(w io.Writer) error {
 	sums := s.Summaries()
-	ext, battExt := false, false
+	var on [len(csvTiers)]bool
 	for _, sum := range sums {
-		ext = ext || sum.extended()
-		battExt = battExt || sum.batteryExtended()
+		for k, ct := range csvTiers {
+			_, set := sum.tier(ct.tier)
+			on[k] = on[k] || set
+		}
 	}
-	header := csvHeader
-	if ext || battExt {
-		header = append([]string(nil), csvHeader...)
-	}
-	if ext {
-		header = append(header, csvHeaderExt...)
-	}
-	if battExt {
-		header = append(header, csvHeaderBattery...)
+	header := append([]string(nil), csvHeader...)
+	for k, ct := range csvTiers {
+		if !on[k] {
+			continue
+		}
+		for _, a := range axes {
+			if a.tier == ct.tier {
+				header = append(header, a.name)
+			}
+		}
+		for _, st := range ct.stats {
+			header = append(header, st+"_mean", st+"_stddev")
+		}
 	}
 	cw := csv.NewWriter(w)
 	if err := cw.Write(header); err != nil {
@@ -292,22 +300,19 @@ func (s *ResultStore) WriteCSV(w io.Writer) error {
 			f(sum.LocalPPW.Mean), f(sum.LocalPPW.Stddev),
 			f(sum.FinalAccuracy.Mean), f(sum.FinalAccuracy.Stddev),
 		}
-		if ext {
-			stMean, stStd := "", ""
-			if sum.MeanStaleness != nil {
-				stMean, stStd = f(sum.MeanStaleness.Mean), f(sum.MeanStaleness.Stddev)
+		for k, ct := range csvTiers {
+			if !on[k] {
+				continue
 			}
-			row = append(row, sum.Mode, sum.Alpha, sum.Devices, sum.Sample, stMean, stStd)
-		}
-		if battExt {
-			jMean, jStd, bMean, bStd := "", "", "", ""
-			if sum.ParticipationJain != nil {
-				jMean, jStd = f(sum.ParticipationJain.Mean), f(sum.ParticipationJain.Stddev)
+			vals, _ := sum.tier(ct.tier)
+			row = append(row, vals...)
+			for _, st := range ct.of(sum) {
+				if st == nil { // gated off for this group: blank cells
+					row = append(row, "", "")
+				} else {
+					row = append(row, f(st.Mean), f(st.Stddev))
+				}
 			}
-			if sum.BatteryMeanFrac != nil {
-				bMean, bStd = f(sum.BatteryMeanFrac.Mean), f(sum.BatteryMeanFrac.Stddev)
-			}
-			row = append(row, sum.Battery, sum.Selection, jMean, jStd, bMean, bStd)
 		}
 		if err := cw.Write(row); err != nil {
 			return err

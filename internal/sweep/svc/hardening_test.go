@@ -443,3 +443,94 @@ func TestMetricsExposeFaultCounters(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitRejectsOversizedSpecs: a grid past the cell limit (ten axes
+// of 100 values, whose product overflows int64), a replicate count past
+// it, and a horizon past the round limit are each refused with 400
+// before anything is queued or executed, and the daemon goes on serving.
+func TestSubmitRejectsOversizedSpecs(t *testing.T) {
+	exec := newExecCounter()
+	s, client := startDaemon(t, Config{Runners: exec.runners})
+
+	hundred := make([]string, 100)
+	wide, err := json.Marshal(JobSpec{Grid: sweep.Grid{
+		Workloads: hundred, Settings: hundred, Data: hundred, Envs: hundred,
+		Policies: hundred, Modes: hundred, Alphas: hundred, Devices: hundred,
+		Samples: hundred, Batteries: hundred,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string]string{
+		"wide grid":  string(wide),
+		"replicates": `{"grid": {"replicates": 1099511627776, "seed": 1}}`,
+		"horizon":    `{"grid": {"seed": 1}, "rounds": 1099511627776}`,
+	} {
+		resp, err := client.http().Post(client.BaseURL+"/v1/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "over the limit") {
+			t.Errorf("%s: status %d %s, want 400 over the limit", name, resp.StatusCode, raw)
+		}
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Fatalf("rejected specs left jobs behind: %+v", jobs)
+	}
+
+	// The limits admit the paper's horizon, and the daemon still serves.
+	g := testGrid(3)
+	st, err := client.Submit(context.Background(), JobSpec{Grid: g, Rounds: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitJob(t, client, st.ID); final.State != StateDone {
+		t.Fatalf("job after rejections = %+v", final)
+	}
+	if n, _ := exec.total(); n != g.Size() {
+		t.Errorf("executed %d cells, want only the %d of the admitted job", n, g.Size())
+	}
+}
+
+// TestResumeRefusesOversizedJournalSpec: a journal holding a spec past
+// the submission limits (left by a daemon without them) fails that job
+// at restart instead of running it, and the next restart does not
+// resume it again.
+func TestResumeRefusesOversizedJournalSpec(t *testing.T) {
+	dir := t.TempDir()
+	line := `{"op":"accepted","id":"job-000004","spec":{"grid":{"replicates":1099511627776,"seed":1}}}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, journalName), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	exec := newExecCounter()
+	s, client := startDaemon(t, Config{Runners: exec.runners, CacheDir: dir})
+	st, err := s.Status("job-000004")
+	if err != nil || st.State != StateFailed || !strings.Contains(st.Error, "over the limit") {
+		t.Fatalf("oversized resumed job = %+v, %v; want failed over the limit", st, err)
+	}
+	if n := s.ResumedJobs(); n != 0 {
+		t.Errorf("ResumedJobs = %d, want 0", n)
+	}
+	g := testGrid(8)
+	next, err := client.Submit(context.Background(), JobSpec{Grid: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.ID != "job-000005" {
+		t.Errorf("next job ID = %s, want job-000005", next.ID)
+	}
+	if final := waitJob(t, client, next.ID); final.State != StateDone {
+		t.Fatalf("job after the refused resume = %+v", final)
+	}
+	if n, _ := exec.total(); n != g.Size() {
+		t.Errorf("executed %d cells, want only the %d of the submitted job", n, g.Size())
+	}
+	s.Close()
+	jl, pending, err := openJournal(dir)
+	if err != nil || len(pending) != 0 {
+		t.Fatalf("journal after restart = %+v, %v; want nothing pending", pending, err)
+	}
+	jl.Close()
+}

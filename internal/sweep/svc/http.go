@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 )
 
@@ -23,8 +24,9 @@ const maxSpecBytes = 1 << 20
 //	GET    /v1/metrics            plain-text counters       → 200
 //
 // Errors are {"error": "..."} JSON with the obvious codes: 400 bad
-// spec, 404 unknown job, 409 result not ready, 429 queue full, 503
-// draining. Result bytes are exactly the engine's WriteJSON/WriteCSV
+// spec (undecodable, past the grid-size or horizon limit, or repeating
+// an axis value), 404 unknown job, 409 result not ready, 429 queue
+// full, 503 draining. Result bytes are exactly the engine's WriteJSON/WriteCSV
 // output — byte-identical to a serial local run of the same grid.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -57,6 +59,8 @@ type apiError struct {
 func writeErr(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	switch {
+	case errors.Is(err, ErrBadSpec):
+		code = http.StatusBadRequest
 	case errors.Is(err, ErrUnknownJob):
 		code = http.StatusNotFound
 	case errors.Is(err, ErrNotFinished):
@@ -69,11 +73,18 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, code, apiError{Error: err.Error()})
 }
 
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec decodes a submitted spec body, refusing unknown fields.
+func decodeSpec(body io.Reader) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("bad spec: %v", err)})
 		return
 	}

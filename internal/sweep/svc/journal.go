@@ -129,6 +129,9 @@ func replayJournal(path string) ([]resumedJob, error) {
 	for _, id := range order {
 		if spec := specs[id]; spec != nil {
 			pending = append(pending, resumedJob{ID: id, Spec: *spec})
+			// An ID accepted again after its terminal record sits in
+			// order twice; it resumes once.
+			delete(specs, id)
 		}
 	}
 	return pending, nil

@@ -20,15 +20,14 @@
 // Jobs move queued → running → done/failed/canceled through a bounded
 // queue and a fixed number of grid slots; Drain stops intake (503),
 // lets running grids finish (or cancels them at the deadline), and
-// persists still-queued specs so a restarted daemon resumes them.
+// leaves still-queued jobs open in the journal so a restarted daemon
+// resumes them under their IDs.
 package svc
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -65,7 +64,37 @@ var (
 	ErrUnknownJob = errors.New("svc: unknown job")
 	// ErrNotFinished guards result fetches of unfinished jobs (409).
 	ErrNotFinished = errors.New("svc: job not finished")
+	// ErrBadSpec rejects a spec past the submission limits or with a
+	// repeated axis value (400).
+	ErrBadSpec = errors.New("svc: bad spec")
 )
+
+// Submission limits. They are constants, not Config fields: they do not
+// tune the daemon, they keep one mistyped or hostile spec from taking it
+// down. A grid's cells are allocated up front, and every cell's run
+// preallocates its per-round trace at the full horizon, so an unbounded
+// spec is an out-of-memory crash no later check can recover from. Both
+// leave wide room over what the paper needs: its full grid is 1,536
+// cells and its horizon 1,000 rounds.
+const (
+	maxJobCells  = 100_000
+	maxJobRounds = 10_000
+)
+
+// validateSpec checks a spec against the submission limits and the
+// grid against repeated axis values.
+func validateSpec(spec JobSpec) error {
+	if n := spec.Grid.Size(); n > maxJobCells {
+		return fmt.Errorf("%w: grid expands to %d cells, over the limit of %d", ErrBadSpec, n, maxJobCells)
+	}
+	if spec.Rounds > maxJobRounds {
+		return fmt.Errorf("%w: horizon of %d rounds, over the limit of %d", ErrBadSpec, spec.Rounds, maxJobRounds)
+	}
+	if err := spec.Grid.Validate(); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadSpec, err)
+	}
+	return nil
+}
 
 // JobSpec is one submitted sweep: the grid, the round horizon (0
 // selects the paper's default), and an optional client label.
@@ -192,9 +221,6 @@ type Config struct {
 	RequeueBackoff time.Duration
 }
 
-// queuedSpecsName is the drain-persistence file under CacheDir.
-const queuedSpecsName = "queued-jobs.json"
-
 // Service is the control plane: submit/status/result/cancel over a
 // bounded queue of jobs and a fixed number of concurrent grid slots.
 // Create with New, expose with Handler, stop with Drain (graceful)
@@ -234,9 +260,9 @@ func (s *Service) Quarantined() int { return int(s.quarantined.Load()) }
 func (s *Service) FailedCells() int { return int(s.failedCells.Load()) }
 
 // New starts a service: MaxConcurrent grid-runner goroutines over a
-// QueueLimit-bounded queue. Job specs a previous daemon persisted on
-// drain (under CacheDir) are re-submitted immediately, ahead of any
-// new intake.
+// QueueLimit-bounded queue. Jobs a previous daemon accepted but never
+// finished (drained, or cut off by a crash) are re-submitted from the
+// journal under CacheDir immediately, ahead of any new intake.
 func New(cfg Config) (*Service, error) {
 	if cfg.Runners == nil {
 		return nil, errors.New("svc: Config.Runners is required")
@@ -247,15 +273,9 @@ func New(cfg Config) (*Service, error) {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 1
 	}
-	drained, err := loadQueuedSpecs(cfg.CacheDir)
-	if err != nil {
-		return nil, err
-	}
 	// The journal holds jobs the previous daemon accepted but never
-	// finished — including one it was killed mid-grid on. Drained
-	// queued jobs live in the legacy queued-jobs file instead (Drain
-	// writes them a terminal record), so the two sources never overlap.
-	jl, crashed, err := openJournal(cfg.CacheDir)
+	// finished: the ones it drained, and any it was killed mid-grid on.
+	jl, pending, err := openJournal(cfg.CacheDir)
 	if err != nil {
 		return nil, err
 	}
@@ -266,23 +286,29 @@ func New(cfg Config) (*Service, error) {
 		cancel:  cancel,
 		jobs:    make(map[string]*job),
 		journal: jl,
-		resumed: len(crashed),
 		// Resumed specs ride ahead of the bound so a full persisted
 		// queue never fails the restart that is trying to honor it.
-		queue: make(chan *job, cfg.QueueLimit+len(crashed)+len(drained)),
+		queue: make(chan *job, cfg.QueueLimit+len(pending)),
 	}
 	s.mu.Lock()
-	// Crash-recovered jobs keep their original IDs: a client that
-	// submitted before the crash polls the same ID across the restart
-	// and gets its answer. Re-execution is cheap, not wasteful — every
-	// cell the cache committed before the crash is served as a hit, so
-	// the resumed run executes only the genuinely unfinished cells and
-	// its output is byte-identical to an uninterrupted run.
-	for _, r := range crashed {
-		s.queue <- s.resumeJobLocked(r.ID, r.Spec)
-	}
-	for _, spec := range drained {
-		s.queue <- s.newJobLocked(spec)
+	// Resumed jobs keep their original IDs: a client that submitted
+	// before the restart polls the same ID across it and gets its
+	// answer. Re-execution is cheap, not wasteful — every cell the
+	// cache committed before a crash is served as a hit, so the resumed
+	// run executes only the genuinely unfinished cells and its output
+	// is byte-identical to an uninterrupted run.
+	for _, r := range pending {
+		j := s.resumeJobLocked(r.ID, r.Spec)
+		// A journal from a daemon without the submission limits, or a
+		// damaged one, can hold a spec Submit would refuse; run, it
+		// would crash every restart that resumes it.
+		if err := validateSpec(r.Spec); err != nil {
+			j.state, j.err, j.finished = StateFailed, err.Error(), time.Now()
+			s.journal.terminal(j.id, StateFailed)
+			continue
+		}
+		s.queue <- j
+		s.resumed++
 	}
 	s.mu.Unlock()
 	for i := 0; i < cfg.MaxConcurrent; i++ {
@@ -353,9 +379,13 @@ func normalizeRounds(r int) int {
 }
 
 // Submit enqueues a sweep, returning its queued status. It fails fast
-// with ErrDraining during shutdown and ErrQueueFull past the bound —
-// backpressure, not buffering, is the contract.
+// with ErrBadSpec on a spec validateSpec refuses, ErrDraining during
+// shutdown and ErrQueueFull past the bound — backpressure, not
+// buffering, is the contract.
 func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
+	if err := validateSpec(spec); err != nil {
+		return JobStatus{}, err
+	}
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -570,10 +600,11 @@ func (s *Service) finishJob(j *job, store *sweep.ResultStore, counts map[string]
 }
 
 // Drain shuts the service down gracefully: intake stops (Submit
-// returns ErrDraining, the HTTP layer 503), still-queued specs are
-// persisted under CacheDir for the next daemon to resume, and running
-// grids are given until ctx's deadline to finish before being
-// canceled. Drain returns once every grid slot has stopped.
+// returns ErrDraining, the HTTP layer 503), still-queued jobs are left
+// without a terminal journal record so the next daemon over the same
+// CacheDir resumes them under their IDs, and running grids are given
+// until ctx's deadline to finish before being canceled. Drain returns
+// once every grid slot has stopped.
 func (s *Service) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -581,10 +612,10 @@ func (s *Service) Drain(ctx context.Context) error {
 		return nil
 	}
 	s.draining = true
-	// Pull every not-yet-running job off the queue: those specs are
-	// persisted, not executed — a drain should end promptly even with
-	// a deep queue. Still under s.mu, so no Submit can send between
-	// the drain and the close.
+	// Pull every not-yet-running job off the queue: those jobs are
+	// resumed by the next daemon, not executed — a drain should end
+	// promptly even with a deep queue. Still under s.mu, so no Submit
+	// can send between the drain and the close.
 	var queued []*job
 drain:
 	for {
@@ -598,21 +629,17 @@ drain:
 	close(s.queue)
 	s.mu.Unlock()
 
-	var specs []JobSpec
 	for _, j := range queued {
 		j.mu.Lock()
 		if j.state == StateQueued {
-			specs = append(specs, j.spec)
+			// Canceled here, but not in the journal: the restart
+			// resumes it.
 			j.state = StateCanceled
-			j.err = "drained: spec persisted for restart"
+			j.err = "drained: resumes on restart"
 			j.finished = time.Now()
-			// Terminal in the journal, alive in the legacy drain file:
-			// the restart resumes drained specs from exactly one place.
-			s.journal.terminal(j.id, StateCanceled)
 		}
 		j.mu.Unlock()
 	}
-	err := persistQueuedSpecs(s.cfg.CacheDir, specs)
 
 	stopped := make(chan struct{})
 	go func() {
@@ -629,65 +656,14 @@ drain:
 	}
 	s.cancel()
 	s.journal.Close()
-	return err
+	return nil
 }
 
 // Close stops the service immediately: running grids are canceled and
-// nothing is persisted beyond what Drain already wrote. Idempotent.
+// queued jobs are left to the next daemon, as by Drain. Idempotent.
 func (s *Service) Close() error {
 	s.cancel()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	return s.Drain(ctx)
-}
-
-// persistQueuedSpecs writes drained job specs for the next daemon; no
-// specs (or no cache dir to write under) removes any stale file.
-func persistQueuedSpecs(cacheDir string, specs []JobSpec) error {
-	if cacheDir == "" {
-		return nil
-	}
-	path := filepath.Join(cacheDir, queuedSpecsName)
-	if len(specs) == 0 {
-		err := os.Remove(path)
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
-		return err
-	}
-	if err := os.MkdirAll(cacheDir, 0o755); err != nil {
-		return err
-	}
-	raw, err := json.MarshalIndent(specs, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// loadQueuedSpecs reads and removes the drain-persistence file.
-func loadQueuedSpecs(cacheDir string) ([]JobSpec, error) {
-	if cacheDir == "" {
-		return nil, nil
-	}
-	path := filepath.Join(cacheDir, queuedSpecsName)
-	raw, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("svc: reading persisted queue: %w", err)
-	}
-	var specs []JobSpec
-	if err := json.Unmarshal(raw, &specs); err != nil {
-		return nil, fmt.Errorf("svc: corrupt persisted queue %s: %w", path, err)
-	}
-	if err := os.Remove(path); err != nil {
-		return nil, err
-	}
-	return specs, nil
 }

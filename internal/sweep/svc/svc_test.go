@@ -467,10 +467,10 @@ func TestQueueBackpressureAndCancel(t *testing.T) {
 	_ = s
 }
 
-// TestDrainPersistsQueueAndResumes is the graceful-shutdown satellite:
+// TestDrainPersistsQueueAndResumes is the graceful-shutdown contract:
 // drain refuses new submissions with 503, cancels the running grid at
-// the deadline, persists the queued spec, and a fresh service over the
-// same cache dir resumes it.
+// the deadline, leaves the queued job open in the journal, and a fresh
+// service over the same cache dir resumes it under its original ID.
 func TestDrainPersistsQueueAndResumes(t *testing.T) {
 	cacheDir := t.TempDir()
 	gate := make(chan struct{})
@@ -485,6 +485,16 @@ func TestDrainPersistsQueueAndResumes(t *testing.T) {
 	queued, err := client.Submit(context.Background(), JobSpec{Grid: resumable, Name: "resume-me"})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Drain only once the slow job holds the grid slot; drained sooner,
+	// it would still be queued and resume too.
+	for wait := time.Now(); ; time.Sleep(time.Millisecond) {
+		if st, _ := s.Status(running.ID); st.State == StateRunning {
+			break
+		}
+		if time.Since(wait) > 10*time.Second {
+			t.Fatal("slow job never started")
+		}
 	}
 
 	drainCtx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
@@ -510,25 +520,24 @@ func TestDrainPersistsQueueAndResumes(t *testing.T) {
 	}
 
 	// The running job was canceled at the deadline; the queued one was
-	// persisted, not run.
+	// left for the next daemon, not run.
 	if st, _ := s.Status(running.ID); st.State != StateCanceled {
 		t.Errorf("running job after drain = %+v", st)
 	}
-	if st, _ := s.Status(queued.ID); st.State != StateCanceled || !strings.Contains(st.Error, "persisted") {
+	if st, _ := s.Status(queued.ID); st.State != StateCanceled || !strings.Contains(st.Error, "resumes on restart") {
 		t.Errorf("queued job after drain = %+v", st)
 	}
-	if _, err := os.Stat(filepath.Join(cacheDir, queuedSpecsName)); err != nil {
-		t.Fatalf("persisted queue file: %v", err)
+	// The journal is the only persistence: no drain file is written.
+	if _, err := os.Stat(filepath.Join(cacheDir, "queued-jobs.json")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("drain wrote a queue file: %v", err)
 	}
 
-	// A fresh daemon over the same cache dir resumes the spec.
+	// A fresh daemon over the same cache dir resumes the job under its
+	// original ID.
 	s2, client2 := startDaemon(t, Config{Runners: fakeRunners, CacheDir: cacheDir})
-	if _, err := os.Stat(filepath.Join(cacheDir, queuedSpecsName)); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("persisted queue file not consumed: %v", err)
-	}
 	jobs := s2.Jobs()
-	if len(jobs) != 1 || jobs[0].Name != "resume-me" {
-		t.Fatalf("resumed jobs = %+v", jobs)
+	if len(jobs) != 1 || jobs[0].ID != queued.ID || jobs[0].Name != "resume-me" {
+		t.Fatalf("resumed jobs = %+v, want %s only", jobs, queued.ID)
 	}
 	final := waitJob(t, client2, jobs[0].ID)
 	if final.State != StateDone {

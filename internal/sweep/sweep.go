@@ -26,14 +26,43 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
+	"strings"
 
 	"autofl/internal/rng"
 )
 
+// axis is one dimension of a Grid. Its name is its JSON key on Cell
+// and Summary, its CSV column, and — for an extension axis — the tag of
+// its identity segment. tier groups the extension axes into the CSV's
+// gated column groups: 0 for the base axes, 1 for aggregation and
+// population, 2 for battery.
+type axis struct {
+	name string
+	tier int
+}
+
+// axes is the one ordered list of grid axes, in expansion order
+// (slowest first), sort order and identity order: the five base axes,
+// then the tagged extension axes. An extension axis at its default
+// (empty) value contributes no identity bytes, so every cell
+// expressible before an axis existed keeps its seed and cache digest.
+// New axes append; tags never move, never prefix one another, and a
+// retired tag ("selection") is never reused.
+var axes = [...]axis{
+	{"workload", 0}, {"setting", 0}, {"data", 0}, {"env", 0}, {"policy", 0},
+	{"mode", 1}, {"alpha", 1}, {"devices", 1}, {"sample", 1},
+	{"battery", 2},
+}
+
+// baseAxes counts the untagged base axes at the head of axes.
+const baseAxes = 5
+
 // Cell is one point of an expanded Grid: a concrete scenario plus a
 // replicate index. Axis values are the public string names of the root
 // autofl package (empty string selects that axis's default scenario
-// value).
+// value); Policy also takes the battery-aware baselines
+// (Battery-Weighted, All-Available).
 type Cell struct {
 	Workload string `json:"workload"`
 	Setting  string `json:"setting"`
@@ -43,35 +72,24 @@ type Cell struct {
 	// Mode and Alpha select the aggregation regime ("sync", "async",
 	// "semi-async") and the staleness-weighting exponent. Devices and
 	// Sample scale the scenario to a synthetic population fleet of that
-	// many devices with per-round cohorts of Sample. All four are
-	// extension axes: empty means the scenario default (synchronous
-	// aggregation, explicit fleet), and an empty value contributes no
-	// bytes to the cell identity, so pre-extension grids keep their
-	// seeds and cache digests.
-	Mode    string `json:"mode,omitempty"`
-	Alpha   string `json:"alpha,omitempty"`
-	Devices string `json:"devices,omitempty"`
-	Sample  string `json:"sample,omitempty"`
-	// Battery and Selection span the battery subsystem: Battery names a
+	// many devices with per-round cohorts of Sample. Battery names a
 	// harvesting preset ("none", "charger", "solar-diurnal") that
-	// attaches the battery model, and Selection names a battery-aware
-	// selection baseline ("random", "battery_weighted",
-	// "all_available") that replaces the Policy axis for the cell (the
-	// two are mutually exclusive). Both are extension axes like
-	// Mode/Alpha: empty contributes no identity bytes.
+	// attaches the battery model. All five are extension axes: empty
+	// means the scenario default (synchronous aggregation, explicit
+	// fleet, no battery).
+	Mode      string `json:"mode,omitempty"`
+	Alpha     string `json:"alpha,omitempty"`
+	Devices   string `json:"devices,omitempty"`
+	Sample    string `json:"sample,omitempty"`
 	Battery   string `json:"battery,omitempty"`
-	Selection string `json:"selection,omitempty"`
 	Replicate int    `json:"replicate"`
 }
 
-// extensions lists the tagged extension axes in their fixed encoding
-// order. The tag names are distinct and fixed forever: identity
-// encoding relies on them. New axes append — earlier tags never move.
-func (c Cell) extensions() [6]struct{ Tag, Val string } {
-	return [6]struct{ Tag, Val string }{
-		{"mode", c.Mode}, {"alpha", c.Alpha},
-		{"devices", c.Devices}, {"sample", c.Sample},
-		{"battery", c.Battery}, {"selection", c.Selection},
+// axisValues returns the cell's axis fields in axes order.
+func (c *Cell) axisValues() [len(axes)]*string {
+	return [...]*string{
+		&c.Workload, &c.Setting, &c.Data, &c.Env, &c.Policy,
+		&c.Mode, &c.Alpha, &c.Devices, &c.Sample, &c.Battery,
 	}
 }
 
@@ -79,87 +97,65 @@ func (c Cell) extensions() [6]struct{ Tag, Val string } {
 // injective field encoding of CellSeed instead, so axis values that
 // happen to contain the separators cannot collide.
 func (c Cell) Key() string {
-	k := fmt.Sprintf("%s/%s/%s/%s/%s#%d",
-		c.Workload, c.Setting, c.Data, c.Env, c.Policy, c.Replicate)
-	for _, e := range c.extensions() {
-		if e.Val != "" {
-			k += "/" + e.Tag + "=" + e.Val
+	v := c.axisValues()
+	var b strings.Builder
+	for i, p := range v[:baseAxes] {
+		if i > 0 {
+			b.WriteByte('/')
+		}
+		b.WriteString(*p)
+	}
+	fmt.Fprintf(&b, "#%d", c.Replicate)
+	for i, p := range v[baseAxes:] {
+		if *p != "" {
+			b.WriteString("/" + axes[baseAxes+i].name + "=" + *p)
 		}
 	}
-	return k
+	return b.String()
 }
 
 // WriteIdentity writes the cell's injective identity encoding: each
-// axis value length-prefixed, then the replicate index, then a tagged
-// length-prefixed segment per non-empty extension axis. No two
+// base axis value length-prefixed, then the replicate index, then a
+// tagged length-prefixed segment per non-empty extension axis. No two
 // distinct cells produce the same bytes whatever characters their
 // axis values contain. It is the single source of truth for every
-// cell-identity hash — CellSeed here and the cache's CellDigest — so
-// a new axis field only ever needs encoding in one place.
-//
-// The encoding is append-only: extension axes at their default (empty)
-// value contribute no bytes, so every cell expressible before an axis
-// existed keeps its exact identity — and therefore its seed, its cache
-// digest, and its results — after the axis is added. Injectivity
-// holds because the tags are distinct, ordered, and never a prefix of
-// one another, and each value is length-prefixed.
+// cell-identity hash — CellSeed here and the cache's CellDigest.
+// Injectivity holds because the tags are distinct, ordered, and never
+// a prefix of one another, and each value is length-prefixed.
 func (c Cell) WriteIdentity(w io.Writer) {
-	for _, f := range []string{c.Workload, c.Setting, c.Data, c.Env, c.Policy} {
-		fmt.Fprintf(w, "%d:%s|", len(f), f)
+	v := c.axisValues()
+	for _, p := range v[:baseAxes] {
+		fmt.Fprintf(w, "%d:%s|", len(*p), *p)
 	}
 	fmt.Fprintf(w, "#%d", c.Replicate)
-	for _, e := range c.extensions() {
-		if e.Val != "" {
-			fmt.Fprintf(w, "|%s=%d:%s", e.Tag, len(e.Val), e.Val)
+	for i, p := range v[baseAxes:] {
+		if *p != "" {
+			fmt.Fprintf(w, "|%s=%d:%s", axes[baseAxes+i].name, len(*p), *p)
 		}
 	}
+}
+
+// compareAxes orders two cells by their axis values alone, in axes
+// order.
+func compareAxes(a, b Cell) int {
+	va, vb := a.axisValues(), b.axisValues()
+	for i := range va {
+		if d := strings.Compare(*va[i], *vb[i]); d != 0 {
+			return d
+		}
+	}
+	return 0
 }
 
 // sameGroup reports whether two cells are replicates of the same
 // scenario. Summaries aggregate over it.
-func sameGroup(a, b Cell) bool {
-	return a.Workload == b.Workload && a.Setting == b.Setting &&
-		a.Data == b.Data && a.Env == b.Env && a.Policy == b.Policy &&
-		a.Mode == b.Mode && a.Alpha == b.Alpha &&
-		a.Devices == b.Devices && a.Sample == b.Sample &&
-		a.Battery == b.Battery && a.Selection == b.Selection
-}
+func sameGroup(a, b Cell) bool { return compareAxes(a, b) == 0 }
 
 // less orders cells by axis values with the replicate compared
 // numerically, so sorted output is stable for any replicate count.
 func (c Cell) less(o Cell) bool {
-	if c.Workload != o.Workload {
-		return c.Workload < o.Workload
-	}
-	if c.Setting != o.Setting {
-		return c.Setting < o.Setting
-	}
-	if c.Data != o.Data {
-		return c.Data < o.Data
-	}
-	if c.Env != o.Env {
-		return c.Env < o.Env
-	}
-	if c.Policy != o.Policy {
-		return c.Policy < o.Policy
-	}
-	if c.Mode != o.Mode {
-		return c.Mode < o.Mode
-	}
-	if c.Alpha != o.Alpha {
-		return c.Alpha < o.Alpha
-	}
-	if c.Devices != o.Devices {
-		return c.Devices < o.Devices
-	}
-	if c.Sample != o.Sample {
-		return c.Sample < o.Sample
-	}
-	if c.Battery != o.Battery {
-		return c.Battery < o.Battery
-	}
-	if c.Selection != o.Selection {
-		return c.Selection < o.Selection
+	if d := compareAxes(c, o); d != 0 {
+		return d < 0
 	}
 	return c.Replicate < o.Replicate
 }
@@ -172,33 +168,37 @@ type Grid struct {
 	Settings  []string `json:"settings,omitempty"`
 	Data      []string `json:"data,omitempty"`
 	Envs      []string `json:"envs,omitempty"`
-	Policies  []string `json:"policies,omitempty"`
+	// Policies spans the paper's policies and the battery-aware
+	// baselines alike.
+	Policies []string `json:"policies,omitempty"`
 	// Modes and Alphas span aggregation regimes and staleness
 	// exponents; Devices and Samples span population sizes and
-	// per-round cohort sizes. Empty axes contribute the single default
-	// value (synchronous aggregation, the scenario's explicit fleet)
-	// and leave cell identities unchanged.
-	Modes   []string `json:"modes,omitempty"`
-	Alphas  []string `json:"alphas,omitempty"`
-	Devices []string `json:"devices,omitempty"`
-	Samples []string `json:"samples,omitempty"`
-	// Batteries and Selections span battery presets and battery-aware
-	// selection baselines (see Cell.Battery/Cell.Selection). Empty axes
-	// contribute the single default value (no battery model, the Policy
-	// axis's selection) and leave cell identities unchanged.
+	// per-round cohort sizes; Batteries spans battery presets. Empty
+	// axes contribute the single default value and leave cell
+	// identities unchanged.
+	Modes      []string `json:"modes,omitempty"`
+	Alphas     []string `json:"alphas,omitempty"`
+	Devices    []string `json:"devices,omitempty"`
+	Samples    []string `json:"samples,omitempty"`
 	Batteries  []string `json:"batteries,omitempty"`
-	Selections []string `json:"selections,omitempty"`
 	Replicates int      `json:"replicates,omitempty"`
 	// Seed is the grid master seed every cell seed derives from.
 	Seed uint64 `json:"seed"`
 }
 
-// axisOrDefault substitutes the single-default axis for an empty set.
-func axisOrDefault(vals []string) []string {
-	if len(vals) == 0 {
-		return []string{""}
+// axisSets returns the grid's axis value sets in axes order, an empty
+// set replaced by the single default value.
+func (g Grid) axisSets() [len(axes)][]string {
+	sets := [...][]string{
+		g.Workloads, g.Settings, g.Data, g.Envs, g.Policies,
+		g.Modes, g.Alphas, g.Devices, g.Samples, g.Batteries,
 	}
-	return vals
+	for i, vals := range sets {
+		if len(vals) == 0 {
+			sets[i] = []string{""}
+		}
+	}
+	return sets
 }
 
 // replicates returns the effective replicate count (at least 1).
@@ -209,60 +209,61 @@ func (g Grid) replicates() int {
 	return g.Replicates
 }
 
-// Size is the number of cells the grid expands to.
-func (g Grid) Size() int {
-	n := len(axisOrDefault(g.Workloads)) *
-		len(axisOrDefault(g.Settings)) *
-		len(axisOrDefault(g.Data)) *
-		len(axisOrDefault(g.Envs)) *
-		len(axisOrDefault(g.Policies)) *
-		len(axisOrDefault(g.Modes)) *
-		len(axisOrDefault(g.Alphas)) *
-		len(axisOrDefault(g.Devices)) *
-		len(axisOrDefault(g.Samples)) *
-		len(axisOrDefault(g.Batteries)) *
-		len(axisOrDefault(g.Selections))
-	return n * g.replicates()
-}
-
-// Cells expands the grid in deterministic order: workloads, settings,
-// data, environments, policies, modes, alphas, devices, samples,
-// batteries, selections, replicates — the slowest axis first.
-func (g Grid) Cells() []Cell {
-	out := make([]Cell, 0, g.Size())
-	for _, w := range axisOrDefault(g.Workloads) {
-		for _, s := range axisOrDefault(g.Settings) {
-			for _, d := range axisOrDefault(g.Data) {
-				for _, e := range axisOrDefault(g.Envs) {
-					for _, p := range axisOrDefault(g.Policies) {
-						for _, m := range axisOrDefault(g.Modes) {
-							for _, a := range axisOrDefault(g.Alphas) {
-								for _, dv := range axisOrDefault(g.Devices) {
-									for _, sm := range axisOrDefault(g.Samples) {
-										for _, bt := range axisOrDefault(g.Batteries) {
-											for _, sl := range axisOrDefault(g.Selections) {
-												for r := 0; r < g.replicates(); r++ {
-													out = append(out, Cell{
-														Workload: w, Setting: s, Data: d,
-														Env: e, Policy: p,
-														Mode: m, Alpha: a,
-														Devices: dv, Sample: sm,
-														Battery: bt, Selection: sl,
-														Replicate: r,
-													})
-												}
-											}
-										}
-									}
-								}
-							}
-						}
-					}
-				}
+// Validate reports an axis that lists a value twice. Such a grid
+// expands to repeated cells — one identity, one seed — that would read
+// as extra replicates of a single run.
+func (g Grid) Validate() error {
+	for i, vals := range g.axisSets() {
+		seen := make(map[string]bool, len(vals))
+		for _, v := range vals {
+			if seen[v] {
+				return fmt.Errorf("sweep: %s %q listed twice", axes[i].name, v)
 			}
+			seen[v] = true
 		}
 	}
-	return out
+	return nil
+}
+
+// Size is the number of cells the grid expands to. It saturates at
+// math.MaxInt instead of wrapping, so a hostile grid reads as too big,
+// never as small.
+func (g Grid) Size() int {
+	n := g.replicates()
+	for _, vals := range g.axisSets() {
+		if n > math.MaxInt/len(vals) {
+			return math.MaxInt
+		}
+		n *= len(vals)
+	}
+	return n
+}
+
+// Cells expands the grid in deterministic order: the axes in axes
+// order, the slowest first, then the replicates.
+func (g Grid) Cells() []Cell {
+	sets := g.axisSets()
+	out := make([]Cell, 0, g.Size())
+	var digit [len(axes)]int // the odometer: one index per axis
+	for {
+		var c Cell
+		for i, p := range c.axisValues() {
+			*p = sets[i][digit[i]]
+		}
+		for c.Replicate = 0; c.Replicate < g.replicates(); c.Replicate++ {
+			out = append(out, c)
+		}
+		i := len(digit) - 1
+		for ; i >= 0; i-- {
+			if digit[i]++; digit[i] < len(sets[i]) {
+				break
+			}
+			digit[i] = 0
+		}
+		if i < 0 {
+			return out
+		}
+	}
 }
 
 // CellSeed derives the cell's seed from the grid seed and the cell's

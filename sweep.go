@@ -86,20 +86,7 @@ func sweepCell(ctx context.Context, c sweep.Cell, seed uint64, maxRounds int, tr
 	if c.Battery != "" {
 		s.Battery = DefaultBattery(BatteryProfile(c.Battery))
 	}
-	pol := Policy(c.Policy)
-	if c.Selection != "" {
-		// The selection axis replaces the policy axis for the cell: a
-		// cell naming both is ambiguous about which picks participants.
-		if c.Policy != "" {
-			return sweep.Outcome{}, fmt.Errorf(
-				"autofl: cell selection %q conflicts with policy %q: the axes are mutually exclusive", c.Selection, c.Policy)
-		}
-		var err error
-		if pol, err = SelectionPolicy(c.Selection); err != nil {
-			return sweep.Outcome{}, err
-		}
-	}
-	sess, err := Open(s, pol)
+	sess, err := Open(s, Policy(c.Policy))
 	if err != nil {
 		return sweep.Outcome{}, err
 	}
