@@ -286,8 +286,9 @@ func benchSweepGrid(seed uint64) sweep.Grid {
 }
 
 // benchSweepRunner executes sweep cells at the reduced bench scale
-// (the full-scale runner lives in the root package's SweepRunner).
-func benchSweepRunner() sweep.Runner {
+// (the full-scale runner lives in the root package's SweepRunner);
+// traced attaches the run's trace payload, which the cache needs.
+func benchSweepRunner(traced bool) sweep.Runner {
 	return func(ctx context.Context, c sweep.Cell, seed uint64) (sweep.Outcome, error) {
 		cfg := benchConfig(seed)
 		switch c.Env {
@@ -311,14 +312,19 @@ func benchSweepRunner() sweep.Runner {
 		default:
 			return sweep.Outcome{}, fmt.Errorf("unknown policy %q", c.Policy)
 		}
-		return sweep.OutcomeOf(sim.New(cfg).Run(p)), nil
+		res := sim.New(cfg).Run(p)
+		out := sweep.OutcomeOf(res)
+		if traced {
+			out.Trace = sweep.NewRunTrace(res)
+		}
+		return out, nil
 	}
 }
 
 func benchSweep(b *testing.B, parallel int) {
 	b.Helper()
 	b.ReportAllocs()
-	run := benchSweepRunner()
+	run := benchSweepRunner(false)
 	for i := 0; i < b.N; i++ {
 		g := benchSweepGrid(uint64(i + 1))
 		store, err := sweep.Run(context.Background(), g, run, sweep.Options{Parallel: parallel})
@@ -359,7 +365,7 @@ func BenchmarkSweepWarmCache(b *testing.B) {
 	g := benchSweepGrid(1)
 	sig := cache.Signature{GridSeed: g.Seed, Rounds: 60}
 	dir := b.TempDir()
-	run := benchSweepRunner()
+	run := benchSweepRunner(true) // the cache stores only traced runs
 
 	warm, err := cache.Open(dir, sig)
 	if err != nil {

@@ -154,9 +154,19 @@ func main() {
 			modes++
 		}
 	}
-	if modes > 1 || (modes == 1 && *server == "" && *workers != "") {
+	if modes > 1 || (modes == 1 && *workers != "") {
 		fatalf("-worker, -register, and -server are mutually exclusive (and none mixes with -workers)")
 	}
+	// A flag that tunes a mode the run is not in would be silently
+	// ignored; refuse it instead.
+	flag.Visit(func(f *flag.Flag) {
+		switch {
+		case (f.Name == "cell-timeout" || f.Name == "retry-budget") && *workers == "":
+			fatalf("-%s applies only with -workers", f.Name)
+		case f.Name == "name" && *register == "":
+			fatalf("-name applies only with -register")
+		}
+	})
 	if *worker != "" {
 		runWorker(*worker, *parallel)
 		return

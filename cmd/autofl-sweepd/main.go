@@ -113,7 +113,7 @@ func main() {
 		fatalf("%v", err)
 	}
 	if n := service.ResumedJobs(); n > 0 {
-		fmt.Fprintf(os.Stderr, "autofl-sweepd: journal: resumed %d jobs the previous daemon left unfinished\n", n)
+		fmt.Fprintf(os.Stderr, "autofl-sweepd: journal: recovered %d jobs the previous daemon left unfinished\n", n)
 	}
 
 	ln, err := net.Listen("tcp", *listen)

@@ -9,8 +9,9 @@
 // shares those — a rerun of a finished grid executes nothing, and
 // extending an axis by one value executes only the new cells. The
 // round horizon is deliberately NOT part of the digest: each entry
-// records the horizon it ran under plus an optional per-round trace
-// payload (sweep.RunTrace), and a request at a different horizon is
+// records its run's per-round trace payload (sweep.RunTrace), which
+// witnesses the horizon it ran under, and a request at a different
+// horizon is
 // answered by replaying the trace's prefix — a cell cached at 1000
 // rounds serves a 200-round request byte-identically to a cold
 // 200-round run, because per-cell seeds and every round's draws are
@@ -100,18 +101,17 @@ type manifest struct {
 
 // Entry is one cached cell: its digest, the horizon it ran under, the
 // result it produced, the wall-clock the execution took (the
-// scheduler's calibration signal), and the optional per-round trace
-// that lets the entry serve shorter horizons.
+// scheduler's calibration signal), and the per-round trace that lets
+// the entry serve shorter horizons. Every entry carries a valid trace:
+// Put refuses a result without one, and load skips such lines.
 type Entry struct {
 	Digest string `json:"digest"`
-	// Rounds is the horizon the entry answers exactly. For traced
-	// entries it is the trace length — the rounds the run actually
-	// executed, first-hand evidence that stays honest even if a
-	// caller opens the cache at one horizon and bounds the runner at
-	// another. (A converged run's trace ends at its convergence
-	// round; serveAt's convergence rule covers every longer horizon.)
-	// Untraced entries have no such witness and record the signature
-	// horizon they were stored under.
+	// Rounds is the horizon the entry answers exactly: the trace
+	// length — the rounds the run actually executed, first-hand
+	// evidence that stays honest even if a caller opens the cache at
+	// one horizon and bounds the runner at another. (A converged run's
+	// trace ends at its convergence round; serveAt's convergence rule
+	// covers every longer horizon.)
 	Rounds      int             `json:"rounds"`
 	Result      sweep.Result    `json:"result"`
 	WallSeconds float64         `json:"wall_seconds"`
@@ -141,78 +141,28 @@ func (e *Entry) serveAt(h int) (out sweep.Outcome, replayed, ok bool) {
 }
 
 // dominates reports whether entry a can serve every horizon entry b
-// can (see serveAt). The servable sets, by entry shape:
-//
-//	converged + traced:    every horizon (replay below the convergence
-//	                       round, converged rule at or above it)
-//	converged, untraced:   every horizon ≥ the convergence round
-//	unconverged + traced:  every horizon ≤ the witnessed rounds
-//	unconverged, untraced: exactly the recorded horizon
+// can (see serveAt). A converged entry serves every horizon (replay
+// below the convergence round, the converged rule at or above it); an
+// unconverged one serves every horizon up to its witnessed rounds.
 func dominates(a, b Entry) bool {
-	aConv, bConv := a.Result.Outcome.Converged, b.Result.Outcome.Converged
-	aTraced, bTraced := a.Trace.Valid(), b.Trace.Valid()
-	switch {
-	case aConv && aTraced:
+	if a.Result.Outcome.Converged {
 		return true
-	case aConv:
-		// a serves h ≥ its convergence round.
-		switch {
-		case bConv && bTraced:
-			return false
-		case bConv:
-			return a.Result.Outcome.Rounds <= b.Result.Outcome.Rounds
-		case bTraced:
-			return false
-		default:
-			return a.Result.Outcome.Rounds <= b.Rounds
-		}
-	case aTraced:
-		// a serves h ≤ its witnessed rounds.
-		return !bConv && b.Rounds <= a.Rounds
-	default:
-		// a serves only its recorded horizon.
-		return !bConv && !bTraced && a.Rounds == b.Rounds
 	}
+	return !b.Result.Outcome.Converged && b.Rounds <= a.Rounds
 }
 
-// prefer resolves two entries sharing a digest: an entry that can
-// serve every horizon the other can wins outright. For incomparable
-// pairs (neither range contains the other — only possible when
-// traced and untraced runs were mixed in one directory) the longer
-// horizon wins — it preserves the costlier recording, e.g. an
-// untraced 1000-round entry survives a traced 200-round re-execution
-// so 1000-round queries keep hitting — then traced, then converged,
-// then the later write. A deterministic runner never produces
-// genuinely conflicting duplicates; this just picks the dominant
-// entry among redundant ones.
+// prefer resolves two entries sharing a digest: the new entry wins
+// when it serves every horizon the old one can. Every pair is
+// comparable — of two unconverged entries one witnesses at least the
+// other's rounds, and a converged entry dominates everything — so the
+// old entry otherwise serves a strictly wider range. A deterministic
+// runner never produces genuinely conflicting duplicates; this just
+// picks the dominant entry among redundant ones.
 func prefer(old, new Entry) Entry {
 	if dominates(new, old) {
 		return new
 	}
-	if dominates(old, new) {
-		return old
-	}
-	if old.Rounds != new.Rounds {
-		if new.Rounds > old.Rounds {
-			return new
-		}
-		return old
-	}
-	oldTraced, newTraced := old.Trace.Valid(), new.Trace.Valid()
-	if oldTraced != newTraced {
-		if newTraced {
-			return new
-		}
-		return old
-	}
-	oldConv, newConv := old.Result.Outcome.Converged, new.Result.Outcome.Converged
-	if oldConv != newConv {
-		if newConv {
-			return new
-		}
-		return old
-	}
-	return new
+	return old
 }
 
 // Stats counts how a sweep interacted with the cache.
@@ -306,12 +256,10 @@ func (c *Cache) load() error {
 		if e.Digest != c.sig.CellDigest(e.Result.Cell) {
 			continue // foreign signature or tampered entry
 		}
-		if e.Trace != nil && !e.Trace.Valid() {
-			e.Trace = nil // unknown payload version: keep the scalars
+		if !e.Trace.Valid() {
+			continue // no trace, or an unknown payload version
 		}
-		if e.Trace != nil {
-			e.Rounds = e.Trace.Rounds() // the trace witnesses the horizon
-		}
+		e.Rounds = e.Trace.Rounds() // the trace witnesses the horizon
 		if old, ok := c.entries[e.Digest]; ok {
 			e = prefer(old, e)
 		}
@@ -401,40 +349,29 @@ func (c *Cache) Has(cell sweep.Cell) bool {
 	return ok
 }
 
-// Get returns the cell's raw cached entry result, if present. The
-// entry's native horizon may differ from the signature's; use Runner
-// (or Has) for horizon-aware serving.
-func (c *Cache) Get(cell sweep.Cell) (sweep.Result, bool) {
-	d := c.sig.CellDigest(cell)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[d]
-	return e.Result, ok
-}
-
 // Put records a completed cell and its measured wall-clock, appending
-// one JSONL line. An Outcome.Trace payload is split off into the
-// entry's trace (it never reaches the stored scalar result). Errored
-// results are not cached — a failed cell is re-executed on resume so
-// transient faults don't stick. A duplicate digest keeps whichever
-// entry serves the wider horizon range (prefer).
+// one JSONL line. The Outcome.Trace payload is split off into the
+// entry's trace (it never reaches the stored scalar result), and its
+// length is the entry's horizon — the run's own evidence, which a
+// caller cannot contradict by opening the cache at another horizon
+// than the runner's round bound. A result without a valid trace is
+// refused, and the error is kept for Close like a failed append.
+// Errored results are not cached — a failed cell is re-executed on
+// resume so transient faults don't stick. A duplicate digest keeps
+// whichever entry serves the wider horizon range (prefer).
 func (c *Cache) Put(r sweep.Result, wallSeconds float64) error {
 	if r.Err != "" {
 		return nil
 	}
+	if !r.Outcome.Trace.Valid() {
+		return c.fail(fmt.Errorf("cache: refusing %s: no valid trace", r.Cell.Key()))
+	}
 	e := Entry{
 		Digest:      c.sig.CellDigest(r.Cell),
-		Rounds:      c.sig.Rounds,
+		Rounds:      r.Outcome.Trace.Rounds(),
 		Result:      r,
 		WallSeconds: wallSeconds,
 		Trace:       r.Outcome.Trace,
-	}
-	// A trace is the run's own evidence of the horizon it witnessed
-	// (see the Entry.Rounds doc); prefer it over the signature, which
-	// a caller could have opened inconsistently with the runner's
-	// round bound.
-	if e.Trace.Valid() {
-		e.Rounds = e.Trace.Rounds()
 	}
 	e.Result.Outcome.Trace = nil
 	line, err := json.Marshal(e)
@@ -447,8 +384,7 @@ func (c *Cache) Put(r sweep.Result, wallSeconds float64) error {
 	// One write call under O_APPEND keeps concurrent handles whole-line
 	// atomic on POSIX filesystems.
 	if _, err := c.f.Write(line); err != nil {
-		c.writeErr = fmt.Errorf("cache: %w", err)
-		return c.writeErr
+		return c.failLocked(fmt.Errorf("cache: %w", err))
 	}
 	if old, ok := c.entries[e.Digest]; ok {
 		e = prefer(old, e)
@@ -458,9 +394,31 @@ func (c *Cache) Put(r sweep.Result, wallSeconds float64) error {
 	return nil
 }
 
-// serve answers one Runner lookup at the signature horizon, updating
-// stats.
-func (c *Cache) serve(cell sweep.Cell, seed uint64) (sweep.Outcome, bool) {
+// fail records a refused or failed Put for Close to report.
+func (c *Cache) fail(err error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.failLocked(err)
+}
+
+// failLocked is fail for callers holding c.mu. The first error wins.
+func (c *Cache) failLocked(err error) error {
+	if c.writeErr == nil {
+		c.writeErr = err
+	}
+	return err
+}
+
+// Serve answers one cell lookup at the signature horizon — exactly,
+// as-is for a run converged within the request, or by trace-prefix
+// replay — updating Stats like a Runner lookup (a hit counts toward
+// Hits/PrefixHits, a miss toward Misses). It is the coordinator-side
+// half of the distributed execution path: internal/sweep/dist serves
+// hits locally through it before shipping the missing cells to
+// workers, and commits their results back with Put, so a shared cache
+// dedups cells across machines by digest exactly as it does across
+// goroutines.
+func (c *Cache) Serve(cell sweep.Cell, seed uint64) (sweep.Outcome, bool) {
 	d := c.sig.CellDigest(cell)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -477,31 +435,18 @@ func (c *Cache) serve(cell sweep.Cell, seed uint64) (sweep.Outcome, bool) {
 	return sweep.Outcome{}, false
 }
 
-// Serve answers one cell lookup at the signature horizon — exactly,
-// as-is for a run converged within the request, or by trace-prefix
-// replay — updating Stats like a Runner lookup (a hit counts toward
-// Hits/PrefixHits, a miss toward Misses). It is the coordinator-side
-// half of the distributed execution path: internal/sweep/dist serves
-// hits locally through it before shipping the missing cells to
-// workers, and commits their results back with Put, so a shared cache
-// dedups cells across machines by digest exactly as it does across
-// goroutines.
-func (c *Cache) Serve(cell sweep.Cell, seed uint64) (sweep.Outcome, bool) {
-	return c.serve(cell, seed)
-}
-
 // Runner wraps a sweep.Runner with the cache: hits — including
 // requests a longer-horizon entry can answer by trace-prefix replay —
 // are served without executing; misses execute and record the result
-// with its wall-clock and any trace payload the runner attached.
-// Outcomes returned downstream never carry traces, so sweep output is
-// identical with or without caching. The wrapped runner inherits the
-// inner runner's concurrency safety. A failed append does not fail
-// the cell (the computed outcome is still correct); the first such
-// error is surfaced by Close.
+// with its wall-clock and the trace payload the runner must attach
+// (see Put). Outcomes returned downstream never carry traces, so sweep
+// output is identical with or without caching. The wrapped runner
+// inherits the inner runner's concurrency safety. A failed or refused
+// Put does not fail the cell (the computed outcome is still correct);
+// the first such error is surfaced by Close.
 func (c *Cache) Runner(run sweep.Runner) sweep.Runner {
 	return func(ctx context.Context, cell sweep.Cell, seed uint64) (sweep.Outcome, error) {
-		if out, ok := c.serve(cell, seed); ok {
+		if out, ok := c.Serve(cell, seed); ok {
 			return out, nil
 		}
 		start := time.Now()
@@ -630,8 +575,9 @@ func GCDir(dir string) (kept, dropped int, err error) {
 	return kept, dropped, err
 }
 
-// Close releases the append handle and reports the first write error
-// Runner swallowed, if any.
+// Close releases the append handle and reports the first Put error
+// (a failed append or a refused untraced result), if any — the ones
+// Runner and the distributed executor swallow.
 func (c *Cache) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

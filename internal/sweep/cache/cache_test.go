@@ -8,10 +8,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"autofl/internal/rng"
+	"autofl/internal/sim"
 	"autofl/internal/sweep"
 )
 
@@ -32,7 +34,8 @@ func testGrid() sweep.Grid {
 func testSig() Signature { return Signature{GridSeed: 42, Rounds: 100} }
 
 // fakeRunner derives a deterministic outcome from the cell seed alone,
-// standing in for a Scenario run.
+// standing in for a Scenario run. It attaches a flat trace of testSig's
+// horizon, because the cache stores only traced runs.
 func fakeRunner(ctx context.Context, c sweep.Cell, seed uint64) (sweep.Outcome, error) {
 	s := rng.New(seed)
 	return sweep.Outcome{
@@ -43,7 +46,16 @@ func fakeRunner(ctx context.Context, c sweep.Cell, seed uint64) (sweep.Outcome, 
 		GlobalPPW:       s.Float64(),
 		LocalPPW:        s.Float64(),
 		FinalAccuracy:   s.Float64(),
+		Trace:           flatTrace(testSig().Rounds),
 	}, nil
+}
+
+// flatTrace is a valid trace payload of the given length. On a fake
+// outcome it makes the cache entry answer exactly that horizon with
+// the outcome's own scalars.
+func flatTrace(rounds int) *sweep.RunTrace {
+	z := make([]float64, rounds)
+	return &sweep.RunTrace{V: sweep.TraceVersion, Trace: sim.Trace{Sec: z, EnergyJ: z, ParticipantEnergyJ: z, Accuracy: z}}
 }
 
 // countingRunner wraps a runner and counts executions per cell key.
@@ -130,6 +142,7 @@ func TestServeMatchesRunnerLookups(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, ok := c.Serve(cells[0], seed)
+	out.Trace = nil // the stored scalars carry no payload
 	if !ok || got != out {
 		t.Fatalf("Serve = %+v ok=%v, want the committed outcome", got, ok)
 	}
@@ -231,7 +244,7 @@ func TestExtendedGridExecutesOnlyNewCells(t *testing.T) {
 	}
 
 	// The extended output matches a cache-free run of the same grid.
-	fresh, err := sweep.Run(context.Background(), ext, fakeRunner, sweep.Options{Parallel: 1})
+	fresh, err := sweep.Run(context.Background(), ext, stripTrace(fakeRunner), sweep.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +306,7 @@ func TestCrashResume(t *testing.T) {
 	}
 
 	// The resumed output matches an uninterrupted cache-free run.
-	fresh, err := sweep.Run(context.Background(), g, fakeRunner, sweep.Options{Parallel: 1})
+	fresh, err := sweep.Run(context.Background(), g, stripTrace(fakeRunner), sweep.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +536,7 @@ func TestConcurrentWriters(t *testing.T) {
 	if cr.total() != 0 {
 		t.Errorf("merged cache missed %d cells", cr.total())
 	}
-	fresh, err := sweep.Run(context.Background(), g, fakeRunner, sweep.Options{Parallel: 1})
+	fresh, err := sweep.Run(context.Background(), g, stripTrace(fakeRunner), sweep.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -725,33 +738,43 @@ func TestLongerHorizonReRunsOnlyUnconverged(t *testing.T) {
 	}
 }
 
-// TestUntracedEntriesServeOnlyTheirHorizon pins the conservative
-// fallback: an entry without a trace that did not converge can answer
-// only its own horizon.
-func TestUntracedEntriesServeOnlyTheirHorizon(t *testing.T) {
+// TestUntracedResultsRefused pins the one entry shape: Put refuses a
+// result without a valid trace and Close reports it, and load skips a
+// stored line without one.
+func TestUntracedResultsRefused(t *testing.T) {
 	g := testGrid()
 	dir := t.TempDir()
-	stalled := func(ctx context.Context, c sweep.Cell, seed uint64) (sweep.Outcome, error) {
-		out, err := fakeRunner(ctx, c, seed)
-		out.Converged = false
-		return out, err
+	c := mustOpen(t, dir, testSig())
+	if _, err := sweep.Run(context.Background(), g, c.Runner(stripTrace(fakeRunner)), sweep.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if c.Len() != 0 {
+		t.Errorf("cache holds %d untraced entries, want 0", c.Len())
+	}
+	if err := c.Close(); err == nil || !strings.Contains(err.Error(), "no valid trace") {
+		t.Errorf("Close = %v, want the refused Put", err)
 	}
 
-	c := mustOpen(t, dir, Signature{GridSeed: 42, Rounds: 100})
-	if _, err := sweep.Run(context.Background(), g, c.Runner(stalled), sweep.Options{}); err != nil {
+	// An untraced line beside a traced one: only the traced one loads.
+	cells := g.Cells()
+	var lines []byte
+	for i, trace := range []*sweep.RunTrace{nil, flatTrace(100)} {
+		out, _ := fakeRunner(context.Background(), cells[i], g.CellSeed(cells[i]))
+		out.Trace = nil
+		line, err := json.Marshal(Entry{Digest: testSig().CellDigest(cells[i]), Rounds: 100,
+			Result: sweep.Result{Cell: cells[i], Seed: g.CellSeed(cells[i]), Outcome: out}, Trace: trace})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(append(lines, line...), '\n')
+	}
+	if err := os.WriteFile(filepath.Join(dir, resultsName), lines, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re := mustOpen(t, dir, Signature{GridSeed: 42, Rounds: 25})
-	cr := newCounting(stalled)
-	if _, err := sweep.Run(context.Background(), g, re.Runner(cr.run), sweep.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if cr.total() != g.Size() {
-		t.Errorf("untraced unconverged entries served %d cells across horizons", g.Size()-cr.total())
+	re := mustOpen(t, dir, testSig())
+	if re.Len() != 1 || !re.Has(cells[1]) || re.Has(cells[0]) {
+		t.Errorf("reload kept %d entries (untraced %v, traced %v), want only the traced one",
+			re.Len(), re.Has(cells[0]), re.Has(cells[1]))
 	}
 }
 
@@ -885,55 +908,53 @@ func TestMismatchedOpenHorizonCannotPoison(t *testing.T) {
 }
 
 // TestPreferKeepsWiderServingEntry pins duplicate resolution: a
-// traced re-execution at a shorter horizon must not evict an untraced
-// long-horizon entry that still serves queries the new entry cannot
-// (the long exact hit survives), while a dominant entry replaces a
-// subsumed one.
+// shorter re-execution must not evict a longer unconverged entry that
+// still serves queries the new entry cannot, in memory or across a
+// reload merge, while a dominant entry replaces a subsumed one.
 func TestPreferKeepsWiderServingEntry(t *testing.T) {
 	g := sweep.Grid{Policies: []string{"p"}, Seed: 9}
 	cell := g.Cells()[0]
 	seed := g.CellSeed(cell)
-	dir := t.TempDir()
-	stalled := func(ctx context.Context, c sweep.Cell, s uint64) (sweep.Outcome, error) {
-		out, err := fakeRunner(ctx, c, s)
+	stalled := func(rounds int) sweep.Result {
+		out, err := fakeRunner(context.Background(), cell, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
 		out.Converged = false
-		return out, err
+		out.Trace = flatTrace(rounds)
+		return sweep.Result{Cell: cell, Seed: seed, Outcome: out}
+	}
+	put := func(c *Cache, r sweep.Result) {
+		if err := c.Put(r, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// Untraced 1000-round entry...
-	long := mustOpen(t, dir, Signature{GridSeed: 9, Rounds: 1000})
-	if _, err := sweep.Run(context.Background(), g, long.Runner(stalled), sweep.Options{}); err != nil {
+	// A 1000-round entry, then a 200-round re-execution of the cell.
+	dir := t.TempDir()
+	c := mustOpen(t, dir, Signature{GridSeed: 9, Rounds: 1000})
+	put(c, stalled(1000))
+	put(c, stalled(200))
+	if _, ok := c.Serve(cell, seed); !ok {
+		t.Error("short re-execution evicted the long entry")
+	}
+	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := long.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// ...then a traced 200-round re-execution of the same cell.
-	short := mustOpen(t, dir, Signature{GridSeed: 9, Rounds: 200})
-	if _, err := sweep.Run(context.Background(), g, short.Runner(tracedFakeRunner(200)), sweep.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := short.Close(); err != nil {
-		t.Fatal(err)
-	}
-
 	// The 1000-round exact hit must survive the reload merge.
 	re := mustOpen(t, dir, Signature{GridSeed: 9, Rounds: 1000})
-	if _, ok := re.serve(cell, seed); !ok {
-		t.Error("traced short re-execution evicted the untraced long entry")
+	if _, ok := re.Serve(cell, seed); !ok {
+		t.Error("short re-execution evicted the long entry on reload")
 	}
-	re.Close()
 
-	// A dominant traced long entry does replace everything.
-	upgrade := mustOpen(t, dir, Signature{GridSeed: 9, Rounds: 1000})
-	if _, err := sweep.Run(context.Background(), g, upgrade.Runner(tracedFakeRunner(1000)), sweep.Options{}); err != nil {
-		t.Fatal(err)
-	}
+	// A dominant long entry does replace a short one.
+	up := mustOpen(t, t.TempDir(), Signature{GridSeed: 9, Rounds: 1000})
+	put(up, stalled(200))
+	put(up, stalled(1000))
 	for _, h := range []int{50, 200, 1000} {
-		upgrade.sig.Rounds = h
-		if !upgrade.Has(cell) {
-			t.Errorf("dominant traced entry cannot serve horizon %d", h)
+		up.sig.Rounds = h
+		if !up.Has(cell) {
+			t.Errorf("dominant entry cannot serve horizon %d", h)
 		}
 	}
 }

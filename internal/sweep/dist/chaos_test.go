@@ -112,10 +112,10 @@ func TestHungWorkerEvictedByHeartbeat(t *testing.T) {
 	frozen := startChaosWorker(t, 2, enteringRunners(entered), chaos.Script{{FreezeAfterWrites: 2}})
 	clean := startWorker(t, 2, waitingRunners(entered))
 
-	re := &RemoteExecutor{
-		Addrs:  []string{frozen.Addr(), clean.Addr()},
+	re := &PoolExecutor{
+		Source: Dial([]string{frozen.Addr(), clean.Addr()},
+			LinkOptions{HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: 200 * time.Millisecond}),
 		Rounds: 100,
-		Link:   LinkOptions{HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: 200 * time.Millisecond},
 	}
 	dist, err := sweep.Run(chaosCtx(t), g, noLocal(t), sweep.Options{Executor: re})
 	if err != nil {
@@ -160,12 +160,11 @@ func TestCellDeadlineEvictsStuckWorker(t *testing.T) {
 	stuck := startWorker(t, 2, stuckRunners)
 	clean := startWorker(t, 2, waitingRunners(entered))
 
-	re := &RemoteExecutor{
-		Addrs:       []string{stuck.Addr(), clean.Addr()},
+	re := &PoolExecutor{
+		// Heartbeats off: only the execution deadline may evict here.
+		Source:      Dial([]string{stuck.Addr(), clean.Addr()}, LinkOptions{HeartbeatInterval: -1}),
 		Rounds:      100,
 		CellTimeout: 50 * time.Millisecond,
-		// Heartbeats off: only the execution deadline may evict here.
-		Link: LinkOptions{HeartbeatInterval: -1},
 	}
 	dist, err := sweep.Run(chaosCtx(t), g, noLocal(t), sweep.Options{Executor: re})
 	if err != nil {
@@ -220,8 +219,8 @@ func TestPoisonCellQuarantinedAfterBudget(t *testing.T) {
 	}
 	w1, w2, w3 := mk(), mk(), mk()
 
-	re := &RemoteExecutor{
-		Addrs:       []string{w1.Addr(), w2.Addr(), w3.Addr()},
+	re := &PoolExecutor{
+		Source:      Dial([]string{w1.Addr(), w2.Addr(), w3.Addr()}, LinkOptions{}),
 		Rounds:      100,
 		RetryBudget: 1, // one re-queue, then quarantine: two workers die, one survives
 	}
@@ -271,7 +270,7 @@ func TestDropMidFrameRequeues(t *testing.T) {
 	torn := startChaosWorker(t, 2, enteringRunners(entered), chaos.Script{{DropAfterBytes: 80}})
 	clean := startWorker(t, 2, waitingRunners(entered))
 
-	re := &RemoteExecutor{Addrs: []string{torn.Addr(), clean.Addr()}, Rounds: 100}
+	re := &PoolExecutor{Source: Dial([]string{torn.Addr(), clean.Addr()}, LinkOptions{}), Rounds: 100}
 	dist, err := sweep.Run(chaosCtx(t), g, noLocal(t), sweep.Options{Executor: re})
 	if err != nil {
 		t.Fatalf("sweep must survive a mid-frame drop: %v", err)
@@ -303,7 +302,7 @@ func TestRefusedWorkerSweepSurvives(t *testing.T) {
 	}))
 	clean := startWorker(t, 2, fakeRunners)
 
-	re := &RemoteExecutor{Addrs: []string{refusing.Addr(), clean.Addr()}, Rounds: 100}
+	re := &PoolExecutor{Source: Dial([]string{refusing.Addr(), clean.Addr()}, LinkOptions{}), Rounds: 100}
 	dist, err := sweep.Run(chaosCtx(t), g, noLocal(t), sweep.Options{Executor: re})
 	if err != nil {
 		t.Fatalf("sweep must survive a partitioned worker: %v", err)

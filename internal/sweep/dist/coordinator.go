@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,141 +28,11 @@ const (
 	maxRequeueBackoff     = 5 * time.Second
 )
 
-// RemoteExecutor is the one-shot distributed execution strategy: a
-// sweep.Executor that dials Worker processes and farms tasks to them,
-// pipelining up to each worker's advertised capacity. Delivery is
-// at-least-once — a lost worker's in-flight cells are re-queued to the
-// survivors — and idempotent end to end: the engine keeps the first
-// result per cell index, and cache commits dedup by cell digest, so a
-// re-executed cell (whose outcome is identical anyway, by the per-cell
-// seed derivation) changes nothing.
-//
-// Failure containment: a hung worker is evicted by the link's
-// heartbeat (and, when CellTimeout is set, by the per-cell execution
-// deadline) exactly like a dead one. A cell that keeps killing its
-// workers is re-queued with exponential backoff until its retry
-// budget runs out, then quarantined — the sweep completes with an
-// explicit per-cell error instead of livelocking. See Requeues and
-// Quarantined for the audit counters.
-//
-// With a Cache attached, the coordinator serves cached cells locally —
-// including shorter-horizon requests answered by trace-prefix replay —
-// and ships only the misses, committing every remote result back into
-// the cache with its worker-measured wall-clock. A fully cached grid
-// never dials at all. The same directory can back local and
-// distributed sweeps interchangeably.
-//
-// A RemoteExecutor is single-flight: one Execute call at a time. For a
-// long-running control plane serving many grids over a dynamic worker
-// fleet, see PoolExecutor.
-type RemoteExecutor struct {
-	// Addrs are the worker addresses to dial. At least one must accept
-	// and complete the version handshake, or Execute fails.
-	Addrs []string
-	// Rounds is the horizon bound stamped on every job, normalized by
-	// the caller (the root package maps 0 to the paper's 1000; a zero
-	// value here defers to the workers' RunnerFor default).
-	Rounds int
-	// Traced requests per-round trace payloads from workers so cache
-	// commits can serve shorter horizons later. Set it when (and only
-	// when) Cache is set: traces ride the wire only to be stripped
-	// before results reach the store.
-	Traced bool
-	// Cache, when non-nil, serves hits locally and commits remote
-	// results. It must be open under the sweep's signature.
-	Cache *cache.Cache
-	// DialTimeout bounds the dial and version handshake per worker
-	// (default 10s).
-	DialTimeout time.Duration
-	// Link tunes each worker connection's liveness machinery — frame
-	// write deadlines, heartbeat interval and timeout. The zero value
-	// selects the LinkOptions defaults, with DialTimeout doubling as
-	// the handshake bound.
-	Link LinkOptions
-	// RetryBudget is the number of re-queues a single cell may consume
-	// — across all workers — before it is quarantined with an explicit
-	// error instead of retried (0 selects DefaultRetryBudget; negative
-	// quarantines on the first fault).
-	RetryBudget int
-	// RequeueBackoff is the base of the exponential backoff applied
-	// from a cell's second re-queue on (default 100ms, capped at 5s).
-	// The first re-queue is immediate: a lone fault is overwhelmingly
-	// a worker death, not a poison cell.
-	RequeueBackoff time.Duration
-	// CellTimeout bounds one cell's remote execution. A link holding a
-	// cell past the bound is torn down — the worker is hung or
-	// drowning — and its in-flight cells re-queue like a death's.
-	// 0 means no bound: cells legitimately run long.
-	CellTimeout time.Duration
-
-	counts workerCounts
-	faults faultTally
-}
-
-// workerCounts is the per-worker completed-cell audit trail shared by
-// both executors.
-type workerCounts struct {
-	mu sync.Mutex
-	m  map[string]int
-}
-
-func (c *workerCounts) reset() {
-	c.mu.Lock()
-	c.m = make(map[string]int)
-	c.mu.Unlock()
-}
-
-func (c *workerCounts) add(label string) {
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[string]int)
-	}
-	c.m[label]++
-	c.mu.Unlock()
-}
-
-func (c *workerCounts) snapshot() map[string]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int, len(c.m))
-	for a, n := range c.m {
-		out[a] = n
-	}
-	return out
-}
-
-// faultTally is the fault audit trail shared by both executors:
-// re-queues consumed and cells quarantined during the most recent
-// Execute call.
+// faultTally is the executor's fault audit trail: re-queues consumed
+// and cells quarantined during the most recent Execute call.
 type faultTally struct {
 	requeues    atomic.Int64
 	quarantined atomic.Int64
-}
-
-func (f *faultTally) reset() {
-	f.requeues.Store(0)
-	f.quarantined.Store(0)
-}
-
-// Counts reports completed cells per worker address for the most
-// recent Execute call — the audit trail cmd/autofl-sweep prints in its
-// final stats line. Cells served from the cache are not counted here
-// (they appear in the cache's own Stats).
-func (e *RemoteExecutor) Counts() map[string]int { return e.counts.snapshot() }
-
-// Requeues reports how many times a cell went back on the queue after
-// a worker fault during the most recent Execute call.
-func (e *RemoteExecutor) Requeues() int { return int(e.faults.requeues.Load()) }
-
-// Quarantined reports cells abandoned with an explicit error after
-// exhausting the retry budget during the most recent Execute call.
-func (e *RemoteExecutor) Quarantined() int { return int(e.faults.quarantined.Load()) }
-
-func (e *RemoteExecutor) dialTimeout() time.Duration {
-	if e.DialTimeout > 0 {
-		return e.DialTimeout
-	}
-	return 10 * time.Second
 }
 
 // normalizeBudget maps an executor's RetryBudget field to the
@@ -187,10 +57,10 @@ func normalizeBackoff(backoff time.Duration) time.Duration {
 }
 
 // servePass serves every task the cache can witness directly through
-// emit and returns the rest — the shared first step of both executors,
-// which is what makes a fully cached grid never dial (RemoteExecutor)
-// and overlapping grids from concurrent control-plane clients execute
-// only their non-overlapping cells (PoolExecutor).
+// emit and returns the rest — the executor's first step, which is what
+// makes a fully cached grid never acquire a worker (so a Dial source
+// never dials) and overlapping grids from concurrent control-plane
+// clients execute only their non-overlapping cells.
 func servePass(c *cache.Cache, tasks []sweep.Task, emit func(int, sweep.Result)) []sweep.Task {
 	if c == nil {
 		return tasks
@@ -207,10 +77,12 @@ func servePass(c *cache.Cache, tasks []sweep.Task, emit func(int, sweep.Result))
 }
 
 // stampJob renders one task into its wire form under the executor's
-// horizon/trace/cache configuration.
-func stampJob(t sweep.Task, rounds int, traced bool, c *cache.Cache) Job {
-	j := Job{ID: t.Index, Cell: t.Cell, Seed: t.Seed, Rounds: rounds, Traced: traced}
+// horizon and cache. A job is traced exactly when there is a cache to
+// commit its trace to.
+func stampJob(t sweep.Task, rounds int, c *cache.Cache) Job {
+	j := Job{ID: t.Index, Cell: t.Cell, Seed: t.Seed, Rounds: rounds}
 	if c != nil {
+		j.Traced = true
 		j.Digest = c.Signature().CellDigest(t.Cell)
 	}
 	return j
@@ -331,132 +203,197 @@ func (d *dispatch) shutdown() {
 	d.timers.Wait()
 }
 
-// Execute implements sweep.Executor. The local Runner is deliberately
-// ignored: every non-cached cell executes on a worker, which is what
-// makes "0 local executions" checkable — the engine's runner can be a
-// guard that fails the cell if it ever runs.
-func (e *RemoteExecutor) Execute(ctx context.Context, tasks []sweep.Task, _ sweep.Runner, emit func(int, sweep.Result)) error {
-	if len(e.Addrs) == 0 {
-		return errors.New("dist: no worker addresses")
-	}
-	e.counts.reset()
-	e.faults.reset()
-
-	pending := servePass(e.Cache, tasks, emit)
-	if len(pending) == 0 {
-		return nil // fully served; never dial
-	}
-	d := newDispatch(pending, emit,
-		normalizeBudget(e.RetryBudget), normalizeBackoff(e.RequeueBackoff), e.CellTimeout, &e.faults)
-	defer d.shutdown()
-
-	errs := make([]error, len(e.Addrs))
-	var wg sync.WaitGroup
-	for i, addr := range e.Addrs {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			errs[i] = e.runWorker(ctx, addr, d, emit)
-		}(i, addr)
-	}
-	wg.Wait()
-
-	select {
-	case <-d.done:
-		// Every pending cell was delivered (or quarantined with an
-		// explicit error); individual worker failures along the way
-		// were absorbed by re-queuing.
-		return ctx.Err()
-	default:
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return fmt.Errorf("dist: %d cells unfinished, all workers gone (first failure: %w)", d.remaining.Load(), err)
-		}
-	}
-	return fmt.Errorf("dist: %d cells unfinished, all workers gone", d.remaining.Load())
-}
-
-// runWorker drives one dialed worker connection: dial, handshake into
-// a Link, then the shared driveLink lease. On any connection failure
-// the worker's in-flight tasks go back through the dispatcher's fault
-// path and the error is returned; the sweep survives as long as one
-// worker does.
-func (e *RemoteExecutor) runWorker(ctx context.Context, addr string, d *dispatch, emit func(int, sweep.Result)) error {
-	dialer := net.Dialer{Timeout: e.dialTimeout()}
-	conn, err := dialer.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return fmt.Errorf("dist: dial %s: %w", addr, err)
-	}
-	opts := e.Link
-	if opts.HandshakeTimeout == 0 {
-		opts.HandshakeTimeout = e.dialTimeout()
-	}
-	l, err := NewLink(conn, opts)
-	if err != nil {
-		conn.Close()
-		return fmt.Errorf("dist: %s: %w", addr, err)
-	}
-	defer l.Close()
-	err = driveLink(ctx, l, d,
-		func(t sweep.Task) Job { return stampJob(t, e.Rounds, e.Traced, e.Cache) },
-		func(t sweep.Task, res JobResult) {
-			commitResult(e.Cache, t, res, emit)
-			e.counts.add(addr)
-		})
-	if err != nil && !errors.Is(err, context.Canceled) {
-		return fmt.Errorf("dist: %s: %w", addr, err)
-	}
-	return err
-}
-
 // Source supplies worker links to a PoolExecutor. Acquire blocks until
 // a worker is available (a newly registered worker joining mid-sweep
 // satisfies a waiting Acquire, which is how late joiners pick up
 // queued cells) or ctx is done. A link handed out by Acquire is leased
 // exclusively until returned: Release puts a healthy link back in the
 // pool, Evict discards one whose connection died. The control plane's
-// worker registry is the canonical implementation.
+// worker registry serves a dynamic fleet; Dial serves a fixed address
+// list.
 type Source interface {
 	Acquire(ctx context.Context) (*Link, error)
 	Release(l *Link)
 	Evict(l *Link, err error)
 }
 
-// PoolExecutor is the control-plane execution strategy: a
-// sweep.Executor over a dynamic pool of established worker links.
-// Unlike RemoteExecutor — which dials a fixed address list and fails
-// when every worker is gone — a PoolExecutor acquires workers as the
-// Source produces them, lets workers join mid-sweep to claim queued
-// cells, re-queues a dead worker's in-flight cells, and simply waits
-// (until ctx cancels) when no worker is currently available: in a
-// long-running service, worker absence is a transient condition, not
-// a sweep failure.
+// ErrNoWorkers is returned (wrapping the first failure) by a Dial
+// source's Acquire once every address has failed. A PoolExecutor
+// whose Source reports it fails the sweep instead of waiting.
+var ErrNoWorkers = errors.New("dist: all workers gone")
+
+// dialSource is the Source Dial returns.
+type dialSource struct {
+	addrs []string
+	opts  LinkOptions
+	start sync.Once
+	ready chan *Link // dialed links not yet acquired (one slot per address)
+
+	mu    sync.Mutex
+	live  int           // addresses whose dial, handshake or link has not failed
+	first error         // the first failure
+	gone  chan struct{} // closed once live reaches 0
+}
+
+// Dial returns a Source over the listening workers at addrs. It dials
+// lazily: the first Acquire dials and handshakes every address
+// concurrently (opts.HandshakeTimeout bounds each dial and each
+// handshake), so a fully cached grid never dials. Each link is labeled
+// by its address exactly as given, whatever name the worker
+// advertises. An address whose dial, handshake or link fails is gone
+// for good; once every address is gone, Acquire returns ErrNoWorkers.
+// Release and Evict both close the link.
 //
-// Rounds/Traced/Cache and the RetryBudget/RequeueBackoff/CellTimeout
-// containment knobs behave exactly as on RemoteExecutor. Heartbeat
-// configuration lives with whoever creates the links (the registry).
+// A Dial source serves one Execute: its dials run under the first
+// Acquire's context, and when that context ends, dials and handshakes
+// still pending are abandoned and unclaimed links are closed.
+func Dial(addrs []string, opts LinkOptions) Source {
+	s := &dialSource{addrs: addrs, opts: opts, ready: make(chan *Link, len(addrs)),
+		live: len(addrs), gone: make(chan struct{})}
+	if len(addrs) == 0 {
+		s.first = errors.New("dist: no worker addresses")
+		close(s.gone)
+	}
+	return s
+}
+
+func (s *dialSource) Acquire(ctx context.Context) (*Link, error) {
+	s.start.Do(func() { s.dialAll(ctx) })
+	select {
+	case l := <-s.ready:
+		return l, nil
+	case <-s.gone:
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return nil, fmt.Errorf("%w (first failure: %w)", ErrNoWorkers, s.first)
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// dialAll starts one dial per address under ctx, and closes whatever
+// is still unclaimed once ctx ends. Queuing a link and the closing
+// sweep both hold s.mu, so no link can slip into ready after it.
+func (s *dialSource) dialAll(ctx context.Context) {
+	for _, addr := range s.addrs {
+		go func() {
+			l, err := DialLink(ctx, addr, s.opts)
+			if err != nil {
+				s.lose(err)
+				return
+			}
+			l.label = addr
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			if ctx.Err() != nil {
+				l.Close()
+				return
+			}
+			s.ready <- l
+		}()
+	}
+	context.AfterFunc(ctx, func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for {
+			select {
+			case l := <-s.ready:
+				l.Close()
+			default:
+				return
+			}
+		}
+	})
+}
+
+// lose retires one address after its dial, handshake or link failed.
+func (s *dialSource) lose(err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.first == nil {
+		s.first = err
+	}
+	if s.live--; s.live == 0 {
+		close(s.gone)
+	}
+}
+
+func (s *dialSource) Release(l *Link) { l.Close() }
+
+func (s *dialSource) Evict(l *Link, err error) {
+	l.Close()
+	s.lose(fmt.Errorf("dist: %s: %w", l.Label(), err))
+}
+
+// PoolExecutor is the distributed execution strategy: a sweep.Executor
+// that farms tasks to worker links acquired from its Source,
+// pipelining up to each worker's advertised capacity. It leases
+// workers as the Source produces them, so workers can join mid-sweep
+// to claim queued cells. Delivery is at-least-once — a lost worker's
+// in-flight cells are re-queued to the survivors — and idempotent end
+// to end: the engine keeps the first result per cell index, and cache
+// commits dedup by cell digest, so a re-executed cell (whose outcome
+// is identical anyway, by the per-cell seed derivation) changes
+// nothing. When no worker is available, Execute waits (until ctx
+// cancels) — in a long-running service worker absence is transient —
+// unless the Source reports ErrNoWorkers, which fails the sweep with
+// the count of unfinished cells.
+//
+// Failure containment: a hung worker is evicted by the link's
+// heartbeat (and, when CellTimeout is set, by the per-cell execution
+// deadline) exactly like a dead one. A cell that keeps killing its
+// workers is re-queued with exponential backoff until its retry
+// budget runs out, then quarantined — the sweep completes with an
+// explicit per-cell error instead of livelocking. See Requeues and
+// Quarantined for the audit counters. Heartbeat configuration lives
+// with whoever creates the links (Dial's options, the registry).
+//
+// With a Cache attached, the executor serves cached cells itself —
+// including shorter-horizon requests answered by trace-prefix replay —
+// and ships only the misses, traced, committing every remote result
+// back into the cache with its worker-measured wall-clock. The same
+// directory can back local and distributed sweeps interchangeably.
+//
 // Safe for one Execute call at a time.
 type PoolExecutor struct {
 	Source Source
+	// Rounds is the horizon bound stamped on every job, normalized by
+	// the caller (the root package maps 0 to the paper's 1000; a zero
+	// value here defers to the workers' RunnerFor default).
 	Rounds int
-	Traced bool
-	Cache  *cache.Cache
-	// RetryBudget, RequeueBackoff, CellTimeout: see RemoteExecutor.
-	RetryBudget    int
+	// Cache, when non-nil, serves hits locally and commits remote
+	// results. It must be open under the sweep's signature.
+	Cache *cache.Cache
+	// RetryBudget is the number of re-queues a single cell may consume
+	// — across all workers — before it is quarantined with an explicit
+	// error instead of retried (0 selects DefaultRetryBudget; negative
+	// quarantines on the first fault).
+	RetryBudget int
+	// RequeueBackoff is the base of the exponential backoff applied
+	// from a cell's second re-queue on (default 100ms, capped at 5s).
+	// The first re-queue is immediate: a lone fault is overwhelmingly
+	// a worker death, not a poison cell.
 	RequeueBackoff time.Duration
-	CellTimeout    time.Duration
+	// CellTimeout bounds one cell's remote execution. A link holding a
+	// cell past the bound is torn down — the worker is hung or
+	// drowning — and its in-flight cells re-queue like a death's.
+	// 0 means no bound: cells legitimately run long.
+	CellTimeout time.Duration
 
-	counts workerCounts
+	mu     sync.Mutex
+	counts map[string]int
 	faults faultTally
 }
 
 // Counts reports completed cells per worker label for the most recent
-// Execute call.
-func (e *PoolExecutor) Counts() map[string]int { return e.counts.snapshot() }
+// Execute call — the audit trail cmd/autofl-sweep prints in its final
+// stats line. Cells served from the cache are not counted here (they
+// appear in the cache's own Stats).
+func (e *PoolExecutor) Counts() map[string]int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return maps.Clone(e.counts)
+}
 
 // Requeues reports how many times a cell went back on the queue after
 // a worker fault during the most recent Execute call.
@@ -466,14 +403,19 @@ func (e *PoolExecutor) Requeues() int { return int(e.faults.requeues.Load()) }
 // exhausting the retry budget during the most recent Execute call.
 func (e *PoolExecutor) Quarantined() int { return int(e.faults.quarantined.Load()) }
 
-// Execute implements sweep.Executor (the local Runner is ignored, as
-// on RemoteExecutor).
+// Execute implements sweep.Executor. The local Runner is deliberately
+// ignored: every non-cached cell executes on a worker, which is what
+// makes "0 local executions" checkable — the engine's runner can be a
+// guard that fails the cell if it ever runs.
 func (e *PoolExecutor) Execute(ctx context.Context, tasks []sweep.Task, _ sweep.Runner, emit func(int, sweep.Result)) error {
 	if e.Source == nil {
 		return errors.New("dist: pool executor needs a Source")
 	}
-	e.counts.reset()
-	e.faults.reset()
+	e.mu.Lock()
+	e.counts = make(map[string]int)
+	e.mu.Unlock()
+	e.faults.requeues.Store(0)
+	e.faults.quarantined.Store(0)
 
 	pending := servePass(e.Cache, tasks, emit)
 	if len(pending) == 0 {
@@ -490,22 +432,30 @@ func (e *PoolExecutor) Execute(ctx context.Context, tasks []sweep.Task, _ sweep.
 	acqCtx, stopAcq := context.WithCancel(ctx)
 	defer stopAcq()
 	var leases sync.WaitGroup
+	var noWorkers error
 	acqDone := make(chan struct{})
+	gone := make(chan struct{})
 	go func() {
 		defer close(acqDone)
 		for {
 			l, err := e.Source.Acquire(acqCtx)
 			if err != nil {
+				if errors.Is(err, ErrNoWorkers) {
+					noWorkers = err
+					close(gone)
+				}
 				return
 			}
 			leases.Add(1)
 			go func(l *Link) {
 				defer leases.Done()
 				err := driveLink(acqCtx, l, d,
-					func(t sweep.Task) Job { return stampJob(t, e.Rounds, e.Traced, e.Cache) },
+					func(t sweep.Task) Job { return stampJob(t, e.Rounds, e.Cache) },
 					func(t sweep.Task, res JobResult) {
 						commitResult(e.Cache, t, res, emit)
-						e.counts.add(l.Label())
+						e.mu.Lock()
+						e.counts[l.Label()]++
+						e.mu.Unlock()
 					})
 				if err == nil || errors.Is(err, context.Canceled) {
 					// Sweep finished or was canceled with the link intact.
@@ -520,9 +470,16 @@ func (e *PoolExecutor) Execute(ctx context.Context, tasks []sweep.Task, _ sweep.
 	select {
 	case <-d.done:
 	case <-ctx.Done():
+	case <-gone:
 	}
 	stopAcq()
 	<-acqDone // no further leases.Add after this
 	leases.Wait()
-	return ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if n := d.remaining.Load(); n > 0 && noWorkers != nil {
+		return fmt.Errorf("dist: %d cells unfinished: %w", n, noWorkers)
+	}
+	return nil
 }

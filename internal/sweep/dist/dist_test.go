@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"autofl/internal/rng"
+	"autofl/internal/sim"
 	"autofl/internal/sweep"
 	"autofl/internal/sweep/cache"
 )
@@ -49,7 +50,21 @@ func fakeRunner(ctx context.Context, c sweep.Cell, seed uint64) (sweep.Outcome, 
 	}, nil
 }
 
-func fakeRunners(rounds int, traced bool) sweep.Runner { return fakeRunner }
+// fakeRunners serves fakeRunner, with a flat trace of the job's
+// horizon on traced jobs: the cache stores only traced runs, and the
+// flat trace makes each entry answer exactly that horizon with the
+// fake's own scalars.
+func fakeRunners(rounds int, traced bool) sweep.Runner {
+	if !traced {
+		return fakeRunner
+	}
+	return func(ctx context.Context, c sweep.Cell, seed uint64) (sweep.Outcome, error) {
+		out, err := fakeRunner(ctx, c, seed)
+		z := make([]float64, rounds)
+		out.Trace = &sweep.RunTrace{V: sweep.TraceVersion, Trace: sim.Trace{Sec: z, EnergyJ: z, ParticipantEnergyJ: z, Accuracy: z}}
+		return out, err
+	}
+}
 
 // noLocal is the engine-side runner for distributed runs: any local
 // execution is a test failure (and an errored cell, which would also
@@ -143,7 +158,7 @@ func TestLoopbackDistributedSweep(t *testing.T) {
 	r1, r2 := gatedRunnerPair(gate)
 	w1 := startWorker(t, 2, r1)
 	w2 := startWorker(t, 2, r2)
-	re := &RemoteExecutor{Addrs: []string{w1.Addr(), w2.Addr()}, Rounds: 100}
+	re := &PoolExecutor{Source: Dial([]string{w1.Addr(), w2.Addr()}, LinkOptions{}), Rounds: 100}
 	dist, err := sweep.Run(context.Background(), g, noLocal(t), sweep.Options{Executor: re})
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +210,7 @@ func TestWorkerDeathRequeues(t *testing.T) {
 	}
 	w2 = startWorker(t, 1, dying)
 
-	re := &RemoteExecutor{Addrs: []string{w1.Addr(), w2.Addr()}, Rounds: 100}
+	re := &PoolExecutor{Source: Dial([]string{w1.Addr(), w2.Addr()}, LinkOptions{}), Rounds: 100}
 	dist, err := sweep.Run(context.Background(), g, noLocal(t), sweep.Options{Executor: re})
 	if err != nil {
 		t.Fatalf("sweep must survive a worker death: %v", err)
@@ -223,7 +238,7 @@ func TestDistributedCacheCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := startWorker(t, 0, fakeRunners)
-	re := &RemoteExecutor{Addrs: []string{w.Addr()}, Rounds: sig.Rounds, Cache: cold}
+	re := &PoolExecutor{Source: Dial([]string{w.Addr()}, LinkOptions{}), Rounds: sig.Rounds, Cache: cold}
 	coldStore, err := sweep.Run(context.Background(), g, noLocal(t), sweep.Options{Executor: re})
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +264,7 @@ func TestDistributedCacheCommit(t *testing.T) {
 	}
 	defer warm.Close()
 	// Unroutable workers: if the warm run dials at all, it fails loudly.
-	reWarm := &RemoteExecutor{Addrs: []string{"127.0.0.1:1"}, Rounds: sig.Rounds, Cache: warm, DialTimeout: time.Second}
+	reWarm := &PoolExecutor{Source: Dial([]string{"127.0.0.1:1"}, LinkOptions{HandshakeTimeout: time.Second}), Rounds: sig.Rounds, Cache: warm}
 	warmStore, err := sweep.Run(context.Background(), g, noLocal(t), sweep.Options{Executor: reWarm})
 	if err != nil {
 		t.Fatalf("fully cached distributed run must not dial: %v", err)
@@ -264,7 +279,7 @@ func TestDistributedCacheCommit(t *testing.T) {
 
 func TestAllWorkersUnreachable(t *testing.T) {
 	g := testGrid()
-	re := &RemoteExecutor{Addrs: []string{"127.0.0.1:1"}, Rounds: 10, DialTimeout: time.Second}
+	re := &PoolExecutor{Source: Dial([]string{"127.0.0.1:1"}, LinkOptions{HandshakeTimeout: time.Second}), Rounds: 10}
 	store, err := sweep.Run(context.Background(), g, noLocal(t), sweep.Options{Executor: re})
 	if err == nil {
 		t.Fatal("sweep with no reachable workers must fail")
@@ -275,7 +290,7 @@ func TestAllWorkersUnreachable(t *testing.T) {
 }
 
 func TestNoAddresses(t *testing.T) {
-	re := &RemoteExecutor{}
+	re := &PoolExecutor{Source: Dial(nil, LinkOptions{})}
 	if _, err := sweep.Run(context.Background(), testGrid(), noLocal(t), sweep.Options{Executor: re}); err == nil {
 		t.Fatal("empty address list must fail")
 	}
@@ -299,10 +314,60 @@ func TestHandshakeRejectsVersionMismatch(t *testing.T) {
 		conn.Close()
 	}()
 
-	re := &RemoteExecutor{Addrs: []string{ln.Addr().String()}, Rounds: 10, DialTimeout: 2 * time.Second}
+	re := &PoolExecutor{Source: Dial([]string{ln.Addr().String()}, LinkOptions{HandshakeTimeout: 2 * time.Second}), Rounds: 10}
 	_, err = sweep.Run(context.Background(), testGrid(), noLocal(t), sweep.Options{Executor: re})
 	if err == nil || !strings.Contains(err.Error(), "protocol version") {
 		t.Fatalf("version mismatch not rejected: %v", err)
+	}
+}
+
+// TestSilentAddressDoesNotHoldSweep pins the abandoned handshake: one
+// address is a worker, the other accepts connections but never sends
+// a hello. The worker finishes every cell within milliseconds, and the
+// sweep must return then — not after the silent address's handshake
+// timeout.
+func TestSilentAddressDoesNotHoldSweep(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var mu sync.Mutex
+	var silent []net.Conn
+	defer func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range silent {
+			c.Close()
+		}
+	}()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			silent = append(silent, conn)
+			mu.Unlock()
+		}
+	}()
+
+	g := testGrid()
+	w := startWorker(t, 2, fakeRunners)
+	const handshake = 3 * time.Second
+	pe := &PoolExecutor{Source: Dial([]string{w.Addr(), ln.Addr().String()}, LinkOptions{HandshakeTimeout: handshake}), Rounds: 10}
+	start := time.Now()
+	store, err := sweep.Run(context.Background(), g, noLocal(t), sweep.Options{Executor: pe})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if store.Len() != g.Size() {
+		t.Fatalf("completed %d of %d cells", store.Len(), g.Size())
+	}
+	if elapsed > handshake/3 {
+		t.Errorf("sweep returned after %s: the silent address's pending handshake held it open", elapsed)
 	}
 }
 
@@ -323,7 +388,7 @@ func TestDistributedCancellation(t *testing.T) {
 		}
 	}
 	w := startWorker(t, 1, slow)
-	re := &RemoteExecutor{Addrs: []string{w.Addr()}, Rounds: 10}
+	re := &PoolExecutor{Source: Dial([]string{w.Addr()}, LinkOptions{}), Rounds: 10}
 	store, err := sweep.Run(ctx, g, noLocal(t), sweep.Options{Executor: re})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -333,7 +398,7 @@ func TestDistributedCancellation(t *testing.T) {
 	}
 
 	// The worker is still usable after the canceled coordinator left.
-	re2 := &RemoteExecutor{Addrs: []string{w.Addr()}, Rounds: 10}
+	re2 := &PoolExecutor{Source: Dial([]string{w.Addr()}, LinkOptions{}), Rounds: 10}
 	again, err := sweep.Run(context.Background(), g, noLocal(t), sweep.Options{Executor: re2})
 	if err != nil {
 		t.Fatalf("worker unusable after canceled sweep: %v", err)
@@ -356,7 +421,7 @@ func TestUndeliverableResultFailsLoudly(t *testing.T) {
 		}
 	}
 	w := startWorker(t, 1, nan)
-	re := &RemoteExecutor{Addrs: []string{w.Addr()}, Rounds: 10, DialTimeout: time.Second}
+	re := &PoolExecutor{Source: Dial([]string{w.Addr()}, LinkOptions{HandshakeTimeout: time.Second}), Rounds: 10}
 
 	type res struct {
 		store *sweep.ResultStore
@@ -744,7 +809,7 @@ func TestWorkerLifecycleNoGoroutineLeaks(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		// Listener worker served by a coordinator.
 		w := startWorker(t, 2, fakeRunners)
-		re := &RemoteExecutor{Addrs: []string{w.Addr()}, Rounds: 100}
+		re := &PoolExecutor{Source: Dial([]string{w.Addr()}, LinkOptions{}), Rounds: 100}
 		if _, err := sweep.Run(context.Background(), testGrid(), noLocal(t), sweep.Options{Executor: re}); err != nil {
 			t.Fatal(err)
 		}

@@ -86,6 +86,7 @@ func (o LinkOptions) withDefaults() LinkOptions {
 type Link struct {
 	conn     net.Conn
 	name     string
+	label    string // set by Dial: the address as given
 	capacity int
 	opts     LinkOptions
 
@@ -140,15 +141,47 @@ func NewLink(conn net.Conn, opts LinkOptions) (*Link, error) {
 	return l, nil
 }
 
+// DialLink dials a listening worker at addr and performs NewLink's
+// handshake on the connection; opts.HandshakeTimeout (default 10s)
+// bounds the dial and the handshake each. A dial or handshake still
+// pending when ctx ends is abandoned. Dial and the control plane's
+// static-fleet bootstrap share it.
+func DialLink(ctx context.Context, addr string, opts LinkOptions) (*Link, error) {
+	opts = opts.withDefaults()
+	d := net.Dialer{Timeout: opts.HandshakeTimeout}
+	conn, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("dist: dial %s: %w", addr, err)
+	}
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	l, err := NewLink(conn, opts)
+	if !stop() {
+		// ctx ended mid-handshake and closed the connection.
+		if l != nil {
+			l.Close()
+		}
+		return nil, fmt.Errorf("dist: %s: %w", addr, ctx.Err())
+	}
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("dist: %s: %w", addr, err)
+	}
+	return l, nil
+}
+
 // Name is the worker's self-advertised label ("" when it sent none).
 func (l *Link) Name() string { return l.name }
 
 // RemoteAddr is the connection's remote endpoint.
 func (l *Link) RemoteAddr() string { return l.conn.RemoteAddr().String() }
 
-// Label names the link for counts and status views: the advertised
-// name when there is one, the remote address otherwise.
+// Label names the link for counts and status views: the address a
+// Dial source dialed it at, else the advertised name when there is
+// one, else the remote address.
 func (l *Link) Label() string {
+	if l.label != "" {
+		return l.label
+	}
 	if l.name != "" {
 		return l.name
 	}

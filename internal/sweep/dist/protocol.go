@@ -1,8 +1,10 @@
 // Package dist distributes sweep execution across machines: a
-// RemoteExecutor (the sweep.Executor a coordinating process plugs into
+// PoolExecutor (the sweep.Executor a coordinating process plugs into
 // sweep.Options) farms cells to Worker processes over a length-prefixed
-// JSON wire protocol, and commits their results straight into the v2
-// result cache by cell digest.
+// JSON wire protocol, and commits their results straight into the
+// result cache by cell digest. It leases worker links from a Source:
+// Dial over a fixed address list, or the control plane's registry of
+// workers that dial in.
 //
 // The design leans on two invariants the rest of the stack already
 // guarantees. First, cell outcomes are pure functions of (cell, seed,

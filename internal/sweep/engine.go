@@ -98,8 +98,8 @@ type Options struct {
 	// set (an explicit LocalExecutor carries its own pool size).
 	Parallel int
 	// Executor, when non-nil, replaces the default in-process pool as
-	// the execution strategy (e.g. internal/sweep/dist's
-	// RemoteExecutor, which farms cells to worker processes). Nil
+	// the execution strategy (e.g. internal/sweep/dist's PoolExecutor
+	// over dist.Dial, which farms cells to worker processes). Nil
 	// selects &LocalExecutor{Parallel: Parallel}. The choice of
 	// executor never affects output, only where and how fast cells run.
 	Executor Executor

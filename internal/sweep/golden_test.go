@@ -22,6 +22,7 @@ import (
 	"testing"
 
 	"autofl/internal/rng"
+	"autofl/internal/sim"
 	"autofl/internal/sweep"
 	"autofl/internal/sweep/cache"
 	"autofl/internal/sweep/dist"
@@ -59,6 +60,19 @@ func goldenRunner(ctx context.Context, c sweep.Cell, seed uint64) (sweep.Outcome
 		LocalPPW:        s.Float64(),
 		FinalAccuracy:   s.Float64(),
 	}, nil
+}
+
+// withFlatTrace attaches a valid trace of the given length to the
+// runner's outcomes: the cache stores only traced runs, and a flat
+// trace of the signature's horizon makes each entry answer exactly
+// that horizon with the runner's own scalars.
+func withFlatTrace(run sweep.Runner, rounds int) sweep.Runner {
+	return func(ctx context.Context, c sweep.Cell, seed uint64) (sweep.Outcome, error) {
+		out, err := run(ctx, c, seed)
+		z := make([]float64, rounds)
+		out.Trace = &sweep.RunTrace{V: sweep.TraceVersion, Trace: sim.Trace{Sec: z, EnergyJ: z, ParticipantEnergyJ: z, Accuracy: z}}
+		return out, err
+	}
 }
 
 func runJSON(t *testing.T, g sweep.Grid, run sweep.Runner, opts sweep.Options) []byte {
@@ -103,7 +117,10 @@ func TestGoldenDeterminism(t *testing.T) {
 	check("serial", serial)
 	check("parallel", runJSON(t, g, goldenRunner, sweep.Options{Parallel: 8}))
 
-	order := schedule.Static().OrderCells(g.Cells(), sig.Rounds)
+	cells := g.Cells()
+	order := schedule.Order(len(cells), func(i int) float64 {
+		return schedule.Static().Predict(cells[i].Workload, sig.Rounds)
+	})
 	check("cost-scheduled", runJSON(t, g, goldenRunner, sweep.Options{Parallel: 8, Order: order}))
 
 	dir := t.TempDir()
@@ -111,7 +128,7 @@ func TestGoldenDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("cold-cache", runJSON(t, g, cold.Runner(goldenRunner), sweep.Options{Parallel: 8}))
+	check("cold-cache", runJSON(t, g, cold.Runner(withFlatTrace(goldenRunner, sig.Rounds)), sweep.Options{Parallel: 8}))
 	if err := cold.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +146,6 @@ func TestGoldenDeterminism(t *testing.T) {
 
 	// And warm-cache under the cost schedule with cached cells priced
 	// at zero — the full resume configuration of cmd/autofl-sweep.
-	cells := g.Cells()
 	resumeOrder := schedule.Order(len(cells), func(i int) float64 {
 		if warm.Has(cells[i]) {
 			return 0
@@ -148,7 +164,7 @@ func TestGoldenDeterminism(t *testing.T) {
 	runners := func(rounds int, traced bool) sweep.Runner { return goldenRunner }
 	w1 := startGoldenWorker(t, runners)
 	w2 := startGoldenWorker(t, runners)
-	re := &dist.RemoteExecutor{Addrs: []string{w1.Addr(), w2.Addr()}, Rounds: sig.Rounds}
+	re := &dist.PoolExecutor{Source: dist.Dial([]string{w1.Addr(), w2.Addr()}, dist.LinkOptions{}), Rounds: sig.Rounds}
 	check("distributed", runJSON(t, g, noLocal, sweep.Options{Executor: re}))
 
 	// Distributed with a worker death mid-grid: the dying worker's
@@ -165,7 +181,7 @@ func TestGoldenDeterminism(t *testing.T) {
 		}
 	}
 	w3 = startGoldenWorker(t, dying)
-	reDeath := &dist.RemoteExecutor{Addrs: []string{w1.Addr(), w3.Addr()}, Rounds: sig.Rounds}
+	reDeath := &dist.PoolExecutor{Source: dist.Dial([]string{w1.Addr(), w3.Addr()}, dist.LinkOptions{}), Rounds: sig.Rounds}
 	check("distributed-worker-death", runJSON(t, g, noLocal, sweep.Options{Executor: reDeath}))
 }
 

@@ -18,7 +18,6 @@ package schedule
 import (
 	"sort"
 
-	"autofl/internal/sweep"
 	"autofl/internal/workload"
 )
 
@@ -115,21 +114,11 @@ func (m Model) Predict(workloadName string, rounds int) float64 {
 	return w * float64(rounds)
 }
 
-// OrderCells returns the execution order for the cells at the given
-// horizon: a permutation of [0, len(cells)) sorted by descending
-// predicted cost, ties keeping expansion order. Pass it to
-// sweep.Options.Order.
-func (m Model) OrderCells(cells []sweep.Cell, rounds int) []int {
-	return Order(len(cells), func(i int) float64 {
-		return m.Predict(cells[i].Workload, rounds)
-	})
-}
-
-// Order is the generic primitive under OrderCells: a permutation of
-// [0, n) sorted by descending cost(i), stable under equal costs (tied
-// indices keep their relative order). Callers compose arbitrary cost
-// functions — e.g. pricing already-cached cells at zero so real work
-// drains first.
+// Order is the scheduling primitive: a permutation of [0, n) sorted by
+// descending cost(i), stable under equal costs (tied indices keep
+// their relative order). Pass it to sweep.Options.Order. Callers
+// compose arbitrary cost functions — typically Predict per cell, with
+// already-cached cells priced at zero so real work drains first.
 func Order(n int, cost func(i int) float64) []int {
 	if n <= 0 {
 		return nil

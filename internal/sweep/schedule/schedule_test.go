@@ -78,14 +78,21 @@ func TestOrderStableUnderEqualCosts(t *testing.T) {
 	}
 }
 
-// TestOrderCellsIsPermutation checks the cell-level wrapper on a real
-// mixed-workload grid.
+// staticOrder is the cost order of cells at the given horizon under
+// the static model: descending predicted cost, ties in expansion order.
+func staticOrder(cells []sweep.Cell, rounds int) []int {
+	m := Static()
+	return Order(len(cells), func(i int) float64 { return m.Predict(cells[i].Workload, rounds) })
+}
+
+// TestOrderCellsIsPermutation checks the cost order of a real
+// mixed-workload grid's cells.
 func TestOrderCellsIsPermutation(t *testing.T) {
 	g := propertyGrid()
 	cells := g.Cells()
-	order := Static().OrderCells(cells, 100)
+	order := staticOrder(cells, 100)
 	if !isPermutation(order, len(cells)) {
-		t.Fatalf("OrderCells is not a permutation of the grid")
+		t.Fatalf("the cost order is not a permutation of the grid")
 	}
 	// The heaviest workload must be claimed before the lightest.
 	first := cells[order[0]].Workload
@@ -116,7 +123,7 @@ func TestCostOrderMatchesFIFOOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := Static().OrderCells(g.Cells(), 100)
+	order := staticOrder(g.Cells(), 100)
 	cost, err := sweep.Run(context.Background(), g, fakeRunner, sweep.Options{Parallel: 4, Order: order})
 	if err != nil {
 		t.Fatal(err)

@@ -117,18 +117,11 @@ func NewRegistry() *Registry {
 	}
 }
 
-func (r *Registry) handshakeTimeout() time.Duration {
-	if r.HandshakeTimeout > 0 {
-		return r.HandshakeTimeout
-	}
-	return 10 * time.Second
-}
-
 // linkOptions resolves the LinkOptions for a new connection.
 func (r *Registry) linkOptions() dist.LinkOptions {
 	o := r.Links
-	if o.HandshakeTimeout == 0 {
-		o.HandshakeTimeout = r.handshakeTimeout()
+	if o.HandshakeTimeout == 0 && r.HandshakeTimeout > 0 {
+		o.HandshakeTimeout = r.HandshakeTimeout
 	}
 	return o
 }
@@ -292,13 +285,8 @@ func (r *Registry) Maintain(addr string) {
 // The dialed address is the worker's health identity — stable across
 // reconnects by construction.
 func (r *Registry) dialWorker(addr string) *dist.Link {
-	conn, err := net.DialTimeout("tcp", addr, r.handshakeTimeout())
+	l, err := dist.DialLink(context.Background(), addr, r.linkOptions())
 	if err != nil {
-		return nil
-	}
-	l, err := dist.NewLink(conn, r.linkOptions())
-	if err != nil {
-		conn.Close()
 		return nil
 	}
 	if !r.add(l, addr) {

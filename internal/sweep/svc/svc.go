@@ -536,7 +536,7 @@ func (s *Service) runJob(j *job) {
 	var pe *dist.PoolExecutor
 	if s.cfg.Registry != nil {
 		pe = &dist.PoolExecutor{
-			Source: s.cfg.Registry, Rounds: rounds, Traced: c != nil, Cache: c,
+			Source: s.cfg.Registry, Rounds: rounds, Cache: c,
 			CellTimeout: s.cfg.CellTimeout, RetryBudget: s.cfg.RetryBudget,
 			RequeueBackoff: s.cfg.RequeueBackoff,
 		}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"autofl/internal/rng"
+	"autofl/internal/sim"
 	"autofl/internal/sweep"
 	"autofl/internal/sweep/dist"
 )
@@ -33,7 +34,23 @@ func fakeRunner(ctx context.Context, c sweep.Cell, seed uint64) (sweep.Outcome, 
 	}, nil
 }
 
-func fakeRunners(rounds int, traced bool) sweep.Runner { return fakeRunner }
+func fakeRunners(rounds int, traced bool) sweep.Runner { return withTrace(fakeRunner, rounds, traced) }
+
+// withTrace attaches a flat trace of the job's horizon to a traced
+// job's outcomes: the cache stores only traced runs, and the flat
+// trace makes each entry answer exactly that horizon with the fake's
+// own scalars.
+func withTrace(run sweep.Runner, rounds int, traced bool) sweep.Runner {
+	if !traced {
+		return run
+	}
+	return func(ctx context.Context, c sweep.Cell, seed uint64) (sweep.Outcome, error) {
+		out, err := run(ctx, c, seed)
+		z := make([]float64, rounds)
+		out.Trace = &sweep.RunTrace{V: sweep.TraceVersion, Trace: sim.Trace{Sec: z, EnergyJ: z, ParticipantEnergyJ: z, Accuracy: z}}
+		return out, err
+	}
+}
 
 // execCounter wraps the fake runner with a per-cell execution count —
 // the duplicate-execution audit the overlap tests assert on.
@@ -45,12 +62,12 @@ type execCounter struct {
 func newExecCounter() *execCounter { return &execCounter{counts: make(map[string]int)} }
 
 func (e *execCounter) runners(rounds int, traced bool) sweep.Runner {
-	return func(ctx context.Context, c sweep.Cell, seed uint64) (sweep.Outcome, error) {
+	return withTrace(func(ctx context.Context, c sweep.Cell, seed uint64) (sweep.Outcome, error) {
 		e.mu.Lock()
 		e.counts[c.Key()]++
 		e.mu.Unlock()
 		return fakeRunner(ctx, c, seed)
-	}
+	}, rounds, traced)
 }
 
 // total sums executions; duplicates counts cells executed > once.
@@ -329,7 +346,7 @@ func TestWorkerDeathAndMidSweepJoin(t *testing.T) {
 	var fired sync.Once
 	joined := make(chan struct{})
 	dyingRunners := func(rounds int, traced bool) sweep.Runner {
-		return func(ctx context.Context, c sweep.Cell, seed uint64) (sweep.Outcome, error) {
+		return withTrace(func(ctx context.Context, c sweep.Cell, seed uint64) (sweep.Outcome, error) {
 			fired.Do(func() {
 				go func() {
 					dying.Close() // death mid-grid
@@ -337,7 +354,7 @@ func TestWorkerDeathAndMidSweepJoin(t *testing.T) {
 				}()
 			})
 			return fakeRunner(ctx, c, seed)
-		}
+		}, rounds, traced)
 	}
 	dying = registerWorker(t, reg, "dying", dyingRunners)
 	waitWorkers(t, reg, 1)
@@ -399,7 +416,7 @@ func TestRegistryMaintainStaticWorker(t *testing.T) {
 // opens (or the cell's context is canceled).
 func gatedRunners(gate chan struct{}) dist.RunnerFor {
 	return func(rounds int, traced bool) sweep.Runner {
-		return func(ctx context.Context, c sweep.Cell, seed uint64) (sweep.Outcome, error) {
+		return withTrace(func(ctx context.Context, c sweep.Cell, seed uint64) (sweep.Outcome, error) {
 			if c.Workload == "slow" {
 				select {
 				case <-gate:
@@ -408,7 +425,7 @@ func gatedRunners(gate chan struct{}) dist.RunnerFor {
 				}
 			}
 			return fakeRunner(ctx, c, seed)
-		}
+		}, rounds, traced)
 	}
 }
 

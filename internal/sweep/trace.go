@@ -7,8 +7,8 @@ import (
 )
 
 // TraceVersion gates the RunTrace payload layout. Consumers must
-// ignore payloads with an unknown version (treat the entry as
-// trace-free) rather than misreading them.
+// ignore payloads with an unknown version rather than misreading them
+// (the cache skips such entries).
 const TraceVersion = 1
 
 // RunTrace is the versioned per-round trace payload of one executed

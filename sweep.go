@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"strconv"
 	"time"
 
@@ -164,18 +165,20 @@ type SweepOptions struct {
 	// Workers, when non-empty, farms every cell to autofl-sweep worker
 	// processes at these addresses (see cmd/autofl-sweep -worker)
 	// instead of executing in-process: RunSweepWith installs a
-	// dist.RemoteExecutor and forbids local execution, so a distributed
-	// run either computes every cell remotely (byte-identical to a
-	// local run, by per-cell seed derivation) or surfaces the failure.
-	// Cache and CostSchedule compose unchanged — hits are served
-	// locally by the coordinator, misses ship to workers, and remote
-	// results commit back into the cache by digest. Mutually exclusive
-	// with an explicit Options.Executor.
+	// dist.PoolExecutor over dist.Dial(Workers) and forbids local
+	// execution, so a distributed run either computes every cell
+	// remotely (byte-identical to a local run, by per-cell seed
+	// derivation) or surfaces the failure. Cache and CostSchedule
+	// compose unchanged — hits are served locally by the coordinator,
+	// misses ship to workers, and remote results commit back into the
+	// cache by digest. Mutually exclusive with an explicit
+	// Options.Executor.
 	Workers []string
 	// WorkerCells, when non-nil, is filled after the run with the
-	// number of cells each worker completed, keyed by address — the
-	// per-worker audit trail of cmd/autofl-sweep's final stats line.
-	// Only meaningful with Workers.
+	// number of cells each worker completed, keyed by the address as
+	// given in Workers — the per-worker audit trail of
+	// cmd/autofl-sweep's final stats line. Only meaningful with
+	// Workers.
 	WorkerCells map[string]int
 	// CellTimeout and RetryBudget tune the distributed executor's
 	// failure containment: CellTimeout bounds one cell's remote
@@ -229,20 +232,19 @@ func RunSweepWith(ctx context.Context, g sweep.Grid, o SweepOptions) (*sweep.Res
 				"autofl: cache signature %+v does not match sweep signature %+v", o.Cache.Signature(), want)
 		}
 	}
-	var remote *dist.RemoteExecutor
+	var remote *dist.PoolExecutor
 	switch {
 	case len(o.Workers) > 0:
 		if opts.Executor != nil {
 			return sweep.NewStore(), errors.New("autofl: Workers and an explicit Executor are mutually exclusive")
 		}
-		// The coordinator serves cache hits itself and commits remote
+		// The executor serves cache hits itself and commits remote
 		// results by digest, so the runner must never execute: a guard
 		// turns any local fallback into a loud per-cell error (which
 		// also breaks byte-identity, so tests catch it structurally).
-		remote = &dist.RemoteExecutor{
-			Addrs:       o.Workers,
+		remote = &dist.PoolExecutor{
+			Source:      dist.Dial(o.Workers, dist.LinkOptions{}),
 			Rounds:      SweepSignature(g, o.MaxRounds).Rounds,
-			Traced:      o.Cache != nil,
 			Cache:       o.Cache,
 			CellTimeout: o.CellTimeout,
 			RetryBudget: o.RetryBudget,
@@ -276,9 +278,7 @@ func RunSweepWith(ctx context.Context, g sweep.Grid, o SweepOptions) (*sweep.Res
 	}
 	store, err := sweep.Run(ctx, g, run, opts)
 	if remote != nil && o.WorkerCells != nil {
-		for addr, n := range remote.Counts() {
-			o.WorkerCells[addr] = n
-		}
+		maps.Copy(o.WorkerCells, remote.Counts())
 	}
 	if remote != nil && o.Faults != nil {
 		o.Faults.Requeues = remote.Requeues()
