@@ -83,9 +83,11 @@
 //	autofl-sweep -register host:7171 -name rack1    # on each machine
 //	autofl-sweep -server http://host:7170 -rounds 1000 -out grid.json
 //
-// Every run ends with a stats line on stderr — cells, wall-clock,
-// cache hits (incl. prefix replays)/misses, and per-worker cell
-// counts — so warm and distributed runs are auditable at a glance.
+// Every run, local or -server, ends with the same stats line on
+// stderr — cells, wall-clock, cache hits (incl. prefix replays)/misses,
+// per-worker cell counts, and re-queues, quarantines and failed cells
+// when there were any — so warm and distributed runs are auditable at
+// a glance.
 package main
 
 import (
@@ -97,7 +99,6 @@ import (
 	"os"
 	"os/signal"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -266,10 +267,8 @@ func main() {
 			fatalf("-workers selected no addresses")
 		}
 		runOpts.Workers = addrs
-		runOpts.WorkerCells = make(map[string]int)
 		runOpts.CellTimeout = *cellTO
 		runOpts.RetryBudget = *budget
-		runOpts.Faults = &autofl.SweepFaults{}
 	}
 	if *progress {
 		runOpts.OnProgress = func(p sweep.Progress) {
@@ -307,6 +306,7 @@ func main() {
 	}
 
 	start := time.Now()
+	runOpts.Audit = &dist.Audit{}
 	store, err := autofl.RunSweepWith(ctx, grid, runOpts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "autofl-sweep: interrupted after %d of %d cells: %v\n",
@@ -315,29 +315,7 @@ func main() {
 	// The final stats line is unconditional: warm runs (how much the
 	// cache saved) and distributed runs (who executed what) are
 	// auditable at a glance without re-running under -progress.
-	fmt.Fprintf(os.Stderr, "autofl-sweep: %d cells in %s", store.Len(), time.Since(start).Round(time.Millisecond))
-	if runOpts.Cache != nil {
-		s := runOpts.Cache.Stats()
-		fmt.Fprintf(os.Stderr, " | cache: %d hits (%d prefix), %d misses", s.Hits, s.PrefixHits, s.Misses)
-	}
-	if runOpts.WorkerCells != nil {
-		addrs := make([]string, 0, len(runOpts.WorkerCells))
-		for a := range runOpts.WorkerCells {
-			addrs = append(addrs, a)
-		}
-		sort.Strings(addrs)
-		fmt.Fprintf(os.Stderr, " | workers:")
-		if len(addrs) == 0 {
-			fmt.Fprintf(os.Stderr, " none")
-		}
-		for _, a := range addrs {
-			fmt.Fprintf(os.Stderr, " %s=%d", a, runOpts.WorkerCells[a])
-		}
-	}
-	if f := runOpts.Faults; f != nil && (f.Requeues > 0 || f.Quarantined > 0) {
-		fmt.Fprintf(os.Stderr, " | faults: %d requeues, %d quarantined", f.Requeues, f.Quarantined)
-	}
-	fmt.Fprintln(os.Stderr)
+	printStats(store.Len(), start, runOpts.Audit)
 
 	var werr error
 	if *format == "csv" {
@@ -448,27 +426,9 @@ func runClient(ctx context.Context, baseURL string, grid sweep.Grid, rounds int,
 		}
 		fatalf("waiting for %s: %v", st.ID, err)
 	}
-	// The client-side stats line mirrors the local coordinator's, fed
-	// from the daemon's status instead of local handles.
-	fmt.Fprintf(os.Stderr, "autofl-sweep: %d cells in %s | cache: %d hits (%d prefix), %d misses",
-		final.Done, time.Since(start).Round(time.Millisecond),
-		final.CacheHits, final.CachePrefixHits, final.CacheMisses)
-	if len(final.Workers) > 0 {
-		labels := make([]string, 0, len(final.Workers))
-		for l := range final.Workers {
-			labels = append(labels, l)
-		}
-		sort.Strings(labels)
-		fmt.Fprintf(os.Stderr, " | workers:")
-		for _, l := range labels {
-			fmt.Fprintf(os.Stderr, " %s=%d", l, final.Workers[l])
-		}
-	}
-	if final.Requeues > 0 || final.Quarantined > 0 || final.FailedCells > 0 {
-		fmt.Fprintf(os.Stderr, " | faults: %d requeues, %d quarantined, %d failed cells",
-			final.Requeues, final.Quarantined, final.FailedCells)
-	}
-	fmt.Fprintln(os.Stderr)
+	// The client-side stats line is the local coordinator's, fed from
+	// the daemon's status instead of local handles.
+	printStats(final.Done, start, &final.Audit)
 	if final.State != svc.StateDone {
 		fatalf("job %s %s: %s", final.ID, final.State, final.Error)
 	}
@@ -480,6 +440,12 @@ func runClient(ctx context.Context, baseURL string, grid sweep.Grid, rounds int,
 	if _, err := w.Write(raw); err != nil {
 		fatalf("writing %s: %v", format, err)
 	}
+}
+
+// printStats prints a run's final stats line to stderr: cells, wall
+// clock since start, and the audit's tail.
+func printStats(cells int, start time.Time, audit *dist.Audit) {
+	fmt.Fprintf(os.Stderr, "autofl-sweep: %d cells in %s%s\n", cells, time.Since(start).Round(time.Millisecond), audit.String())
 }
 
 // pickAxis resolves a comma-separated flag against the axis's values:

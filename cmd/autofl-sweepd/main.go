@@ -59,7 +59,7 @@ import (
 func main() {
 	var (
 		listen        = flag.String("listen", ":7170", "HTTP API listen address")
-		registry      = flag.String("registry", ":7171", "worker registration listen address (ignored with -local)")
+		registry      = flag.String("registry", ":7171", "worker registration listen address (not with -local)")
 		workers       = flag.String("workers", "", "static listen-mode workers to dial out to: a comma-separated list, or @file with one address per line ('#' comments)")
 		cacheDir      = flag.String("cache-dir", "", "shared result cache root (per-seed subdirectories; empty = no cache, no drain persistence)")
 		maxConcurrent = flag.Int("max-concurrent", 1, "grids running at once (1 serializes overlapping submissions onto the cache)")
@@ -73,6 +73,20 @@ func main() {
 		retryBudget   = flag.Int("retry-budget", 0, "re-queues a faulted cell may consume before quarantine (0 = default 3, negative = none)")
 	)
 	flag.Parse()
+	// A flag that tunes a mode the daemon is not in would be silently
+	// ignored; refuse it instead.
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "parallel":
+			if !*local {
+				fatalf("-parallel applies only with -local")
+			}
+		case "registry", "workers", "heartbeat-interval", "heartbeat-timeout", "cell-timeout", "retry-budget":
+			if *local {
+				fatalf("-%s does not apply with -local (cells run in-process)", f.Name)
+			}
+		}
+	})
 
 	cfg := svc.Config{
 		Runners:       autofl.SweepRunners,
@@ -104,8 +118,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "autofl-sweepd: maintaining %d static workers\n", len(addrs))
 		}
 		cfg.Registry = reg
-	} else if *workers != "" {
-		fatalf("-workers and -local are mutually exclusive")
 	}
 
 	service, err := svc.New(cfg)

@@ -343,18 +343,6 @@ func LowEndSpec() *Spec {
 	}
 }
 
-// SpecFor returns the canonical Spec for a category.
-func SpecFor(c Category) *Spec {
-	switch c {
-	case High:
-		return HighEndSpec()
-	case Mid:
-		return MidEndSpec()
-	default:
-		return LowEndSpec()
-	}
-}
-
 // Device is one device instance in the fleet.
 type Device struct {
 	// ID is the fleet-unique identifier.

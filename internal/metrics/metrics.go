@@ -91,21 +91,6 @@ func ratio(a, b float64) float64 {
 	return a / b
 }
 
-// Geomean returns the geometric mean of positive values; zero if none.
-func Geomean(xs []float64) float64 {
-	sum, n := 0.0, 0
-	for _, x := range xs {
-		if x > 0 {
-			sum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}
-
 // Mean returns the arithmetic mean; zero for empty input.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

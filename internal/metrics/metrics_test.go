@@ -87,18 +87,6 @@ func TestEffectiveTimeScalesWithProgress(t *testing.T) {
 	}
 }
 
-func TestGeomean(t *testing.T) {
-	if got := Geomean([]float64{1, 4}); math.Abs(got-2) > 1e-9 {
-		t.Errorf("Geomean(1,4) = %v, want 2", got)
-	}
-	if Geomean(nil) != 0 {
-		t.Error("empty geomean should be 0")
-	}
-	if got := Geomean([]float64{-1, 0, 8, 2}); math.Abs(got-4) > 1e-9 {
-		t.Errorf("Geomean ignoring non-positives = %v, want 4", got)
-	}
-}
-
 func TestMean(t *testing.T) {
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Errorf("Mean = %v", got)

@@ -124,11 +124,10 @@ func TestHungWorkerEvictedByHeartbeat(t *testing.T) {
 	if !bytes.Equal(storeJSON(t, serial), storeJSON(t, dist)) {
 		t.Error("post-eviction distributed JSON differs from serial local JSON")
 	}
-	if re.Requeues() == 0 {
+	if a := AuditOf(nil, re, nil); a.Requeues == 0 {
 		t.Error("frozen worker evicted with no re-queues recorded")
-	}
-	if re.Quarantined() != 0 {
-		t.Errorf("requeued cells quarantined spuriously: %d", re.Quarantined())
+	} else if a.Quarantined != 0 {
+		t.Errorf("requeued cells quarantined spuriously: %d", a.Quarantined)
 	}
 
 	frozen.Close()
@@ -173,11 +172,10 @@ func TestCellDeadlineEvictsStuckWorker(t *testing.T) {
 	if !bytes.Equal(storeJSON(t, serial), storeJSON(t, dist)) {
 		t.Error("post-deadline distributed JSON differs from serial local JSON")
 	}
-	if re.Requeues() == 0 {
+	if a := AuditOf(nil, re, nil); a.Requeues == 0 {
 		t.Error("stuck worker condemned with no re-queues recorded")
-	}
-	if re.Quarantined() != 0 {
-		t.Errorf("requeued cells quarantined spuriously: %d", re.Quarantined())
+	} else if a.Quarantined != 0 {
+		t.Errorf("requeued cells quarantined spuriously: %d", a.Quarantined)
 	}
 
 	stuck.Close()
@@ -238,11 +236,12 @@ func TestPoisonCellQuarantinedAfterBudget(t *testing.T) {
 	if !strings.Contains(out, "retry budget 1") {
 		t.Error("quarantine error does not name the exhausted budget")
 	}
-	if got := re.Quarantined(); got != 1 {
-		t.Errorf("Quarantined() = %d, want 1", got)
+	a := AuditOf(nil, re, store)
+	if a.Quarantined != 1 || a.FailedCells != 1 {
+		t.Errorf("audit quarantined %d, failed %d cells; want 1 each", a.Quarantined, a.FailedCells)
 	}
-	if got := re.Requeues(); got != 1 {
-		t.Errorf("Requeues() = %d, want exactly 1 (first fault re-queues, second quarantines)", got)
+	if a.Requeues != 1 {
+		t.Errorf("audit requeues = %d, want exactly 1 (first fault re-queues, second quarantines)", a.Requeues)
 	}
 
 	w1.Close()
@@ -278,7 +277,7 @@ func TestDropMidFrameRequeues(t *testing.T) {
 	if !bytes.Equal(storeJSON(t, serial), storeJSON(t, dist)) {
 		t.Error("post-drop distributed JSON differs from serial local JSON")
 	}
-	if re.Requeues() == 0 {
+	if AuditOf(nil, re, nil).Requeues == 0 {
 		t.Error("mid-frame drop recorded no re-queues")
 	}
 

@@ -20,20 +20,15 @@ import (
 // it lands on — after four attempts.
 const DefaultRetryBudget = 3
 
-// defaultRequeueBackoff is the base of the exponential re-queue
-// backoff; maxRequeueBackoff caps it so a deep budget never strands a
-// cell for minutes.
+// requeueBackoff is the base of the exponential backoff applied from
+// a cell's second re-queue on; maxRequeueBackoff caps it so a deep
+// budget never strands a cell for minutes. The first re-queue is
+// immediate: a lone fault is overwhelmingly a worker death, not a
+// poison cell.
 const (
-	defaultRequeueBackoff = 100 * time.Millisecond
-	maxRequeueBackoff     = 5 * time.Second
+	requeueBackoff    = 100 * time.Millisecond
+	maxRequeueBackoff = 5 * time.Second
 )
-
-// faultTally is the executor's fault audit trail: re-queues consumed
-// and cells quarantined during the most recent Execute call.
-type faultTally struct {
-	requeues    atomic.Int64
-	quarantined atomic.Int64
-}
 
 // normalizeBudget maps an executor's RetryBudget field to the
 // effective bound: 0 selects the default, negative means no retries.
@@ -45,15 +40,6 @@ func normalizeBudget(budget int) int {
 		return 0
 	}
 	return budget
-}
-
-// normalizeBackoff maps an executor's RequeueBackoff field to the
-// effective base.
-func normalizeBackoff(backoff time.Duration) time.Duration {
-	if backoff <= 0 {
-		return defaultRequeueBackoff
-	}
-	return backoff
 }
 
 // servePass serves every task the cache can witness directly through
@@ -102,12 +88,13 @@ func commitResult(c *cache.Cache, t sweep.Task, res JobResult, emit func(int, sw
 }
 
 // dispatch is the shared task-flow state of one Execute call: the
-// claim queue every lease pulls from, the completion latch, and the
-// fault path — per-cell retry accounting, exponential re-queue
-// backoff, and quarantine past the budget. The queue's capacity is
-// the invariant that makes every re-queue non-blocking: a task is
-// always either queued, in exactly one lease's in-flight set, on one
-// backoff timer, or finished (delivered or quarantined).
+// claim queue every lease pulls from, the completion latch, the fault
+// path — per-cell retry accounting, exponential re-queue backoff, and
+// quarantine past the budget — and the call's share of the Audit. The
+// queue's capacity is the invariant that makes every re-queue
+// non-blocking: a task is always either queued, in exactly one lease's
+// in-flight set, on one backoff timer, or finished (delivered or
+// quarantined).
 type dispatch struct {
 	queue chan sweep.Task
 	done  chan struct{} // closed when every task is finished
@@ -118,30 +105,29 @@ type dispatch struct {
 
 	emit        func(int, sweep.Result)
 	budget      int
-	backoff     time.Duration
 	cellTimeout time.Duration
-	tally       *faultTally
 
-	mu       sync.Mutex
-	failures map[int]int // task index → faults so far
+	mu          sync.Mutex
+	failures    map[int]int    // task index → faults so far
+	cells       map[string]int // worker label → cells delivered
+	requeues    int
+	quarantined int
 
 	timers sync.WaitGroup
 }
 
 // newDispatch loads the pending tasks into a fresh dispatcher. budget
-// and backoff are the normalized values (see normalizeBudget).
-func newDispatch(pending []sweep.Task, emit func(int, sweep.Result),
-	budget int, backoff, cellTimeout time.Duration, tally *faultTally) *dispatch {
+// is the normalized value (see normalizeBudget).
+func newDispatch(pending []sweep.Task, emit func(int, sweep.Result), budget int, cellTimeout time.Duration) *dispatch {
 	d := &dispatch{
 		queue:       make(chan sweep.Task, len(pending)),
 		done:        make(chan struct{}),
 		stop:        make(chan struct{}),
 		emit:        emit,
 		budget:      budget,
-		backoff:     backoff,
 		cellTimeout: cellTimeout,
-		tally:       tally,
 		failures:    make(map[int]int),
+		cells:       make(map[string]int),
 	}
 	for _, t := range pending {
 		d.queue <- t
@@ -169,20 +155,24 @@ func (d *dispatch) fault(t sweep.Task, cause error) {
 	d.mu.Lock()
 	d.failures[t.Index]++
 	n := d.failures[t.Index]
+	quarantine := n > d.budget
+	if quarantine {
+		d.quarantined++
+	} else {
+		d.requeues++
+	}
 	d.mu.Unlock()
-	if n > d.budget {
-		d.tally.quarantined.Add(1)
+	if quarantine {
 		d.emit(t.Index, sweep.Result{Cell: t.Cell, Seed: t.Seed,
 			Err: fmt.Sprintf("dist: quarantined after %d failed attempts (retry budget %d): %v", n, d.budget, cause)})
 		d.finish()
 		return
 	}
-	d.tally.requeues.Add(1)
 	if n == 1 {
 		d.queue <- t
 		return
 	}
-	delay := min(d.backoff<<(n-2), maxRequeueBackoff)
+	delay := min(requeueBackoff<<(n-2), maxRequeueBackoff)
 	d.timers.Add(1)
 	go func() {
 		defer d.timers.Done()
@@ -194,6 +184,21 @@ func (d *dispatch) fault(t sweep.Task, cause error) {
 		case <-d.stop:
 		}
 	}()
+}
+
+// delivered counts one cell a worker completed.
+func (d *dispatch) delivered(label string) {
+	d.mu.Lock()
+	d.cells[label]++
+	d.mu.Unlock()
+}
+
+// audit fills a's executor fields from this call's tallies.
+func (d *dispatch) audit(a *Audit) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	a.Workers = maps.Clone(d.cells)
+	a.Requeues, a.Quarantined = d.requeues, d.quarantined
 }
 
 // shutdown releases every pending backoff timer and waits them out —
@@ -344,9 +349,9 @@ func (s *dialSource) Evict(l *Link, err error) {
 // deadline) exactly like a dead one. A cell that keeps killing its
 // workers is re-queued with exponential backoff until its retry
 // budget runs out, then quarantined — the sweep completes with an
-// explicit per-cell error instead of livelocking. See Requeues and
-// Quarantined for the audit counters. Heartbeat configuration lives
-// with whoever creates the links (Dial's options, the registry).
+// explicit per-cell error instead of livelocking; AuditOf reports the
+// re-queues and quarantines. Heartbeat configuration lives with
+// whoever creates the links (Dial's options, the registry).
 //
 // With a Cache attached, the executor serves cached cells itself —
 // including shorter-horizon requests answered by trace-prefix replay —
@@ -369,39 +374,14 @@ type PoolExecutor struct {
 	// error instead of retried (0 selects DefaultRetryBudget; negative
 	// quarantines on the first fault).
 	RetryBudget int
-	// RequeueBackoff is the base of the exponential backoff applied
-	// from a cell's second re-queue on (default 100ms, capped at 5s).
-	// The first re-queue is immediate: a lone fault is overwhelmingly
-	// a worker death, not a poison cell.
-	RequeueBackoff time.Duration
 	// CellTimeout bounds one cell's remote execution. A link holding a
 	// cell past the bound is torn down — the worker is hung or
 	// drowning — and its in-flight cells re-queue like a death's.
 	// 0 means no bound: cells legitimately run long.
 	CellTimeout time.Duration
 
-	mu     sync.Mutex
-	counts map[string]int
-	faults faultTally
+	last atomic.Pointer[dispatch] // the most recent Execute call's, read by AuditOf
 }
-
-// Counts reports completed cells per worker label for the most recent
-// Execute call — the audit trail cmd/autofl-sweep prints in its final
-// stats line. Cells served from the cache are not counted here (they
-// appear in the cache's own Stats).
-func (e *PoolExecutor) Counts() map[string]int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return maps.Clone(e.counts)
-}
-
-// Requeues reports how many times a cell went back on the queue after
-// a worker fault during the most recent Execute call.
-func (e *PoolExecutor) Requeues() int { return int(e.faults.requeues.Load()) }
-
-// Quarantined reports cells abandoned with an explicit error after
-// exhausting the retry budget during the most recent Execute call.
-func (e *PoolExecutor) Quarantined() int { return int(e.faults.quarantined.Load()) }
 
 // Execute implements sweep.Executor. The local Runner is deliberately
 // ignored: every non-cached cell executes on a worker, which is what
@@ -411,18 +391,12 @@ func (e *PoolExecutor) Execute(ctx context.Context, tasks []sweep.Task, _ sweep.
 	if e.Source == nil {
 		return errors.New("dist: pool executor needs a Source")
 	}
-	e.mu.Lock()
-	e.counts = make(map[string]int)
-	e.mu.Unlock()
-	e.faults.requeues.Store(0)
-	e.faults.quarantined.Store(0)
-
 	pending := servePass(e.Cache, tasks, emit)
+	d := newDispatch(pending, emit, normalizeBudget(e.RetryBudget), e.CellTimeout)
+	e.last.Store(d)
 	if len(pending) == 0 {
 		return nil
 	}
-	d := newDispatch(pending, emit,
-		normalizeBudget(e.RetryBudget), normalizeBackoff(e.RequeueBackoff), e.CellTimeout, &e.faults)
 	defer d.shutdown()
 
 	// The acquirer keeps leasing workers while the sweep runs; each
@@ -452,10 +426,10 @@ func (e *PoolExecutor) Execute(ctx context.Context, tasks []sweep.Task, _ sweep.
 				err := driveLink(acqCtx, l, d,
 					func(t sweep.Task) Job { return stampJob(t, e.Rounds, e.Cache) },
 					func(t sweep.Task, res JobResult) {
+						// Counted first, so the audit a progress
+						// callback reads already holds this cell.
+						d.delivered(l.Label())
 						commitResult(e.Cache, t, res, emit)
-						e.mu.Lock()
-						e.counts[l.Label()]++
-						e.mu.Unlock()
 					})
 				if err == nil || errors.Is(err, context.Canceled) {
 					// Sweep finished or was canceled with the link intact.

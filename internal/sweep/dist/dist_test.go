@@ -167,7 +167,7 @@ func TestLoopbackDistributedSweep(t *testing.T) {
 		t.Error("distributed JSON differs from serial local JSON")
 	}
 
-	counts := re.Counts()
+	counts := AuditOf(nil, re, nil).Workers
 	total := 0
 	for _, n := range counts {
 		total += n
@@ -587,7 +587,7 @@ func TestRegisteredWorkerSweep(t *testing.T) {
 	if !bytes.Equal(storeJSON(t, serial), storeJSON(t, store)) {
 		t.Error("registered-worker sweep JSON differs from serial")
 	}
-	counts := pe.Counts()
+	counts := AuditOf(nil, pe, nil).Workers
 	if counts["w1"]+counts["w2"] != g.Size() {
 		t.Errorf("counts %v do not sum to %d", counts, g.Size())
 	}

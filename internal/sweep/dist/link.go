@@ -16,6 +16,12 @@ import (
 // distinguishable from a transport failure (the flnet/Worker idiom).
 var ErrLinkClosed = errors.New("dist: link closed")
 
+// writeTimeout bounds every frame write on either side of a
+// connection — the coordinator's job sends and heartbeat pings, the
+// worker's hello, pongs and results — so a stalled peer surfaces as a
+// link failure instead of wedging the sending goroutine forever.
+const writeTimeout = 30 * time.Second
+
 // leaseIDs numbers driveLink leases process-wide (see the lease nonce
 // in driveLink).
 var leaseIDs atomic.Uint64
@@ -26,11 +32,6 @@ var leaseIDs atomic.Uint64
 type LinkOptions struct {
 	// HandshakeTimeout bounds the hello read (default 10s).
 	HandshakeTimeout time.Duration
-	// WriteTimeout bounds every frame write — job sends and
-	// heartbeat pings — so a stalled peer surfaces as a link failure
-	// instead of wedging the sending goroutine forever (default 30s;
-	// < 0 disables).
-	WriteTimeout time.Duration
 	// HeartbeatInterval is how often the coordinator pings an
 	// otherwise-quiet link (default 5s; < 0 disables heartbeats).
 	HeartbeatInterval time.Duration
@@ -45,9 +46,6 @@ type LinkOptions struct {
 func (o LinkOptions) withDefaults() LinkOptions {
 	if o.HandshakeTimeout == 0 {
 		o.HandshakeTimeout = 10 * time.Second
-	}
-	if o.WriteTimeout == 0 {
-		o.WriteTimeout = 30 * time.Second
 	}
 	if o.HeartbeatInterval == 0 {
 		o.HeartbeatInterval = 5 * time.Second
@@ -217,15 +215,13 @@ func (l *Link) Send(j Job) error {
 	return l.send(message{Kind: kindJob, Job: &j})
 }
 
-// send frames one message under the write mutex and the configured
-// write deadline, so a peer that stops reading fails the write
-// instead of wedging the caller.
+// send frames one message under the write mutex and the write
+// deadline, so a peer that stops reading fails the write instead of
+// wedging the caller.
 func (l *Link) send(m message) error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
-	if wt := l.opts.WriteTimeout; wt > 0 {
-		l.conn.SetWriteDeadline(time.Now().Add(wt))
-	}
+	l.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	return writeMessage(l.conn, m)
 }
 

@@ -18,10 +18,8 @@ import (
 // deliberate shutdown is distinguishable from a transport failure).
 var ErrWorkerClosed = errors.New("dist: worker closed")
 
-// workerWriteTimeout bounds every worker-side frame write (hello,
-// pong, result) — the mirror of LinkOptions.WriteTimeout on the
-// coordinator side.
-const workerWriteTimeout = 30 * time.Second
+// dialTimeout bounds each of Register's dial attempts.
+const dialTimeout = 5 * time.Second
 
 // RunnerFor maps a job's execution parameters — the round horizon and
 // whether a per-round trace is requested — to the sweep.Runner that
@@ -158,8 +156,6 @@ func (w *Worker) Serve() error {
 // RegisterOptions tune Register's re-dial loop. The zero value selects
 // the defaults.
 type RegisterOptions struct {
-	// DialTimeout bounds each dial attempt (default 5s).
-	DialTimeout time.Duration
 	// MinBackoff and MaxBackoff bound the exponential re-dial backoff
 	// after a failed dial or a dropped connection (defaults 100ms, 5s).
 	// A connection that served jobs resets the backoff.
@@ -171,9 +167,6 @@ type RegisterOptions struct {
 }
 
 func (o RegisterOptions) withDefaults() RegisterOptions {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
 	if o.MinBackoff <= 0 {
 		o.MinBackoff = 100 * time.Millisecond
 	}
@@ -209,7 +202,7 @@ func (w *Worker) Register(ctx context.Context, addr string, opts RegisterOptions
 			return err
 		}
 		notify("dialing", nil)
-		d := net.Dialer{Timeout: opts.DialTimeout}
+		d := net.Dialer{Timeout: dialTimeout}
 		conn, err := d.DialContext(ctx, "tcp", addr)
 		if err == nil {
 			if !w.track(conn) {
@@ -324,7 +317,7 @@ func (w *Worker) handle(conn net.Conn) {
 		// Deadline every frame: a coordinator that stopped reading must
 		// fail the handler (→ connection drop → re-queue on its side)
 		// rather than wedge the job pool behind a full socket buffer.
-		conn.SetWriteDeadline(time.Now().Add(workerWriteTimeout))
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		return writeMessage(conn, m)
 	}
 	if err := write(message{Kind: kindHello, Hello: &Hello{Version: ProtocolVersion, Capacity: w.parallel, Name: w.name}}); err != nil {

@@ -222,7 +222,6 @@ func TestJournalReplayAndCompaction(t *testing.T) {
 // completed lease clears the record.
 func TestFlappingWorkerCooldown(t *testing.T) {
 	reg := NewRegistry()
-	reg.FlapThreshold = 2
 	reg.CooldownBase = 300 * time.Millisecond
 	reg.CooldownMax = time.Second
 	if _, err := reg.Listen("127.0.0.1:0"); err != nil {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+
+	"autofl/internal/sweep/dist"
 )
 
 // maxSpecBytes bounds a submitted spec body (a grid declaration is
@@ -171,25 +173,29 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // idiom (no client library — the format is just lines).
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	states := map[string]int{}
-	var cells, hits, prefixHits, misses int
+	var cells int
+	var sum dist.Audit
 	for _, j := range s.Jobs() {
 		states[j.State]++
 		cells += j.Done
-		hits += j.CacheHits
-		prefixHits += j.CachePrefixHits
-		misses += j.CacheMisses
+		sum.CacheHits += j.CacheHits
+		sum.CachePrefixHits += j.CachePrefixHits
+		sum.CacheMisses += j.CacheMisses
+		sum.Requeues += j.Requeues
+		sum.Quarantined += j.Quarantined
+		sum.FailedCells += j.FailedCells
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	for _, st := range []string{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
 		fmt.Fprintf(w, "autofl_sweepd_jobs{state=%q} %d\n", st, states[st])
 	}
 	fmt.Fprintf(w, "autofl_sweepd_cells_done_total %d\n", cells)
-	fmt.Fprintf(w, "autofl_sweepd_cache_hits_total %d\n", hits)
-	fmt.Fprintf(w, "autofl_sweepd_cache_prefix_hits_total %d\n", prefixHits)
-	fmt.Fprintf(w, "autofl_sweepd_cache_misses_total %d\n", misses)
-	fmt.Fprintf(w, "autofl_sweepd_requeues_total %d\n", s.Requeues())
-	fmt.Fprintf(w, "autofl_sweepd_quarantined_total %d\n", s.Quarantined())
-	fmt.Fprintf(w, "autofl_sweepd_failed_cells_total %d\n", s.FailedCells())
+	fmt.Fprintf(w, "autofl_sweepd_cache_hits_total %d\n", sum.CacheHits)
+	fmt.Fprintf(w, "autofl_sweepd_cache_prefix_hits_total %d\n", sum.CachePrefixHits)
+	fmt.Fprintf(w, "autofl_sweepd_cache_misses_total %d\n", sum.CacheMisses)
+	fmt.Fprintf(w, "autofl_sweepd_requeues_total %d\n", sum.Requeues)
+	fmt.Fprintf(w, "autofl_sweepd_quarantined_total %d\n", sum.Quarantined)
+	fmt.Fprintf(w, "autofl_sweepd_failed_cells_total %d\n", sum.FailedCells)
 	fmt.Fprintf(w, "autofl_sweepd_journal_resumed_total %d\n", s.ResumedJobs())
 	workers, evictions := 0, 0
 	if s.cfg.Registry != nil {

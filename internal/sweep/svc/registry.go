@@ -36,6 +36,11 @@ type WorkerInfo struct {
 	Flaps int `json:"flaps,omitempty"`
 }
 
+// flapThreshold is the consecutive-flap count at which a worker is
+// benched: a single death is routine fleet churn, a second in a row is
+// not.
+const flapThreshold = 2
+
 // workerEntry is the registry's bookkeeping for one link.
 type workerEntry struct {
 	key         string // health identity: advertised name, else remote addr
@@ -76,17 +81,10 @@ type workerHealth struct {
 // keep adopting cells only to kill them — that would burn the cells'
 // retry budgets on a peer everyone can see is sick.
 type Registry struct {
-	// HandshakeTimeout bounds the hello read per connection (default
-	// 10s). Set before Serve/Maintain.
-	HandshakeTimeout time.Duration
-	// Links tunes the liveness machinery of every pooled link — write
-	// deadlines, heartbeat interval and timeout (see dist.LinkOptions).
-	// The zero value selects the dist defaults, with HandshakeTimeout
-	// above as the handshake bound.
+	// Links tunes every pooled link's handshake bound and heartbeat
+	// (see dist.LinkOptions; the zero value selects the dist defaults).
+	// Set before Serve/Maintain.
 	Links dist.LinkOptions
-	// FlapThreshold is the consecutive-flap count at which a worker is
-	// benched (default 2; a single death is routine fleet churn).
-	FlapThreshold int
 	// CooldownBase and CooldownMax bound the exponential bench: a
 	// worker at the threshold sits out CooldownBase, doubling per
 	// further flap up to CooldownMax (defaults 1s, 30s).
@@ -117,22 +115,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// linkOptions resolves the LinkOptions for a new connection.
-func (r *Registry) linkOptions() dist.LinkOptions {
-	o := r.Links
-	if o.HandshakeTimeout == 0 && r.HandshakeTimeout > 0 {
-		o.HandshakeTimeout = r.HandshakeTimeout
-	}
-	return o
-}
-
-func (r *Registry) flapThreshold() int {
-	if r.FlapThreshold > 0 {
-		return r.FlapThreshold
-	}
-	return 2
-}
-
 func (r *Registry) cooldown(flaps int) time.Duration {
 	base, cap := r.CooldownBase, r.CooldownMax
 	if base <= 0 {
@@ -141,7 +123,7 @@ func (r *Registry) cooldown(flaps int) time.Duration {
 	if cap <= 0 {
 		cap = 30 * time.Second
 	}
-	shift := min(flaps-r.flapThreshold(), 20)
+	shift := min(flaps-flapThreshold, 20)
 	return min(base<<shift, cap)
 }
 
@@ -214,7 +196,7 @@ func (r *Registry) ListenOn(ln net.Listener) error {
 				return // Close closed the listener (or it failed terminally)
 			}
 			if !r.goTracked(func() {
-				l, err := dist.NewLink(conn, r.linkOptions())
+				l, err := dist.NewLink(conn, r.Links)
 				if err != nil {
 					conn.Close()
 					return
@@ -285,7 +267,7 @@ func (r *Registry) Maintain(addr string) {
 // The dialed address is the worker's health identity — stable across
 // reconnects by construction.
 func (r *Registry) dialWorker(addr string) *dist.Link {
-	l, err := dist.DialLink(context.Background(), addr, r.linkOptions())
+	l, err := dist.DialLink(context.Background(), addr, r.Links)
 	if err != nil {
 		return nil
 	}
@@ -376,7 +358,7 @@ func (r *Registry) noteFlapLocked(key string) {
 		r.health[key] = h
 	}
 	h.flaps++
-	if h.flaps >= r.flapThreshold() {
+	if h.flaps >= flapThreshold {
 		h.benchedUntil = time.Now().Add(r.cooldown(h.flaps))
 	}
 }

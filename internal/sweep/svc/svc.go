@@ -28,9 +28,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"autofl/internal/sim"
@@ -105,9 +105,12 @@ type JobSpec struct {
 }
 
 // JobStatus is the wire view of one job, live while it runs: Done
-// counts cells as the executor's emit path delivers them, the cache
-// counters come from the job's shared-store handle, and Workers is
-// the per-worker completed-cell audit trail.
+// counts cells as the executor's emit path delivers them, and the
+// embedded dist.Audit — cache counters from the job's shared-store
+// handle, per-worker cells and faults from its executor — is
+// refreshed with every delivered cell. FailedCells is filled when the
+// job finishes. The audit's fields sit in the JSON object between
+// Done and Error.
 type JobStatus struct {
 	ID     string `json:"id"`
 	Name   string `json:"name,omitempty"`
@@ -116,21 +119,9 @@ type JobStatus struct {
 	Total  int    `json:"total"`
 	Done   int    `json:"done"`
 
-	CacheHits       int `json:"cache_hits"`
-	CachePrefixHits int `json:"cache_prefix_hits,omitempty"`
-	CacheMisses     int `json:"cache_misses"`
+	dist.Audit
 
-	// Requeues counts cells returned to the queue after worker faults;
-	// Quarantined counts cells abandoned past the retry budget; and
-	// FailedCells counts results that finished with a per-cell error
-	// (quarantined cells included) — the job completed with explicit
-	// holes, not silently thin summaries.
-	Requeues    int `json:"requeues,omitempty"`
-	Quarantined int `json:"quarantined,omitempty"`
-	FailedCells int `json:"failed_cells,omitempty"`
-
-	Workers map[string]int `json:"workers,omitempty"`
-	Error   string         `json:"error,omitempty"`
+	Error string `json:"error,omitempty"`
 
 	SubmittedAt time.Time  `json:"submitted_at"`
 	StartedAt   *time.Time `json:"started_at,omitempty"`
@@ -142,22 +133,18 @@ type job struct {
 	id   string
 	spec JobSpec
 
-	mu          sync.Mutex
-	state       string
-	rounds      int
-	total       int
-	done        int
-	stats       cache.Stats
-	counts      map[string]int
-	requeues    int
-	quarantined int
-	failedCells int
-	store       *sweep.ResultStore
-	err         string
-	cancel      context.CancelFunc
-	submitted   time.Time
-	started     time.Time
-	finished    time.Time
+	mu        sync.Mutex
+	state     string
+	rounds    int
+	total     int
+	done      int
+	audit     dist.Audit
+	store     *sweep.ResultStore
+	err       string
+	cancel    context.CancelFunc
+	submitted time.Time
+	started   time.Time
+	finished  time.Time
 }
 
 // status snapshots the job under its lock.
@@ -166,17 +153,10 @@ func (j *job) status() JobStatus {
 	defer j.mu.Unlock()
 	s := JobStatus{
 		ID: j.id, Name: j.spec.Name, State: j.state,
-		Rounds: j.rounds, Total: j.total, Done: j.done,
-		CacheHits: j.stats.Hits, CachePrefixHits: j.stats.PrefixHits, CacheMisses: j.stats.Misses,
-		Requeues: j.requeues, Quarantined: j.quarantined, FailedCells: j.failedCells,
+		Rounds: j.rounds, Total: j.total, Done: j.done, Audit: j.audit,
 		Error: j.err, SubmittedAt: j.submitted,
 	}
-	if len(j.counts) > 0 {
-		s.Workers = make(map[string]int, len(j.counts))
-		for k, v := range j.counts {
-			s.Workers[k] = v
-		}
-	}
+	s.Workers = maps.Clone(j.audit.Workers)
 	if !j.started.IsZero() {
 		t := j.started
 		s.StartedAt = &t
@@ -213,12 +193,11 @@ type Config struct {
 	// also serializes overlapping submissions so the second is served
 	// from the first's cache commits.
 	MaxConcurrent int
-	// CellTimeout, RetryBudget, and RequeueBackoff tune the registry
-	// executor's failure containment (see dist.PoolExecutor). Zero
-	// values select the dist defaults.
-	CellTimeout    time.Duration
-	RetryBudget    int
-	RequeueBackoff time.Duration
+	// CellTimeout and RetryBudget tune the registry executor's failure
+	// containment (see dist.PoolExecutor). Zero values select the dist
+	// defaults.
+	CellTimeout time.Duration
+	RetryBudget int
 }
 
 // Service is the control plane: submit/status/result/cancel over a
@@ -241,23 +220,12 @@ type Service struct {
 	journal *journal
 	resumed int // journal-recovered jobs re-submitted at startup
 
-	// Lifetime fault totals across jobs, for /v1/metrics.
-	requeues    atomic.Int64
-	quarantined atomic.Int64
-	failedCells atomic.Int64
-
 	runners sync.WaitGroup
 }
 
 // ResumedJobs reports how many journal-recovered jobs this daemon
 // re-submitted at startup (the journal_resumed_total metric).
 func (s *Service) ResumedJobs() int { return s.resumed }
-
-// Requeues, Quarantined, and FailedCells report fault totals summed
-// over every job this daemon has finished.
-func (s *Service) Requeues() int    { return int(s.requeues.Load()) }
-func (s *Service) Quarantined() int { return int(s.quarantined.Load()) }
-func (s *Service) FailedCells() int { return int(s.failedCells.Load()) }
 
 // New starts a service: MaxConcurrent grid-runner goroutines over a
 // QueueLimit-bounded queue. Jobs a previous daemon accepted but never
@@ -516,29 +484,27 @@ func (s *Service) runJob(j *job) {
 		var err error
 		c, err = cache.Open(dir, cache.Signature{GridSeed: spec.Grid.Seed, Rounds: rounds})
 		if err != nil {
-			s.finishJob(j, nil, nil, cache.Stats{}, [2]int{}, err)
+			s.finishJob(j, nil, dist.Audit{}, err)
 			return
 		}
 		defer c.Close()
 	}
 
+	var pe *dist.PoolExecutor
 	runOpts := sweep.Options{
 		OnProgress: func(p sweep.Progress) {
+			a := dist.AuditOf(c, pe, nil)
 			j.mu.Lock()
 			j.done = p.Done
-			if c != nil {
-				j.stats = c.Stats()
-			}
+			j.audit = a
 			j.mu.Unlock()
 		},
 	}
 	var run sweep.Runner
-	var pe *dist.PoolExecutor
 	if s.cfg.Registry != nil {
 		pe = &dist.PoolExecutor{
 			Source: s.cfg.Registry, Rounds: rounds, Cache: c,
 			CellTimeout: s.cfg.CellTimeout, RetryBudget: s.cfg.RetryBudget,
-			RequeueBackoff: s.cfg.RequeueBackoff,
 		}
 		runOpts.Executor = pe
 		run = func(context.Context, sweep.Cell, uint64) (sweep.Outcome, error) {
@@ -553,32 +519,17 @@ func (s *Service) runJob(j *job) {
 	}
 
 	store, err := sweep.Run(ctx, spec.Grid, run, runOpts)
-	var counts map[string]int
-	if pe != nil {
-		counts = pe.Counts()
-	}
-	var stats cache.Stats
-	if c != nil {
-		stats = c.Stats()
-	}
-	var faults [2]int
-	if pe != nil {
-		faults = [2]int{pe.Requeues(), pe.Quarantined()}
-	}
-	s.finishJob(j, store, counts, stats, faults, err)
+	s.finishJob(j, store, dist.AuditOf(c, pe, store), err)
 }
 
-// finishJob records a job's terminal state, folds its fault counters
-// into the service totals, and journals the transition.
-func (s *Service) finishJob(j *job, store *sweep.ResultStore, counts map[string]int, stats cache.Stats, faults [2]int, err error) {
+// finishJob records a job's terminal state and final audit, and
+// journals the transition.
+func (s *Service) finishJob(j *job, store *sweep.ResultStore, audit dist.Audit, err error) {
 	j.mu.Lock()
 	j.finished = time.Now()
-	j.counts = counts
-	j.stats = stats
-	j.requeues, j.quarantined = faults[0], faults[1]
+	j.audit = audit
 	if store != nil {
 		j.done = store.Len()
-		j.failedCells = store.Failed()
 	}
 	switch {
 	case err == nil:
@@ -591,11 +542,8 @@ func (s *Service) finishJob(j *job, store *sweep.ResultStore, counts map[string]
 		j.state = StateFailed
 		j.err = err.Error()
 	}
-	state, failed := j.state, j.failedCells
+	state := j.state
 	j.mu.Unlock()
-	s.requeues.Add(int64(faults[0]))
-	s.quarantined.Add(int64(faults[1]))
-	s.failedCells.Add(int64(failed))
 	s.journal.terminal(j.id, state)
 }
 

@@ -3,11 +3,14 @@ package svc
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -383,6 +386,11 @@ func TestWorkerDeathAndMidSweepJoin(t *testing.T) {
 	if !bytes.Equal(got, serialJSON(t, g)) {
 		t.Error("result differs from serial after worker death + re-join")
 	}
+	// The daemon's lifetime total is the sum over its jobs: here, this
+	// job's own count.
+	if n := metric(t, client, "autofl_sweepd_requeues_total"); n != final.Requeues {
+		t.Errorf("requeues_total = %d, job requeues = %d", n, final.Requeues)
+	}
 }
 
 // TestRegistryMaintainStaticWorker pins the dial-out bootstrap: a
@@ -633,6 +641,94 @@ func TestMetricsAndHealth(t *testing.T) {
 	}
 	if !strings.Contains(body, "autofl_sweepd_workers 0") {
 		t.Errorf("metrics missing worker gauge:\n%s", body)
+	}
+}
+
+// metric scrapes /v1/metrics and returns one counter's value.
+func metric(t *testing.T, c *Client, name string) int {
+	t.Helper()
+	resp, err := c.http().Get(c.BaseURL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("metric %s: %v", name, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("metrics missing %s:\n%s", name, raw)
+	return 0
+}
+
+// TestLocalFailedCellCounted: a local-mode job with one erroring cell
+// completes with that hole in its status, and the daemon's lifetime
+// failed-cell total counts it.
+func TestLocalFailedCellCounted(t *testing.T) {
+	g := testGrid(12)
+	bad := g.Cells()[0].Key()
+	runners := func(rounds int, traced bool) sweep.Runner {
+		return withTrace(func(ctx context.Context, c sweep.Cell, seed uint64) (sweep.Outcome, error) {
+			if c.Key() == bad {
+				return sweep.Outcome{}, errors.New("injected cell failure")
+			}
+			return fakeRunner(ctx, c, seed)
+		}, rounds, traced)
+	}
+	_, client := startDaemon(t, Config{Runners: runners})
+	st, err := client.Submit(context.Background(), JobSpec{Grid: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitJob(t, client, st.ID)
+	if final.State != StateDone || final.FailedCells != 1 {
+		t.Fatalf("final status = %+v, want done with 1 failed cell", final)
+	}
+	if n := metric(t, client, "autofl_sweepd_failed_cells_total"); n != final.FailedCells {
+		t.Errorf("failed_cells_total = %d, job failed cells = %d", n, final.FailedCells)
+	}
+}
+
+// TestJobStatusWireFormat pins the JobStatus JSON bytes, fully
+// populated and zero: field names, order and omissions are the API.
+func TestJobStatusWireFormat(t *testing.T) {
+	at := time.Date(2024, 5, 6, 7, 8, 9, 0, time.UTC)
+	later := at.Add(90 * time.Second)
+	var full JobStatus
+	full.ID, full.Name, full.State = "job-000007", "nightly", StateDone
+	full.Rounds, full.Total, full.Done = 200, 12, 11
+	full.CacheHits, full.CachePrefixHits, full.CacheMisses = 4, 2, 8
+	full.Requeues, full.Quarantined, full.FailedCells = 3, 1, 1
+	full.Workers = map[string]int{"w2": 5, "w1": 3}
+	full.Error = "boom"
+	full.SubmittedAt, full.StartedAt, full.FinishedAt = at, &at, &later
+	for _, tc := range []struct {
+		name string
+		st   JobStatus
+		want string
+	}{
+		{"populated", full, `{"id":"job-000007","name":"nightly","state":"done","rounds":200,"total":12,"done":11,` +
+			`"cache_hits":4,"cache_prefix_hits":2,"cache_misses":8,"requeues":3,"quarantined":1,"failed_cells":1,` +
+			`"workers":{"w1":3,"w2":5},"error":"boom","submitted_at":"2024-05-06T07:08:09Z",` +
+			`"started_at":"2024-05-06T07:08:09Z","finished_at":"2024-05-06T07:09:39Z"}`},
+		{"zero", JobStatus{}, `{"id":"","state":"","rounds":0,"total":0,"done":0,"cache_hits":0,"cache_misses":0,` +
+			`"submitted_at":"0001-01-01T00:00:00Z"}`},
+	} {
+		got, err := json.Marshal(tc.st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("%s JobStatus JSON:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
 	}
 }
 

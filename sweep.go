@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"strconv"
 	"time"
 
@@ -174,12 +173,6 @@ type SweepOptions struct {
 	// cache by digest. Mutually exclusive with an explicit
 	// Options.Executor.
 	Workers []string
-	// WorkerCells, when non-nil, is filled after the run with the
-	// number of cells each worker completed, keyed by the address as
-	// given in Workers — the per-worker audit trail of
-	// cmd/autofl-sweep's final stats line. Only meaningful with
-	// Workers.
-	WorkerCells map[string]int
 	// CellTimeout and RetryBudget tune the distributed executor's
 	// failure containment: CellTimeout bounds one cell's remote
 	// execution (0 = unbounded), and RetryBudget bounds how many times
@@ -188,18 +181,13 @@ type SweepOptions struct {
 	// quarantines on the first fault). Only meaningful with Workers.
 	CellTimeout time.Duration
 	RetryBudget int
-	// Faults, when non-nil, is filled after the run with the executor's
-	// fault audit trail. Only meaningful with Workers.
-	Faults *SweepFaults
-}
-
-// SweepFaults is the distributed executor's fault audit trail for one
-// run: cells re-queued after worker failures and cells quarantined
-// past the retry budget (each quarantined cell also appears in the
-// store as a result with a per-cell error).
-type SweepFaults struct {
-	Requeues    int
-	Quarantined int
+	// Audit, when non-nil, is filled after the run — interrupted or
+	// not — with what the run did: Cache's hits and misses, the cells
+	// each worker completed (keyed by the address as given in
+	// Workers), re-queues and quarantines, and cells that finished
+	// with a per-cell error. cmd/autofl-sweep prints it as its final
+	// stats line.
+	Audit *dist.Audit
 }
 
 // SweepSignature is the cache signature of a (grid, horizon) pair:
@@ -277,12 +265,8 @@ func RunSweepWith(ctx context.Context, g sweep.Grid, o SweepOptions) (*sweep.Res
 		})
 	}
 	store, err := sweep.Run(ctx, g, run, opts)
-	if remote != nil && o.WorkerCells != nil {
-		maps.Copy(o.WorkerCells, remote.Counts())
-	}
-	if remote != nil && o.Faults != nil {
-		o.Faults.Requeues = remote.Requeues()
-		o.Faults.Quarantined = remote.Quarantined()
+	if o.Audit != nil {
+		*o.Audit = dist.AuditOf(o.Cache, remote, store)
 	}
 	return store, err
 }

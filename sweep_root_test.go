@@ -200,13 +200,13 @@ func TestDistributedSweepMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := make(map[string]int)
+	var audit dist.Audit
 	distStore, err := RunSweepWith(ctx, g, SweepOptions{
 		MaxRounds:    rounds,
 		Cache:        shared,
 		CostSchedule: true,
 		Workers:      []string{w1.Addr(), w2.Addr()},
-		WorkerCells:  counts,
+		Audit:        &audit,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,11 +224,14 @@ func TestDistributedSweepMatchesSerial(t *testing.T) {
 		}
 	}
 	total := 0
-	for _, n := range counts {
+	for _, n := range audit.Workers {
 		total += n
 	}
 	if total != g.Size() {
-		t.Errorf("per-worker counts %v sum to %d, want %d", counts, total, g.Size())
+		t.Errorf("per-worker counts %v sum to %d, want %d", audit.Workers, total, g.Size())
+	}
+	if audit.CacheMisses != g.Size() || audit.FailedCells != 0 {
+		t.Errorf("audit = %+v, want %d misses and no failed cells", audit, g.Size())
 	}
 
 	// Remote results were committed into the shared cache by digest.
