@@ -4,13 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
 
-	"autofl/internal/metrics"
-	"autofl/internal/sim"
 	"autofl/internal/sweep"
 	"autofl/internal/sweep/dist"
 )
@@ -92,39 +89,6 @@ func TestBatteryDisabledPinnedToSeed(t *testing.T) {
 			if got != want {
 				t.Errorf("%s: battery-disabled run drifted from the pre-battery seed\n got %s\nwant %s", key, got, want)
 			}
-		}
-	}
-}
-
-// TestSimJainMatchesMetrics pins sim's duplicated Jain closed form to
-// metrics.JainFromMoments (the duplication exists because
-// internal/metrics imports sim). Any edit to one formula without the
-// other fails here.
-func TestSimJainMatchesMetrics(t *testing.T) {
-	cases := [][]float64{
-		{},
-		{0, 0, 0},
-		{1},
-		{1, 1, 1, 1},
-		{5, 0, 0, 0},
-		{3, 1, 4, 1, 5, 9, 2, 6},
-		{1e-9, 2e-9, 3e-9},
-		{1e12, 7, 0.25},
-	}
-	for _, xs := range cases {
-		var sum, sumSq float64
-		for _, x := range xs {
-			sum += x
-			sumSq += x * x
-		}
-		a := sim.BatteryJainFromMoments(sum, sumSq, len(xs))
-		b := metrics.JainFromMoments(sum, sumSq, len(xs))
-		c := metrics.JainFairness(xs)
-		if a != b {
-			t.Errorf("moments %v: sim=%v metrics=%v", xs, a, b)
-		}
-		if math.Abs(a-c) > 1e-12 {
-			t.Errorf("xs %v: moments form %v vs direct form %v", xs, a, c)
 		}
 	}
 }

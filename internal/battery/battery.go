@@ -141,10 +141,6 @@ func (m *Model) Len() int { return len(m.chargeJ) }
 // MemoryBytes returns the resident per-device state size.
 func (m *Model) MemoryBytes() int { return 8 * len(m.chargeJ) }
 
-// ChargeJ returns device i's charge as of its last settle, without
-// advancing time.
-func (m *Model) ChargeJ(i int) float64 { return float64(m.chargeJ[i]) }
-
 // Frac returns device i's state of charge in [0, 1] as of its last
 // settle.
 func (m *Model) Frac(i int) float64 { return float64(m.chargeJ[i]) / m.spec.CapacityJ }

@@ -9,6 +9,10 @@ func testSpec() Spec {
 	return Spec{CapacityJ: 1000}
 }
 
+// chargeJ reads device i's charge as of its last settle, without
+// advancing time.
+func chargeJ(m *Model, i int) float64 { return float64(m.chargeJ[i]) }
+
 func TestWithDefaults(t *testing.T) {
 	s := testSpec().WithDefaults()
 	if s.ThresholdJ != 150 {
@@ -34,15 +38,15 @@ func TestInitialChargeKeyed(t *testing.T) {
 	small := New(testSpec(), 42, 100)
 	big := New(testSpec(), 42, 10000)
 	for i := 0; i < 100; i++ {
-		if small.ChargeJ(i) != big.ChargeJ(i) {
+		if chargeJ(small, i) != chargeJ(big, i) {
 			t.Fatalf("device %d initial charge depends on population size: %g vs %g",
-				i, small.ChargeJ(i), big.ChargeJ(i))
+				i, chargeJ(small, i), chargeJ(big, i))
 		}
 	}
 	other := New(testSpec(), 43, 100)
 	same := 0
 	for i := 0; i < 100; i++ {
-		if small.ChargeJ(i) == other.ChargeJ(i) {
+		if chargeJ(small, i) == chargeJ(other, i) {
 			same++
 		}
 	}
@@ -61,7 +65,7 @@ func TestInitialChargeKeyed(t *testing.T) {
 
 func TestSettleDrainsIdleAndClamps(t *testing.T) {
 	m := New(Spec{CapacityJ: 100, InitialFracLo: 0.5, InitialFracHi: 0.5 + 1e-12}, 1, 4)
-	c0 := m.ChargeJ(0)
+	c0 := chargeJ(m, 0)
 	got := m.SettleAt(0, 0.5, 60) // 0.5 W for 60 s = 30 J
 	if math.Abs((c0-got)-30) > 1e-4 {
 		t.Errorf("idle settle drained %g J, want 30", c0-got)
@@ -85,18 +89,18 @@ func TestSettleDrainsIdleAndClamps(t *testing.T) {
 
 func TestDrainClampsAndIgnoresNegative(t *testing.T) {
 	m := New(Spec{CapacityJ: 100, InitialFracLo: 0.5, InitialFracHi: 0.5 + 1e-12}, 1, 1)
-	c0 := m.ChargeJ(0)
+	c0 := chargeJ(m, 0)
 	m.Drain(0, -5)
-	if m.ChargeJ(0) != c0 {
+	if chargeJ(m, 0) != c0 {
 		t.Error("negative drain changed charge")
 	}
 	m.Drain(0, 10)
-	if math.Abs(m.ChargeJ(0)-(c0-10)) > 1e-4 {
-		t.Errorf("drain(10) left %g, want %g", m.ChargeJ(0), c0-10)
+	if math.Abs(chargeJ(m, 0)-(c0-10)) > 1e-4 {
+		t.Errorf("drain(10) left %g, want %g", chargeJ(m, 0), c0-10)
 	}
 	m.Drain(0, 1e9)
-	if m.ChargeJ(0) != 0 {
-		t.Errorf("over-drain left %g, want 0", m.ChargeJ(0))
+	if chargeJ(m, 0) != 0 {
+		t.Errorf("over-drain left %g, want 0", chargeJ(m, 0))
 	}
 }
 
@@ -108,7 +112,7 @@ func TestChargerHarvest(t *testing.T) {
 	m := New(spec, 7, 2000)
 	plugged := 0
 	for i := 0; i < m.Len(); i++ {
-		before := m.ChargeJ(i)
+		before := chargeJ(m, i)
 		after := m.SettleAt(i, 0.1, 1000) // net +1.9 W or -0.1 W
 		switch {
 		case after > before:

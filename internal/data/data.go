@@ -12,8 +12,6 @@
 package data
 
 import (
-	"fmt"
-
 	"autofl/internal/rng"
 )
 
@@ -43,18 +41,6 @@ var (
 // heterogeneity.
 func Scenarios() []Scenario {
 	return []Scenario{IdealIID, NonIID50, NonIID75, NonIID100}
-}
-
-// NonIID constructs a custom scenario with the given non-IID device
-// fraction.
-func NonIID(fraction float64) Scenario {
-	if fraction < 0 {
-		fraction = 0
-	}
-	if fraction > 1 {
-		fraction = 1
-	}
-	return Scenario{Name: fmt.Sprintf("Non-IID (%.0f%%)", fraction*100), NonIIDFraction: fraction}
 }
 
 // DeviceData is one device's local dataset summary.

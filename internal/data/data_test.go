@@ -151,18 +151,6 @@ func TestPartitionDeterminism(t *testing.T) {
 	}
 }
 
-func TestNonIIDConstructorClamps(t *testing.T) {
-	if NonIID(-0.5).NonIIDFraction != 0 {
-		t.Error("negative fraction should clamp to 0")
-	}
-	if NonIID(1.5).NonIIDFraction != 1 {
-		t.Error("fraction > 1 should clamp to 1")
-	}
-	if NonIID(0.6).Name != "Non-IID (60%)" {
-		t.Errorf("name = %q", NonIID(0.6).Name)
-	}
-}
-
 func TestPartitionEmpty(t *testing.T) {
 	if got := Partition(rng.New(1), IdealIID, 0, 10, 300); got != nil {
 		t.Errorf("Partition with n=0 = %v, want nil", got)
@@ -182,7 +170,7 @@ func TestPartitionInvariantsProperty(t *testing.T) {
 	f := func(fracRaw, classRaw uint8) bool {
 		frac := float64(fracRaw) / 255
 		classes := int(classRaw)%20 + 2
-		devices := Partition(s, NonIID(frac), 40, classes, 100)
+		devices := Partition(s, Scenario{NonIIDFraction: frac}, 40, classes, 100)
 		for _, d := range devices {
 			if d.ClassFraction <= 0 || d.ClassFraction > 1 {
 				return false

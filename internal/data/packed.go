@@ -231,16 +231,3 @@ func (p *Packed) Coverage(m uint64) float64 {
 func (p *Packed) MemoryBytes() int {
 	return len(p.Mask)*8 + len(p.Quality)*4 + len(p.ClassFrac)*4 + len(p.Samples)*4
 }
-
-// MeanQuality averages the per-device quality — the packed analogue of
-// MeanIIDQuality, used by distribution tests.
-func (p *Packed) MeanQuality() float64 {
-	if p.Len() == 0 {
-		return 0
-	}
-	total := 0.0
-	for _, q := range p.Quality {
-		total += float64(q)
-	}
-	return total / float64(p.Len())
-}

@@ -86,6 +86,16 @@ func TestPackedIIDDevices(t *testing.T) {
 	}
 }
 
+// meanQuality averages the per-device quality — the packed analogue of
+// MeanIIDQuality.
+func meanQuality(p *Packed) float64 {
+	total := 0.0
+	for _, q := range p.Quality {
+		total += float64(q)
+	}
+	return total / float64(p.Len())
+}
+
 // TestPackedNonIIDStatistics checks the packed realization against the
 // sequential Partition's distribution: same scenario, same scale of
 // mean quality and sparse per-device coverage. The two are independent
@@ -95,7 +105,7 @@ func TestPackedNonIIDStatistics(t *testing.T) {
 	p := PackedPartition(9, NonIID100, n, classes, 500)
 	legacy := Partition(rng.New(9), NonIID100, n, classes, 500)
 
-	pq, lq := p.MeanQuality(), MeanIIDQuality(legacy)
+	pq, lq := meanQuality(p), MeanIIDQuality(legacy)
 	if diff := pq - lq; diff < -0.05 || diff > 0.05 {
 		t.Errorf("mean quality: packed %v vs legacy %v", pq, lq)
 	}

@@ -52,9 +52,6 @@ func (p *Population) Len() int {
 	return p.offsets[len(p.offsets)-1]
 }
 
-// Archetypes returns the shared hardware table, in index order.
-func (p *Population) Archetypes() []*Spec { return p.specs }
-
 // ArchetypeCount returns the number of devices of archetype a.
 func (p *Population) ArchetypeCount(a int) int { return p.offsets[a+1] - p.offsets[a] }
 

@@ -39,7 +39,7 @@ func TestPopulationIndexing(t *testing.T) {
 		}
 	}
 	for i := 0; i < p.Len(); i++ {
-		if p.Spec(i) != p.Archetypes()[p.ArchetypeOf(i)] {
+		if p.Spec(i) != p.specs[p.ArchetypeOf(i)] {
 			t.Fatalf("Spec(%d) disagrees with ArchetypeOf", i)
 		}
 	}
@@ -50,8 +50,8 @@ func TestPopulationSkipsEmptyTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Archetypes()) != 2 {
-		t.Fatalf("archetype table has %d entries, want 2 (empty tier skipped)", len(p.Archetypes()))
+	if len(p.specs) != 2 {
+		t.Fatalf("archetype table has %d entries, want 2 (empty tier skipped)", len(p.specs))
 	}
 	if got := p.CountByCategory(); got != [NumCategories]int{2, 0, 3} {
 		t.Errorf("CountByCategory = %v", got)

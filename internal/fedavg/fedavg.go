@@ -3,8 +3,7 @@
 // internal/nn. It exists to validate the learning-side behaviour the
 // paper's evaluation depends on — partial participation, local epochs,
 // and Dirichlet non-IID degradation — with real gradients rather than
-// the analytic model of internal/sim, and it provides the local
-// training step for the TCP edge-cloud protocol (flnet).
+// the analytic model of internal/sim.
 package fedavg
 
 import (
@@ -216,21 +215,8 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 	}, nil
 }
 
-// GlobalParams exposes the current global model parameters.
-func (t *Trainer) GlobalParams() []float64 { return t.global.Params() }
-
-// SetGlobalParams installs parameters (used by the TCP server, which
-// owns aggregation).
-func (t *Trainer) SetGlobalParams(p []float64) error { return t.global.SetParams(p) }
-
 // Accuracy evaluates the global model on the held-out test set.
 func (t *Trainer) Accuracy() float64 { return t.global.Accuracy(t.test.X, t.test.Labels) }
-
-// ClientDataset exposes client i's local data (for the TCP clients).
-func (t *Trainer) ClientDataset(i int) *Dataset { return t.clients[i] }
-
-// Model returns a fresh clone of the global model architecture.
-func (t *Trainer) Model() *nn.MLP { return t.global.Clone() }
 
 // Selector picks the participant client indices for a round.
 type Selector func(round int, partition []data.DeviceData) []int

@@ -113,10 +113,10 @@ func TestLocalTrainImprovesLocalFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := tr.ClientDataset(0)
-	model := tr.Model()
+	ds := tr.clients[0]
+	model := tr.global.Clone()
 	before := model.Accuracy(ds.X, ds.Labels)
-	params, err := LocalTrain(model, tr.GlobalParams(), ds, 5, cfg.Batch, cfg.LR, rng.New(11))
+	params, err := LocalTrain(model, tr.global.Params(), ds, 5, cfg.Batch, cfg.LR, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +132,9 @@ func TestLocalTrainImprovesLocalFit(t *testing.T) {
 func TestLocalTrainEmptyDataset(t *testing.T) {
 	cfg := DefaultConfig()
 	tr, _ := NewTrainer(cfg)
-	model := tr.Model()
+	model := tr.global.Clone()
 	empty := &Dataset{X: tensor.New(0, cfg.Spec.Dim), Labels: nil}
-	params, err := LocalTrain(model, tr.GlobalParams(), empty, 2, 8, 0.1, rng.New(1))
+	params, err := LocalTrain(model, tr.global.Params(), empty, 2, 8, 0.1, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}

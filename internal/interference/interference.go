@@ -102,9 +102,6 @@ func None() Model { return Model{Prob: 0} }
 // co-runner appears on a random subset of devices each round.
 func Default() Model { return Model{Prob: 0.5} }
 
-// Heavy returns an environment where most devices see a co-runner.
-func Heavy() Model { return Model{Prob: 0.85} }
-
 // Sample draws one device's co-runner load for one round.
 func (m Model) Sample(s *rng.Stream) Load {
 	if !s.Bool(m.Prob) {

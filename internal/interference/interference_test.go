@@ -7,6 +7,9 @@ import (
 	"autofl/internal/rng"
 )
 
+// heavy is an environment where most devices see a co-runner.
+var heavy = Model{Prob: 0.85}
+
 func TestNoneIsQuiet(t *testing.T) {
 	s := rng.New(1)
 	m := None()
@@ -46,14 +49,14 @@ func TestHeavyBusierThanDefault(t *testing.T) {
 		}
 		return busy
 	}
-	if count(Heavy(), 3) <= count(Default(), 3) {
+	if count(heavy, 3) <= count(Default(), 3) {
 		t.Error("Heavy environment should produce co-runners more often")
 	}
 }
 
 func TestLoadsInUnitRange(t *testing.T) {
 	s := rng.New(4)
-	m := Heavy()
+	m := heavy
 	for i := 0; i < 5000; i++ {
 		l := m.Sample(s)
 		if l.CPUUtil < 0 || l.CPUUtil > 1 || l.MemUtil < 0 || l.MemUtil > 1 {
@@ -66,7 +69,7 @@ func TestPhasesCoverTable1Buckets(t *testing.T) {
 	// The Table 1 S_Co_CPU buckets are none / <25% / <75% / <=100%.
 	// The browsing phases should populate all four over many draws.
 	s := rng.New(5)
-	m := Heavy()
+	m := heavy
 	var buckets [4]int
 	for i := 0; i < 5000; i++ {
 		l := m.Sample(s)

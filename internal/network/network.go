@@ -66,10 +66,6 @@ func SignalFor(mbps float64) power.Signal {
 	}
 }
 
-// IsRegular reports whether a bandwidth observation falls in Table 1's
-// "regular" bucket.
-func IsRegular(mbps float64) bool { return mbps > RegularBandwidthMbps }
-
 // CommSeconds returns the time to move payloadBytes over a link of the
 // given bandwidth, including the profile's fixed base latency. FL
 // rounds move the model down and the gradients up, so callers pass the

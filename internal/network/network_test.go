@@ -32,7 +32,7 @@ func TestWeakProfileMostlyBad(t *testing.T) {
 	bad := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
-		if !IsRegular(p.Sample(s)) {
+		if p.Sample(s) <= RegularBandwidthMbps {
 			bad++
 		}
 	}
@@ -47,7 +47,7 @@ func TestStableProfileMostlyRegular(t *testing.T) {
 	regular := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
-		if IsRegular(p.Sample(s)) {
+		if p.Sample(s) > RegularBandwidthMbps {
 			regular++
 		}
 	}

@@ -91,28 +91,6 @@ func IdleEnergy(idleWatts, roundSec float64) float64 {
 	return idleWatts * roundSec
 }
 
-// DeviceRoundEnergy aggregates the three models for one selected
-// participant over one aggregation round: computation at (target,
-// step), transmission at the observed signal strength, and idle power
-// for the remainder of the round (a device that finishes early waits
-// for the global aggregation, burning idle power — the performance
-// slack AutoFL's DVFS action converts into savings).
-func DeviceRoundEnergy(spec *device.Spec, target device.Target, step int, sig Signal, compSec, commSec, roundSec float64) float64 {
-	slack := roundSec - compSec - commSec
-	if slack < 0 {
-		slack = 0
-	}
-	proc := spec.Proc(target)
-	e := ComputeEnergy(proc, step, compSec, slack)
-	e += CommEnergy(sig, commSec)
-	// The other compute block and the radio idle throughout the busy
-	// part of the round.
-	other := spec.Proc(otherTarget(target))
-	e += other.IdleWatts * roundSec
-	e += spec.RadioIdleWatts * (roundSec - commSec)
-	return e
-}
-
 // Phases breaks a participant's round into its energy-relevant parts.
 // RoundSec must be at least SetupSec+CrunchSec+CommSec; the remainder
 // is idle waiting for the global aggregation.

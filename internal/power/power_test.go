@@ -77,42 +77,41 @@ func TestDVFSEnergyTradeoff(t *testing.T) {
 	}
 }
 
-func TestDeviceRoundEnergySlackIsIdle(t *testing.T) {
+func TestParticipantRoundEnergySlackIsIdle(t *testing.T) {
 	spec := device.MidEndSpec()
 	// A round twice as long as the busy time should cost more than a
 	// tight round: the extra time is idle but not free.
-	tight := DeviceRoundEnergy(spec, device.CPU, spec.CPU.TopStep(), SignalGood, 10, 2, 12)
-	slack := DeviceRoundEnergy(spec, device.CPU, spec.CPU.TopStep(), SignalGood, 10, 2, 24)
+	tight := ParticipantRoundEnergy(spec, device.CPU, spec.CPU.TopStep(), SignalGood, Phases{CrunchSec: 10, CommSec: 2, RoundSec: 12})
+	slack := ParticipantRoundEnergy(spec, device.CPU, spec.CPU.TopStep(), SignalGood, Phases{CrunchSec: 10, CommSec: 2, RoundSec: 24})
 	if slack <= tight {
 		t.Error("longer rounds must cost at least the extra idle energy")
 	}
 }
 
-func TestDeviceRoundEnergyGPUCheaperAtSameDuration(t *testing.T) {
+func TestParticipantRoundEnergyGPUCheaperAtSameDuration(t *testing.T) {
 	// At identical durations, running on the lower-power GPU block
 	// must cost less than the CPU block at top frequency.
 	spec := device.HighEndSpec()
-	cpu := DeviceRoundEnergy(spec, device.CPU, spec.CPU.TopStep(), SignalGood, 10, 2, 12)
-	gpu := DeviceRoundEnergy(spec, device.GPU, spec.GPU.TopStep(), SignalGood, 10, 2, 12)
+	ph := Phases{CrunchSec: 10, CommSec: 2, RoundSec: 12}
+	cpu := ParticipantRoundEnergy(spec, device.CPU, spec.CPU.TopStep(), SignalGood, ph)
+	gpu := ParticipantRoundEnergy(spec, device.GPU, spec.GPU.TopStep(), SignalGood, ph)
 	if gpu >= cpu {
 		t.Errorf("GPU round energy %v should be below CPU %v for equal durations", gpu, cpu)
 	}
 }
 
-// Property: round energy is non-negative, and monotone in each of
-// compSec / commSec / roundSec.
-func TestDeviceRoundEnergyProperty(t *testing.T) {
+// Property: round energy is non-negative, and monotone in roundSec.
+func TestParticipantRoundEnergyProperty(t *testing.T) {
 	spec := device.LowEndSpec()
-	f := func(compRaw, commRaw, extraRaw uint8) bool {
-		comp := float64(compRaw) / 4
-		comm := float64(commRaw) / 8
-		round := comp + comm + float64(extraRaw)/4
-		e := DeviceRoundEnergy(spec, device.CPU, 3, SignalFair, comp, comm, round)
+	f := func(setupRaw, compRaw, commRaw, extraRaw uint8) bool {
+		ph := Phases{SetupSec: float64(setupRaw) / 16, CrunchSec: float64(compRaw) / 4, CommSec: float64(commRaw) / 8}
+		ph.RoundSec = ph.SetupSec + ph.CrunchSec + ph.CommSec + float64(extraRaw)/4
+		e := ParticipantRoundEnergy(spec, device.CPU, 3, SignalFair, ph)
 		if e < 0 {
 			return false
 		}
-		e2 := DeviceRoundEnergy(spec, device.CPU, 3, SignalFair, comp, comm, round+10)
-		return e2 >= e
+		ph.RoundSec += 10
+		return ParticipantRoundEnergy(spec, device.CPU, 3, SignalFair, ph) >= e
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -55,15 +55,15 @@ func (b *battState) participate(g int) {
 // jain is Jain's fairness index over the cumulative per-device
 // participation counts, 0 before any selection.
 func (b *battState) jain() float64 {
-	return BatteryJainFromMoments(b.partSum, b.partSumSq, len(b.partCount))
+	return jainFromMoments(b.partSum, b.partSumSq, len(b.partCount))
 }
 
-// BatteryJainFromMoments is Jain's fairness index (Σx)²/(n·Σx²) from
-// running moments. The closed form matches metrics.JainFromMoments
-// exactly (pinned by a root-level test); sim carries its own three
-// lines because internal/metrics imports sim. Exported so that pin can
-// compare the two implementations directly.
-func BatteryJainFromMoments(sum, sumSq float64, n int) float64 {
+// jainFromMoments is Jain's fairness index (Σx)²/(n·Σx²) from the
+// running moments Σx and Σx² over n devices: 1 when every device
+// participated equally, 1/n when one device took every slot, and 0 for
+// an empty or all-zero allocation. Keeping the moments incremental
+// makes a per-round value cost O(participants), not O(population).
+func jainFromMoments(sum, sumSq float64, n int) float64 {
 	if n == 0 || sumSq <= 0 {
 		return 0
 	}

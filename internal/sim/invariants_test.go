@@ -165,8 +165,11 @@ func checkRound(res *RoundResult, mode AggregationMode, cfg Config) string {
 		if res.BatteryMeanCharge < 0 || res.BatteryMeanCharge > 1 {
 			return fmt.Sprintf("mean charge %v outside [0, 1]", res.BatteryMeanCharge)
 		}
-		if res.ParticipationJain < 0 || res.ParticipationJain > 1 {
-			return fmt.Sprintf("Jain index %v outside [0, 1]", res.ParticipationJain)
+		// Jain is 0 before any participation, and otherwise at least
+		// 1/N (one device took every slot) and at most 1.
+		lo := 1 / float64(cfg.Population.Len()) * (1 - 1e-9)
+		if j := res.ParticipationJain; j != 0 && (j < lo || j > 1) {
+			return fmt.Sprintf("Jain index %v neither 0 nor in [%v, 1]", j, lo)
 		}
 	}
 	return ""

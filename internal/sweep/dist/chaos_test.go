@@ -17,7 +17,7 @@ import (
 	"testing"
 	"time"
 
-	"autofl/internal/flnet/chaos"
+	"autofl/internal/chaos"
 	"autofl/internal/sweep"
 )
 

@@ -445,8 +445,8 @@ func TestUndeliverableResultFailsLoudly(t *testing.T) {
 	}
 }
 
-// TestWorkerCloseUnblocksServe pins the worker's graceful-shutdown
-// idiom (mirroring flnet.Server.Close).
+// TestWorkerCloseUnblocksServe pins the worker's graceful shutdown:
+// Close unblocks Serve with ErrWorkerClosed.
 func TestWorkerCloseUnblocksServe(t *testing.T) {
 	w, err := NewWorker("127.0.0.1:0", 1, fakeRunners)
 	if err != nil {

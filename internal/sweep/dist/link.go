@@ -13,7 +13,7 @@ import (
 )
 
 // ErrLinkClosed is the Err of a Link torn down by a deliberate Close,
-// distinguishable from a transport failure (the flnet/Worker idiom).
+// distinguishable from a transport failure.
 var ErrLinkClosed = errors.New("dist: link closed")
 
 // writeTimeout bounds every frame write on either side of a

@@ -31,10 +31,8 @@
 // The coordinator pipelines up to the advertised capacity of jobs per
 // worker; the worker executes them on a local pool and streams results
 // back in completion order. Framing is a 4-byte big-endian length
-// prefix followed by a JSON body (the framing idiom of
-// internal/flnet's message envelope, with JSON instead of gob so
-// payloads round-trip float64 exactly the way the exporters and the
-// cache already rely on).
+// prefix followed by a JSON body, so payloads round-trip float64
+// exactly the way the exporters and the cache already rely on.
 package dist
 
 import (
@@ -62,8 +60,7 @@ const ProtocolVersion = 2
 // absurd allocation.
 const maxFrame = 64 << 20
 
-// Frame kinds, discriminating the message envelope like
-// internal/flnet's Kind field.
+// Frame kinds, discriminating the message envelope by its Kind field.
 const (
 	kindHello  = "hello"
 	kindJob    = "job"
@@ -132,8 +129,8 @@ type JobResult struct {
 	WallSeconds float64 `json:"wall_seconds"`
 }
 
-// message is the single wire envelope (the flnet idiom: one flat
-// struct, Kind discriminates).
+// message is the single wire envelope: one flat struct, Kind
+// discriminates.
 type message struct {
 	Kind   string     `json:"kind"`
 	Hello  *Hello     `json:"hello,omitempty"`

@@ -14,8 +14,8 @@ import (
 )
 
 // ErrWorkerClosed is returned by Worker.Serve and Worker.Register
-// after Close tears the worker down (the flnet Server.Close idiom: a
-// deliberate shutdown is distinguishable from a transport failure).
+// after Close tears the worker down, so a deliberate shutdown is
+// distinguishable from a transport failure.
 var ErrWorkerClosed = errors.New("dist: worker closed")
 
 // dialTimeout bounds each of Register's dial attempts.

@@ -23,7 +23,7 @@ import (
 	"testing"
 	"time"
 
-	"autofl/internal/flnet/chaos"
+	"autofl/internal/chaos"
 	"autofl/internal/sweep"
 	"autofl/internal/sweep/dist"
 )

@@ -137,13 +137,6 @@ func (m *Matrix) ColSums() []float64 {
 	return out
 }
 
-// Scale multiplies every element in place.
-func (m *Matrix) Scale(f float64) {
-	for i := range m.Data {
-		m.Data[i] *= f
-	}
-}
-
 // AddScaled adds f·other to m in place.
 func (m *Matrix) AddScaled(other *Matrix, f float64) {
 	if m.Rows != other.Rows || m.Cols != other.Cols {
@@ -151,12 +144,5 @@ func (m *Matrix) AddScaled(other *Matrix, f float64) {
 	}
 	for i := range m.Data {
 		m.Data[i] += f * other.Data[i]
-	}
-}
-
-// Apply replaces every element with f(element).
-func (m *Matrix) Apply(f func(float64) float64) {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
 	}
 }

@@ -87,19 +87,11 @@ func TestAddRowAndColSums(t *testing.T) {
 	}
 }
 
-func TestScaleAddScaledApply(t *testing.T) {
-	m := FromSlice(1, 3, []float64{1, 2, 3})
-	m.Scale(2)
-	if m.Data[2] != 6 {
-		t.Error("Scale wrong")
-	}
+func TestAddScaled(t *testing.T) {
+	m := FromSlice(1, 3, []float64{2, 4, 6})
 	m.AddScaled(FromSlice(1, 3, []float64{1, 1, 1}), -1)
 	if m.Data[0] != 1 || m.Data[1] != 3 || m.Data[2] != 5 {
 		t.Errorf("AddScaled = %v", m.Data)
-	}
-	m.Apply(func(v float64) float64 { return v * v })
-	if m.Data[2] != 25 {
-		t.Error("Apply wrong")
 	}
 }
 
