@@ -64,16 +64,16 @@ func TestJainFairnessDegenerate(t *testing.T) {
 	}
 }
 
-// TestJainFairnessBounds: allocations stay within [1/n, 1] (0 before
-// any participation), and the engine's incremental moments — folded by
-// battState.participate as integer count bumps (sum += 1,
-// sumSq += 2c+1) — agree with the direct loop exactly. A fixed set of
-// edge allocations (empty, all-zero, tiny and huge magnitudes) checks
-// the moment form against the direct loop to 1e-12.
+// inJainBounds reports whether j lies in [1/n, 1] to 1e-12.
+func inJainBounds(j float64, n int) bool {
+	return j >= 1/float64(n)-1e-12 && j <= 1+1e-12
+}
+
+// TestJainFairnessBounds: random allocations stay within [1/n, 1] (0
+// before any participation), and the engine's incremental moments —
+// folded by battState.participate as integer count bumps (sum += 1,
+// sumSq += 2c+1) — agree with the direct loop exactly.
 func TestJainFairnessBounds(t *testing.T) {
-	inBounds := func(j float64, n int) bool {
-		return j >= 1/float64(n)-1e-12 && j <= 1+1e-12
-	}
 	s := rng.New(99)
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + s.IntN(300)
@@ -93,13 +93,19 @@ func TestJainFairnessBounds(t *testing.T) {
 			}
 			continue
 		}
-		if !inBounds(direct, n) {
+		if !inJainBounds(direct, n) {
 			t.Fatalf("n=%d events=%d: Jain = %g outside [%g, 1]", n, events, direct, 1/float64(n))
 		}
 		if inc := b.jain(); inc != direct {
 			t.Fatalf("incremental moments diverge: %g vs %g", inc, direct)
 		}
 	}
+}
+
+// TestJainMomentsMatchDirectLoop: on a fixed set of edge allocations
+// (empty, all-zero, single, uniform, tiny and huge magnitudes) the
+// moment form agrees with the direct loop to 1e-12 and stays in bounds.
+func TestJainMomentsMatchDirectLoop(t *testing.T) {
 	cases := [][]float64{
 		{},
 		{0, 0, 0},
@@ -115,7 +121,7 @@ func TestJainFairnessBounds(t *testing.T) {
 		if math.Abs(got-want) > 1e-12 {
 			t.Errorf("xs %v: moments form %v vs direct loop %v", xs, got, want)
 		}
-		if want != 0 && !inBounds(got, len(xs)) {
+		if want != 0 && !inJainBounds(got, len(xs)) {
 			t.Errorf("xs %v: Jain = %g outside [%g, 1]", xs, got, 1/float64(len(xs)))
 		}
 	}
