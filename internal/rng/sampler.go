@@ -3,6 +3,7 @@ package rng
 import (
 	"math/bits"
 	"math/rand/v2"
+	"unsafe"
 )
 
 // splitMix64 is the SplitMix64 finalizer: a cheap, well-mixed bijection
@@ -35,9 +36,17 @@ func Mix(a, b, c uint64) uint64 {
 // parallel loop give every item its own deterministic sequence —
 // Seed(Mix(base, round, item)) — while the engine's steady state
 // allocates nothing.
+//
+// Every draw writes the PCG state, and parallel loops hold one
+// Reseedable per goroutine, so two of them must never share a cache
+// line. The padding makes the type exactly 128 B: Go's 128 B size
+// class hands out 128-aligned objects, so each generator owns a whole
+// pair of 64 B lines, and neither the line nor the adjacent-line
+// prefetcher's pair is shared with another generator.
 type Reseedable struct {
 	pcg rand.PCG
 	s   Stream
+	_   [128 - unsafe.Sizeof(rand.PCG{}) - unsafe.Sizeof(Stream{})]byte
 }
 
 // NewReseedable returns an unseeded reseedable stream. Call Seed
@@ -65,22 +74,28 @@ func (r *Reseedable) Seed(seed uint64) *Stream {
 // n-k to n-1 it draws t = IntN(j+1) and adds t to the set, or j if t
 // is already a member. Every k-subset comes out with probability
 // 1/C(n, k) from exactly k draws. Membership lives in an n-bit set, so
-// resident state is one bit per element; one scan over its words
-// emits the members in ascending order and clears the set for the next
-// draw. A Sampler is not safe for concurrent use.
+// resident state is one bit per element, plus a summary bit per set
+// word that marks the words holding a member. The emit walks the
+// summary, so it visits only the (at most k) non-empty words, in
+// ascending order, and clears them for the next draw: its cost is
+// O(k + n/4096) words, where a scan of the set would take a
+// hard-to-predict branch on each of n/64. A Sampler is not safe for
+// concurrent use.
 type Sampler struct {
 	n   int
 	set []uint64 // membership; all zero between draws
+	sum []uint64 // bit w set when set[w] is non-zero; all zero between draws
 }
 
 // NewSampler returns a sampler over [0, n).
 func NewSampler(n int) *Sampler {
-	return &Sampler{n: n, set: make([]uint64, (n+63)/64)}
+	words := (n + 63) / 64
+	return &Sampler{n: n, set: make([]uint64, words), sum: make([]uint64, (words+63)/64)}
 }
 
-// MemoryBytes returns the sampler's resident state: n bits, rounded
-// up to whole 64-bit words.
-func (sp *Sampler) MemoryBytes() int { return len(sp.set) * 8 }
+// MemoryBytes returns the sampler's resident state: n bits plus one
+// summary bit per 64, each rounded up to whole 64-bit words.
+func (sp *Sampler) MemoryBytes() int { return (len(sp.set) + len(sp.sum)) * 8 }
 
 // SampleInto fills out with len(out) distinct indices drawn uniformly
 // from [0, n) in strictly ascending order, using exactly len(out)
@@ -96,15 +111,20 @@ func (sp *Sampler) SampleInto(s *Stream, out []int32) {
 			t = j
 		}
 		sp.set[t>>6] |= 1 << (t & 63)
+		sp.sum[t>>12] |= 1 << ((t >> 6) & 63)
 	}
-	// Emit in ascending order, clearing each word as it is read; the
-	// scan stops at the word holding the k-th member.
+	// Emit in ascending order: the summary's set bits name the
+	// non-empty words in order, and each is cleared as it is read.
 	i := 0
-	for w := 0; i < k; w++ {
-		for b := sp.set[w]; b != 0; b &= b - 1 {
-			out[i] = int32(w<<6 | bits.TrailingZeros64(b))
-			i++
+	for sw, m := range sp.sum {
+		for ; m != 0; m &= m - 1 {
+			w := sw<<6 | bits.TrailingZeros64(m)
+			for b := sp.set[w]; b != 0; b &= b - 1 {
+				out[i] = int32(w<<6 | bits.TrailingZeros64(b))
+				i++
+			}
+			sp.set[w] = 0
 		}
-		sp.set[w] = 0
+		sp.sum[sw] = 0
 	}
 }

@@ -3,6 +3,7 @@ package rng
 import (
 	"math"
 	"testing"
+	"unsafe"
 )
 
 func TestMixSpreadsEveryArgument(t *testing.T) {
@@ -42,6 +43,39 @@ func TestReseedableMatchesNew(t *testing.T) {
 	}
 }
 
+// TestReseedableOwnsItsCacheLines pins the padding that keeps
+// per-goroutine generators from false sharing. Every draw writes the
+// PCG state, so two shards whose states sat on one 64 B line would
+// bounce it between cores on every draw. At 128 B the type falls in
+// Go's 128 B size class, whose objects are 128-aligned, so no two
+// generators share a line or an adjacent-line prefetch pair.
+func TestReseedableOwnsItsCacheLines(t *testing.T) {
+	if got := unsafe.Sizeof(Reseedable{}); got != 128 {
+		t.Fatalf("sizeof(Reseedable) = %d B, want 128 (one 128-aligned size-class slot)", got)
+	}
+	// Allocate back to back, as the engine does for its shards.
+	const pairs = 16
+	rs := make([]*Reseedable, 0, 2*pairs)
+	for i := 0; i < pairs; i++ {
+		rs = append(rs, NewReseedable(), NewReseedable())
+	}
+	owner := map[uintptr]int{}
+	for i, r := range rs {
+		addr := uintptr(unsafe.Pointer(&r.pcg))
+		// The state's first and last byte, so a state straddling two
+		// lines is checked on both.
+		for _, line := range []uintptr{addr / 64, (addr + unsafe.Sizeof(r.pcg) - 1) / 64} {
+			if j, ok := owner[line]; ok && j != i {
+				t.Fatalf("generators %d and %d share the 64 B line at %#x", j, i, line*64)
+			}
+			owner[line] = i
+		}
+		if addr%128 != 0 {
+			t.Errorf("generator %d at %#x is not 128-aligned", i, addr)
+		}
+	}
+}
+
 // checkAscending fails unless out is strictly ascending and inside
 // [0, n) — which also makes it distinct.
 func checkAscending(t *testing.T, out []int32, n int) {
@@ -59,8 +93,8 @@ func checkAscending(t *testing.T, out []int32, n int) {
 func TestSamplerDrawsDistinctInRange(t *testing.T) {
 	const n, k = 100, 10
 	sp := NewSampler(n)
-	if got := sp.MemoryBytes(); got != 16 {
-		t.Fatalf("MemoryBytes = %d, want 16 (two 64-bit words for 100 bits)", got)
+	if got := sp.MemoryBytes(); got != 24 {
+		t.Fatalf("MemoryBytes = %d, want 24 (two 64-bit words for 100 bits, one summary word)", got)
 	}
 	out := make([]int32, k)
 	s := New(7)
@@ -68,8 +102,9 @@ func TestSamplerDrawsDistinctInRange(t *testing.T) {
 		sp.SampleInto(s, out)
 		checkAscending(t, out, n)
 	}
-	// Word-boundary sizes: the last word is partial or exactly full.
-	for _, n := range []int{1, 63, 64, 65, 128, 1000} {
+	// Word-boundary sizes: the last set or summary word is partial or
+	// exactly full.
+	for _, n := range []int{1, 63, 64, 65, 128, 1000, 4096, 4097, 10_000} {
 		sp := NewSampler(n)
 		for _, k := range []int{1, n / 2, n - 1, n} {
 			out := make([]int32, k)
@@ -96,6 +131,11 @@ func TestSamplerClearsSetBetweenDraws(t *testing.T) {
 	for w, word := range sp.set {
 		if word != 0 {
 			t.Fatalf("word %d = %#x after a draw, want 0", w, word)
+		}
+	}
+	for w, word := range sp.sum {
+		if word != 0 {
+			t.Fatalf("summary word %d = %#x after a draw, want 0", w, word)
 		}
 	}
 }

@@ -83,7 +83,11 @@ func TestRoundInvariantsProperty(t *testing.T) {
 						acc, virtual := 0.1, 0.0
 						for round := 0; round < 5; round++ {
 							_, res := eng.RunRound(p, round, acc)
-							if err := checkRound(res, mode, cfg); err != "" {
+							err := checkRound(res, mode, cfg)
+							if err == "" {
+								err = checkCharge(eng, res)
+							}
+							if err != "" {
 								t.Logf("seed %d env %s data %s round %d: %s", seedRaw, cfg.Env.Network.Name, cfg.Data.Name, round, err)
 								return false
 							}
@@ -170,6 +174,22 @@ func checkRound(res *RoundResult, mode AggregationMode, cfg Config) string {
 		lo := 1 / float64(cfg.Population.Len()) * (1 - 1e-9)
 		if j := res.ParticipationJain; j != 0 && (j < lo || j > 1) {
 			return fmt.Sprintf("Jain index %v neither 0 nor in [%v, 1]", j, lo)
+		}
+	}
+	return ""
+}
+
+// checkCharge returns the first view-row device whose state of charge
+// left [0, 1] after the round, or "" when every one is in bounds (or
+// the run has no battery). checkRound sees only the round's result and
+// so bounds only the mean; this reads the engine's per-device charge.
+func checkCharge(eng *Engine, res *RoundResult) string {
+	if eng.batt == nil {
+		return ""
+	}
+	for _, dr := range res.Devices {
+		if f := eng.batt.model.Frac(dr.Index); f < 0 || f > 1 {
+			return fmt.Sprintf("device %d: charge fraction %v outside [0, 1]", dr.Index, f)
 		}
 	}
 	return ""

@@ -10,13 +10,23 @@ package sim
 // population, takes every device in index order with no draw — and
 // presents policies a candidate-sized RoundContext view, so the whole
 // round is O(Sample + participants) plus the sampler's scan of
-// population/64 words, never a pass over per-device state.
+// population/4096 summary words, never a pass over per-device state.
 //
 // Determinism is by construction: every per-device draw comes from a
 // stream keyed by rng.Mix(seedBase, round, deviceIndex), so results
 // are a pure function of the config — independent of shard count,
 // GOMAXPROCS, and goroutine scheduling. The parallel observe pass just
 // partitions the candidate range across min(GOMAXPROCS, 16) shards.
+//
+// At a million devices the observe pass is memory-bound, and two rules
+// keep it memory-parallel. Each shard fills its rows in two passes
+// (fillView): a gather pass that only loads per-device state, so the
+// cache misses of many candidates overlap, then a draw pass that does
+// the keyed RNG work on the gathered rows. And per-shard state written
+// on every draw never shares a cache line with another shard's: the
+// generators are rng.Reseedable, padded to a 128-aligned 128 B each.
+// The view rows a shard writes are one contiguous range, so only the
+// line at each range boundary is shared.
 
 import (
 	"math"
@@ -212,36 +222,46 @@ func (e *Engine) observe(sc *roundScratch, round int, accuracy float64) *RoundCo
 // drawing each device's observation from its (round, device)-keyed
 // stream via the shard's reseedable generator. Rows are index-disjoint
 // across shards, so parallel fills never race.
+//
+// It runs in two passes over the rows. The gather pass only loads:
+// each candidate's partition record, hardware spec and, when async,
+// staleness. Those loads are scattered over multi-megabyte arrays and
+// independent of one another, so in a tight loop their cache misses
+// overlap. Interleaved with the draws, about 100 ns of RNG work would
+// sit between one candidate's misses and the next's, more than the
+// out-of-order window spans, and the misses would run one after
+// another. The draw pass then does the keyed draws (network first,
+// then interference, as each device's stream fixes) and the battery
+// observe.
 func (e *Engine) fillView(shard, lo, hi, round int, cand []int32, devs []device.Device, dd []data.DeviceData, devices []DeviceState) {
 	p := e.pop
-	rs := p.shardRng[shard]
 	for v := lo; v < hi; v++ {
 		g := int(cand[v])
-		st := rs.Seed(rng.Mix(p.envSeed, uint64(round), uint64(g)))
-		bw := e.cfg.Env.Network.Sample(st)
-		load := e.cfg.Env.Interference.Sample(st)
 		devs[v] = device.Device{ID: g, Spec: p.pop.Spec(g)}
 		dd[v] = data.DeviceData{
 			ClassFraction: float64(p.part.ClassFrac[g]),
 			Samples:       int(p.part.Samples[g]),
 			Quality:       float64(p.part.Quality[g]),
 		}
-		devices[v] = DeviceState{
-			Device:        &devs[v],
-			Load:          load,
-			BandwidthMbps: bw,
-			Signal:        network.SignalFor(bw),
-			Data:          &dd[v],
-		}
+		devices[v] = DeviceState{Device: &devs[v], Data: &dd[v]}
 		if e.async != nil {
 			// Reads only: async bookkeeping mutates lastStale during
 			// aggregation, never during the parallel observe pass.
 			devices[v].Staleness = int(e.async.lastStale[g])
 		}
+	}
+	rs := p.shardRng[shard]
+	for v := lo; v < hi; v++ {
+		g := int(cand[v])
+		st := rs.Seed(rng.Mix(p.envSeed, uint64(round), uint64(g)))
+		ds := &devices[v]
+		ds.BandwidthMbps = e.cfg.Env.Network.Sample(st)
+		ds.Load = e.cfg.Env.Interference.Sample(st)
+		ds.Signal = network.SignalFor(ds.BandwidthMbps)
 		if e.batt != nil {
 			// Candidate indices are distinct and shard-partitioned, so
 			// the per-device settle mutation never races.
-			e.observeBattery(&devices[v], g, devs[v].Spec.IdleWatts())
+			e.observeBattery(ds, g, devs[v].Spec.IdleWatts())
 		}
 	}
 }
@@ -252,7 +272,7 @@ func (e *Engine) PackedData() *data.Packed { return e.pop.part }
 // PopulationMemoryBytes is the resident per-device state of the
 // engine: the packed partition, the participation memory, the
 // last-action record, the cumulative-energy accumulator, and the
-// sampler's membership set (one bit per device).
+// sampler's membership set (one bit per device, plus its summary).
 func (e *Engine) PopulationMemoryBytes() int {
 	p := e.pop
 	perDevice := len(p.emaW)*4 + len(p.emaRound)*4 + len(p.lastStep) +
