@@ -93,9 +93,9 @@ func (a *asyncState) alloc(f flight) int {
 // dispatch selected idle devices (their completions become events),
 // then pop this step's arrivals from the queue and apply them with
 // staleness-discounted weights.
-func (e *Engine) runRoundAsync(pol Policy, round int, accuracy float64, sc *roundScratch) (*RoundContext, *RoundResult) {
+func (e *Engine) runRoundAsync(pol Policy, tp TraitsPolicy, round int, accuracy float64, sc *roundScratch) (*RoundContext, *RoundResult) {
 	a := e.async
-	ctx, selections, traits, res := e.beginRound(pol, round, accuracy, sc)
+	ctx, selections, traits, res := e.beginRound(pol, tp, round, accuracy, sc)
 
 	// Dispatch: every selected device that is not already training
 	// starts now, up to Params.K updates in flight. Its completion is

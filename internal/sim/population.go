@@ -17,6 +17,13 @@ package sim
 // are a pure function of the config — independent of shard count,
 // GOMAXPROCS, and goroutine scheduling. The parallel observe pass just
 // partitions the candidate range across min(GOMAXPROCS, 16) shards.
+// It runs on the engine's persistent observe workers, one per shard,
+// started at the first fanned-out observe (observePool). Once the
+// shards join, worker 0 draws the next round's candidate pool while
+// the caller finishes the round, and the next observe takes that pool.
+// The sampler's stream feeds nothing else, so its draws come in the
+// same order as when each observe draws its own pool, and no output
+// byte depends on which goroutine made them.
 //
 // At a million devices the observe pass is memory-bound, and two rules
 // keep it memory-parallel. Each shard fills its rows in two passes
@@ -31,7 +38,6 @@ package sim
 import (
 	"math"
 	"runtime"
-	"sync"
 
 	"autofl/internal/data"
 	"autofl/internal/device"
@@ -40,7 +46,8 @@ import (
 )
 
 // popShardMin is the candidate-pool size below which the observe pass
-// stays serial: spawning shard goroutines costs more than the loop.
+// stays serial on the calling goroutine: handing the rows to the
+// observe workers and waiting for them costs more than the loop.
 const popShardMin = 1024
 
 // popState is the engine's population state: the cohort fleet, the
@@ -65,6 +72,12 @@ type popState struct {
 	envSeed, actSeed uint64
 	shardRng         []*rng.Reseedable // one per shard, reseeded per device
 	actRng           *rng.Reseedable
+
+	// pool is the persistent observe workers, nil until the first
+	// fanned-out observe. next is the spare candidate buffer worker 0
+	// draws the next round's pool into while pool.drawing.
+	pool *observePool
+	next []int32
 
 	// Packed per-device dynamic state.
 	// emaW/emaRound are the lazily-decayed participation memory of the
@@ -162,11 +175,17 @@ func (e *Engine) observe(sc *roundScratch, round int, accuracy float64) *RoundCo
 		cand = make([]int32, k)
 	}
 	cand = cand[:k]
-	if k < p.n {
+	switch {
+	case p.pool != nil && p.pool.drawing:
+		// Worker 0 drew this round's pool during the last round's
+		// tail; the spare takes the buffer this round no longer needs.
+		p.pool.joinDraw()
+		cand, p.next = p.next, cand
+	case k < p.n:
 		// Ascending global order: deterministic, cache-friendly, and
 		// stable for positional policy state (tie priorities, pools).
 		p.sampler.SampleInto(p.sampleRng, cand)
-	} else {
+	default:
 		// Every device is a candidate: the identity, which is exactly
 		// what a full draw yields, without the draw.
 		for v := range cand {
@@ -194,28 +213,120 @@ func (e *Engine) observe(sc *roundScratch, round int, accuracy float64) *RoundCo
 		cfg:       &e.cfg,
 		fleetIdle: p.fleetIdle,
 	}
-	// Serial below the threshold — and through a named method, not a
-	// closure, so the steady-state round stays allocation-free.
 	if p.shards <= 1 || k < popShardMin {
 		e.fillView(0, 0, k, round, cand, devs, dd, devices)
-	} else {
-		var wg sync.WaitGroup
-		for i := 0; i < p.shards; i++ {
-			lo, hi := k*i/p.shards, k*(i+1)/p.shards
-			if lo == hi {
-				continue
-			}
-			wg.Add(1)
-			// Everything but wg and e rides in as arguments: a captured
-			// local would heap-escape on the serial path too.
-			go func(shard, lo, hi, round int, cand []int32, devs []device.Device, dd []data.DeviceData, devices []DeviceState) {
-				defer wg.Done()
-				e.fillView(shard, lo, hi, round, cand, devs, dd, devices)
-			}(i, lo, hi, round, cand, devs, dd, devices)
+		return &sc.ctx
+	}
+	if p.pool == nil {
+		p.pool = newObservePool(e, p.shards)
+	}
+	p.pool.fill(e, round, cand, devs, dd, devices)
+	if k < p.n {
+		// Only now, with the shards joined, so the draw does not
+		// compete with them for the cores.
+		if p.next == nil {
+			p.next = make([]int32, k)
 		}
-		wg.Wait()
+		p.pool.startDraw(e)
 	}
 	return &sc.ctx
+}
+
+// observePool is an engine's persistent observe workers, one per
+// shard. Worker i fills shard i's view rows in every fanned-out
+// observe; after the join, worker 0 draws the next round's candidate
+// pool into popState.next while the caller runs the rest of the round.
+//
+// Only the observing goroutine dispatches: it writes worker i's task,
+// sends on req[i], and receives one done per task, so each task is
+// ordered before and after its run. A worker clears its task when it
+// finishes, so an idle worker holds no engine: the cleanup
+// newObservePool registers on the Engine closes req once the engine is
+// collected, and the workers exit.
+type observePool struct {
+	tasks []observeTask
+	req   []chan struct{}
+	// done has room for one signal per worker, the most that can be
+	// outstanding, so a worker never blocks on it.
+	done chan struct{}
+	// drawing reports that worker 0 has a candidate-pool draw in
+	// flight, not yet joined.
+	drawing bool
+}
+
+// observeTask is one dispatch to a worker: the fill of view rows
+// [lo, hi) with shard's generator, or, when draw is set, the draw of
+// the next round's candidate pool.
+type observeTask struct {
+	e                    *Engine
+	draw                 bool
+	shard, lo, hi, round int
+	cand                 []int32
+	devs                 []device.Device
+	dd                   []data.DeviceData
+	devices              []DeviceState
+}
+
+func newObservePool(e *Engine, workers int) *observePool {
+	pl := &observePool{
+		tasks: make([]observeTask, workers),
+		req:   make([]chan struct{}, workers),
+		done:  make(chan struct{}, workers),
+	}
+	for i := range pl.req {
+		pl.req[i] = make(chan struct{}, 1)
+		go observeWorker(&pl.tasks[i], pl.req[i], pl.done)
+	}
+	runtime.AddCleanup(e, func(req []chan struct{}) {
+		for _, c := range req {
+			close(c)
+		}
+	}, pl.req)
+	return pl
+}
+
+// observeWorker runs its task once per request until req is closed.
+func observeWorker(t *observeTask, req <-chan struct{}, done chan<- struct{}) {
+	for range req {
+		if t.draw {
+			p := t.e.pop
+			p.sampler.SampleInto(p.sampleRng, p.next)
+		} else {
+			t.e.fillView(t.shard, t.lo, t.hi, t.round, t.cand, t.devs, t.dd, t.devices)
+		}
+		*t = observeTask{}
+		done <- struct{}{}
+	}
+}
+
+// fill partitions the view rows across the workers and waits for them.
+// Every shard is non-empty: the pool runs only for k >= popShardMin,
+// which exceeds the at most 16 shards.
+func (pl *observePool) fill(e *Engine, round int, cand []int32, devs []device.Device, dd []data.DeviceData, devices []DeviceState) {
+	n, k := len(pl.tasks), len(cand)
+	for i := range pl.tasks {
+		pl.tasks[i] = observeTask{
+			e: e, shard: i, lo: k * i / n, hi: k * (i + 1) / n, round: round,
+			cand: cand, devs: devs, dd: dd, devices: devices,
+		}
+		pl.req[i] <- struct{}{}
+	}
+	for range pl.tasks {
+		<-pl.done
+	}
+}
+
+// startDraw hands worker 0 the next round's candidate-pool draw and
+// returns without waiting; joinDraw waits for it.
+func (pl *observePool) startDraw(e *Engine) {
+	pl.tasks[0] = observeTask{e: e, draw: true}
+	pl.req[0] <- struct{}{}
+	pl.drawing = true
+}
+
+func (pl *observePool) joinDraw() {
+	<-pl.done
+	pl.drawing = false
 }
 
 // fillView fills candidate-view rows [lo, hi) of the round's context,

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"autofl/internal/battery"
 	"autofl/internal/data"
@@ -235,15 +236,15 @@ func steadyRoundAllocs(t *testing.T, procs int, cfg sim.Config, pol sim.Policy, 
 	})
 }
 
-// TestPopulationRoundAllocs pins the allocations of the steady-state
-// round. On one observe shard the round allocates nothing: sampled
-// (Sample < N) and exhaustive (Sample == N) at 2,000 devices, where at
-// GOMAXPROCS 1 even the 2,000-candidate pool above the fan-out
-// threshold is observed serially. At the shape perfbench's pop1m
-// workloads run — a 4,096-candidate pool, sync FedAvg-Random and async
-// with the solar battery and Battery-Weighted, here over 20,000
-// devices — the fanned-out pass allocates at most one closure and one
-// goroutine frame per shard plus the WaitGroup.
+// TestPopulationRoundAllocs pins the steady-state round at zero
+// allocations: sampled (Sample < N) and exhaustive (Sample == N) at
+// 2,000 devices, where at GOMAXPROCS 1 even the 2,000-candidate pool
+// above the fan-out threshold is observed serially, and at the shape
+// perfbench's pop1m workloads run — a 4,096-candidate pool, sync
+// FedAvg-Random and async with the solar battery and Battery-Weighted,
+// here over 20,000 devices — at GOMAXPROCS 1, 2 and 4, where the
+// fanned-out pass runs on the engine's persistent observe workers and
+// draws the next pool ahead.
 func TestPopulationRoundAllocs(t *testing.T) {
 	pop1mSync := popConfig(t, 20_000, 4096, 3)
 	pop1mSync.Data = data.NonIID100
@@ -265,15 +266,106 @@ func TestPopulationRoundAllocs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, procs := range tc.procs {
-			limit := float64(2*procs + 1)
-			if procs == 1 {
-				limit = 0
-			}
-			if avg := steadyRoundAllocs(t, procs, tc.cfg, tc.pol(), tc.warmup); avg > limit {
-				t.Errorf("%s at GOMAXPROCS=%d: steady-state round allocates %v objects, want at most %v",
-					tc.name, procs, avg, limit)
+			if avg := steadyRoundAllocs(t, procs, tc.cfg, tc.pol(), tc.warmup); avg != 0 {
+				t.Errorf("%s at GOMAXPROCS=%d: steady-state round allocates %v objects, want 0",
+					tc.name, procs, avg)
 			}
 		}
+	}
+}
+
+// TestPendingPoolShardInvariance pins the next-round draw across run
+// boundaries: a Run that ends leaves its engine with the next pool
+// already drawn, and a second Start on the same engine, then RunRound,
+// must observe exactly the pools a serial engine draws then. Each
+// sequence runs on one engine, at GOMAXPROCS 2 and 4 against 1.
+func TestPendingPoolShardInvariance(t *testing.T) {
+	cfg := popConfig(t, 5000, 2048, 41)
+	cfg.MaxRounds = 4
+	cfg.TargetAccuracy = 1 // each Run ends at its horizon
+	sequence := func(procs int) []any {
+		return atProcs(procs, func() []any {
+			e := mustEngine(t, cfg)
+			out := []any{e.Run(policy.NewRandom(3)), e.Run(policy.NewRandom(4))}
+			for r := 0; r < 3; r++ {
+				ctx, res := e.RunRound(policy.NewRandom(5), r, 0.5)
+				out = append(out, ctx.Devices, res)
+			}
+			return out
+		})
+	}
+	serial := sequence(1)
+	for _, procs := range []int{2, 4} {
+		got := sequence(procs)
+		for i := range serial {
+			if !reflect.DeepEqual(serial[i], got[i]) {
+				t.Errorf("GOMAXPROCS=%d: step %d of the run, run, round sequence differs from GOMAXPROCS=1", procs, i)
+			}
+		}
+	}
+}
+
+// TestObservePoolExitsWithEngine pins the observe workers' lifetime. A
+// fanned-out engine starts one worker per shard, and they exit once
+// the engine is collected, next-round draw pending or not. The default
+// 200-device fleet, and a pop1m-shape engine at GOMAXPROCS 1, observe
+// serially and start no goroutine at all.
+func TestObservePoolExitsWithEngine(t *testing.T) {
+	// settle collects until the goroutine count is at most want, or
+	// has not moved for 20 collections in a row, or 10 s pass, and
+	// returns the count.
+	settle := func(want int) int {
+		deadline := time.Now().Add(10 * time.Second)
+		n, still := runtime.NumGoroutine(), 0
+		for n > want && still < 20 && time.Now().Before(deadline) {
+			runtime.GC()
+			time.Sleep(10 * time.Millisecond)
+			prev := n
+			if n = runtime.NumGoroutine(); n == prev {
+				still++
+			} else {
+				still = 0
+			}
+		}
+		return n
+	}
+	// The baseline waits out the workers of earlier tests' engines.
+	base := settle(0)
+	pop := popConfig(t, 20_000, 4096, 3)
+	pop.MaxRounds = 3
+	run := func(procs int, cfg sim.Config) *sim.Engine {
+		return atProcs(procs, func() *sim.Engine {
+			e := mustEngine(t, cfg)
+			e.Run(policy.NewRandom(9))
+			return e
+		})
+	}
+
+	for _, tc := range []struct {
+		name  string
+		procs int
+		cfg   sim.Config
+	}{
+		{"default fleet at GOMAXPROCS 2", 2, stepperConfig(3, 3)},
+		{"pop1m shape at GOMAXPROCS 1", 1, pop},
+	} {
+		e := run(tc.procs, tc.cfg)
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("%s: %d goroutines while the engine lives, want at most %d", tc.name, n, base)
+		}
+		runtime.KeepAlive(e)
+	}
+
+	e := run(2, pop)
+	if n := runtime.NumGoroutine(); n < base+2 {
+		t.Fatalf("%d goroutines while a 2-shard engine lives, want at least %d: no observe workers", n, base+2)
+	}
+	runtime.KeepAlive(e)
+	for i := 0; i < 3; i++ {
+		run(2, pop)
+	}
+	if n := settle(base); n > base {
+		t.Errorf("%d goroutines after the engines were dropped and collected, want at most %d", n, base)
 	}
 }
 

@@ -64,10 +64,14 @@ type RoundInfo struct {
 //
 // A Run owns its engine's RNG streams and round scratch: use one Run
 // per Engine, and do not interleave it with Engine.Run or RunRound
-// calls on the same engine.
+// calls on the same engine. A candidate pool already drawn for the
+// next round belongs to the engine, not the Run: the engine's next
+// round, in a later Start or in RunRound, observes that pool, exactly
+// the one it would have drawn itself.
 type Run struct {
 	e       *Engine
 	p       Policy
+	tp      TraitsPolicy
 	fb      FeedbackPolicy
 	hasFb   bool
 	rewards interface{ RewardTrace() []float64 }
@@ -99,6 +103,9 @@ func (e *Engine) Start(p Policy) *Run {
 		r.trace.Jain = make([]float64, 0, n)
 		r.trace.BatteryFrac = make([]float64, 0, n)
 	}
+	// The optional interfaces are asserted once here, not per round: a
+	// dynamic assertion allocates its call-site cache on first use.
+	r.tp, _ = p.(TraitsPolicy)
 	r.fb, r.hasFb = p.(FeedbackPolicy)
 	r.rewards, _ = p.(interface{ RewardTrace() []float64 })
 	return r
@@ -112,7 +119,7 @@ func (r *Run) Step() bool {
 	if r.done {
 		return false
 	}
-	ctx, res := r.e.runRound(r.p, r.trace.Rounds(), r.acc, &r.e.scratch)
+	ctx, res := r.e.runRound(r.p, r.tp, r.trace.Rounds(), r.acc, &r.e.scratch)
 	if r.hasFb {
 		r.fb.Feedback(ctx, res)
 	}

@@ -677,19 +677,21 @@ func (e *Engine) Config() Config { return e.cfg }
 // allocated snapshots. Run loops the same logic over the engine's
 // reusable buffers instead.
 func (e *Engine) RunRound(p Policy, round int, accuracy float64) (*RoundContext, *RoundResult) {
-	return e.runRound(p, round, accuracy, new(roundScratch))
+	tp, _ := p.(TraitsPolicy)
+	return e.runRound(p, tp, round, accuracy, new(roundScratch))
 }
 
 // beginRound is the prologue every round body shares: it observes the
 // candidate view, sanitizes the policy's selections, reads the
-// policy's aggregation traits, resets the result with global device
-// indices, and summarizes the view's battery state.
-func (e *Engine) beginRound(pol Policy, round int, accuracy float64, sc *roundScratch) (*RoundContext, []Selection, AggregationTraits, *RoundResult) {
+// policy's aggregation traits (tp is pol as a TraitsPolicy, nil if it
+// is not one), resets the result with global device indices, and
+// summarizes the view's battery state.
+func (e *Engine) beginRound(pol Policy, tp TraitsPolicy, round int, accuracy float64, sc *roundScratch) (*RoundContext, []Selection, AggregationTraits, *RoundResult) {
 	ctx := e.observe(sc, round, accuracy)
 	selections := sanitize(sc, ctx, pol.Select(ctx))
 
 	traits := AggregationTraits{}
-	if tp, ok := pol.(TraitsPolicy); ok {
+	if tp != nil {
 		traits = tp.Traits()
 	}
 
@@ -756,11 +758,11 @@ func idleRecords(ctx *RoundContext, res *RoundResult, roundSec float64) {
 // runRound is the round engine proper, operating on caller-provided
 // scratch buffers. The asynchronous regimes have their own body
 // (async.go); this is the bulk-synchronous one.
-func (e *Engine) runRound(pol Policy, round int, accuracy float64, sc *roundScratch) (*RoundContext, *RoundResult) {
+func (e *Engine) runRound(pol Policy, tp TraitsPolicy, round int, accuracy float64, sc *roundScratch) (*RoundContext, *RoundResult) {
 	if e.async != nil {
-		return e.runRoundAsync(pol, round, accuracy, sc)
+		return e.runRoundAsync(pol, tp, round, accuracy, sc)
 	}
-	ctx, selections, traits, res := e.beginRound(pol, round, accuracy, sc)
+	ctx, selections, traits, res := e.beginRound(pol, tp, round, accuracy, sc)
 	res.Participants = len(selections)
 
 	// Per-participant completion times, under the loads actually in
