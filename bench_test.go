@@ -245,9 +245,8 @@ func BenchmarkHyperparamSensitivity(b *testing.B) {
 func BenchmarkRealFedAvg(b *testing.B) {
 	b.ReportAllocs()
 	cfg := fedavg.DefaultConfig()
-	cfg.Devices = 16
 	cfg.K = 8
-	tr, err := fedavg.NewTrainer(cfg)
+	tr, err := fedavg.NewTrainer(cfg, data.ExactPackedPartition(cfg.Seed, data.IdealIID, 16, cfg.Spec.Classes, 80))
 	if err != nil {
 		b.Fatal(err)
 	}

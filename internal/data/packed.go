@@ -10,20 +10,18 @@ import (
 	"autofl/internal/rng"
 )
 
-// Packed is the struct-of-arrays form of a data partition, sized for
-// million-device populations: 20 bytes of resident state per device
-// instead of a DeviceData struct with two heap slices. Class identity
-// is kept as a 64-bit coverage mask (see ClassBuckets) — enough for
-// the convergence model's class-coverage term — and per-device update
-// quality is precomputed into one float32, so the round loop never
-// touches a Proportions slice.
+// Packed is the device data partition in struct-of-arrays form, sized
+// for million-device populations: 20 bytes of resident state per
+// device. Class identity is kept as a 64-bit coverage mask (see
+// classBucket), enough for the convergence model's class-coverage
+// term, and per-device update quality is precomputed into one float32,
+// so the round loop never touches per-class proportions. Proportions
+// re-derives a device's class proportions on demand.
 //
 // Packed is generated with per-device keyed streams (rng.Mix of the
 // partition seed and the device index), so the assignment for device i
 // is a pure function of (seed, i): independent of generation order,
-// worker count, and population size. It is therefore NOT draw-for-draw
-// identical to the sequential Partition — the packed population is its
-// own sampled realization of the same scenario distribution.
+// worker count, and population size.
 type Packed struct {
 	// Classes is the label-class count of the workload.
 	Classes int
@@ -32,12 +30,20 @@ type Packed struct {
 	// Mask holds per-device class-coverage bitmasks (bit b set when
 	// the device holds a class mapping to bucket b).
 	Mask []uint64
-	// Quality holds per-device IID-quality scores in [0, 1].
+	// Quality holds per-device IID-quality scores in (0, 1]: 1 for an
+	// IID device, else the effective class count (inverse Simpson
+	// index) of the device's proportions over the class count.
 	Quality []float32
 	// ClassFrac holds per-device class fractions (the S_Data feature).
 	ClassFrac []float32
 	// Samples holds per-device local sample counts.
 	Samples []int32
+
+	// seed, threshold and meanSamples are the draw parameters, kept so
+	// Proportions can replay a device's keyed stream.
+	seed        uint64
+	threshold   float64
+	meanSamples int
 }
 
 // classBucket maps a class id to its coverage-mask bit: the identity
@@ -53,16 +59,16 @@ func classBucket(c, classes int) int {
 // PackedPartition assigns local datasets to n devices under the
 // scenario, in cohort form. Each device's draws come from its own
 // keyed stream; non-IID status is an independent Bernoulli draw per
-// device (the sequential Partition picks an exact count — at
-// population scale the binomial concentrates to the same fraction).
-// Generation runs on GOMAXPROCS goroutines.
+// device (ExactPackedPartition fixes the count; at population scale
+// the binomial concentrates to the same fraction). Generation runs on
+// GOMAXPROCS goroutines.
 func PackedPartition(seed uint64, scenario Scenario, n, classes, meanSamples int) *Packed {
 	return packedPartition(seed, scenario.NonIIDFraction, n, classes, meanSamples)
 }
 
 // ExactPackedPartition is PackedPartition with exactly round(f·n)
-// non-IID devices, the count the sequential Partition assigns: the
-// devices whose keyed membership draws are the smallest. Every device
+// non-IID devices: the devices whose keyed membership draws are the
+// smallest. Every device
 // makes the same draws as under PackedPartition; only the threshold
 // its membership draw is compared against moves from f to an order
 // statistic of all n draws. At a few hundred devices the Bernoulli
@@ -88,7 +94,7 @@ func exactThreshold(seed uint64, f float64, n, meanSamples int) float64 {
 	draws := make([]float64, n)
 	rs := rng.NewReseedable()
 	for i := range draws {
-		s := rs.Seed(rng.Mix(seed, 0, uint64(i)))
+		s := rs.Seed(deviceKey(seed, i))
 		drawSamples(s, meanSamples)
 		draws[i] = s.Float64()
 	}
@@ -110,6 +116,10 @@ func packedPartition(seed uint64, threshold float64, n, classes, meanSamples int
 		Quality:   make([]float32, n),
 		ClassFrac: make([]float32, n),
 		Samples:   make([]int32, n),
+
+		seed:        seed,
+		threshold:   threshold,
+		meanSamples: meanSamples,
 	}
 	workers := min(runtime.GOMAXPROCS(0), n)
 	var wg sync.WaitGroup
@@ -121,13 +131,16 @@ func packedPartition(seed uint64, threshold float64, n, classes, meanSamples int
 			rs := rng.NewReseedable()
 			props := make([]float64, classes)
 			for i := lo; i < hi; i++ {
-				p.generate(rs.Seed(rng.Mix(seed, 0, uint64(i))), threshold, i, meanSamples, props)
+				p.generate(rs.Seed(deviceKey(seed, i)), i, props)
 			}
 		}()
 	}
 	wg.Wait()
 	return p
 }
+
+// deviceKey is the seed of device i's keyed stream.
+func deviceKey(seed uint64, i int) uint64 { return rng.Mix(seed, 0, uint64(i)) }
 
 // drawSamples draws a device's local sample count: the first draw of
 // its keyed stream.
@@ -137,22 +150,30 @@ func drawSamples(s *rng.Stream, meanSamples int) int32 {
 	return max(samples, 1)
 }
 
-// generate draws device i's assignment from its keyed stream. The
-// draw order per device mirrors Partition's per-device order (samples,
-// then the non-IID decision, then proportions).
-func (p *Packed) generate(s *rng.Stream, threshold float64, i, meanSamples int, props []float64) {
-	samples := drawSamples(s, meanSamples)
+// draw makes a device's draws from its keyed stream s: the sample
+// count, the non-IID membership, and for a non-IID device its
+// proportions into props. generate and Proportions both draw through
+// it, so the stored arrays and the replayed proportions cannot drift.
+func (p *Packed) draw(s *rng.Stream, props []float64) (samples int32, nonIID bool) {
+	samples = drawSamples(s, p.meanSamples)
+	if !s.Bool(p.threshold) {
+		return samples, false
+	}
+	s.Dirichlet(DirichletAlpha, props)
+	return samples, true
+}
+
+// generate draws device i and reduces its proportions to the scalars
+// the round loop needs: class fraction, coverage mask and quality.
+func (p *Packed) generate(s *rng.Stream, i int, props []float64) {
+	samples, nonIID := p.draw(s, props)
 	p.Samples[i] = samples
-	if !s.Bool(threshold) {
+	if !nonIID {
 		p.Mask[i] = fullMask(p.Buckets)
 		p.Quality[i] = 1
 		p.ClassFrac[i] = 1
 		return
 	}
-	// Dirichlet proportions, reduced on the fly to the three scalars
-	// the round loop needs: present-class count, coverage mask, and
-	// the inverse-Simpson quality score.
-	dirichletInto(s, DirichletAlpha, props)
 	var mask uint64
 	present := 0
 	sumSq := 0.0
@@ -162,6 +183,7 @@ func (p *Packed) generate(s *rng.Stream, threshold float64, i, meanSamples int, 
 		if pr > props[best] {
 			best = c
 		}
+		// A class is present if the device holds a sample of it.
 		if pr*float64(samples) >= 1 {
 			present++
 			mask |= 1 << classBucket(c, p.Classes)
@@ -174,41 +196,19 @@ func (p *Packed) generate(s *rng.Stream, threshold float64, i, meanSamples int, 
 	}
 	p.Mask[i] = mask
 	p.ClassFrac[i] = float32(present) / float32(p.Classes)
-	q := 1.0
-	if sumSq > 0 {
-		q = 1 / sumSq / float64(len(props)) // effective classes / total
-	}
-	if q > 1 {
-		q = 1
-	}
-	// A zero quality would read as "unset" (DeviceData.Quality uses 0
-	// as the legacy sentinel); the score is strictly positive anyway
-	// for any non-degenerate draw, so clamp to a tiny floor.
-	if q < 1e-9 {
-		q = 1e-9
-	}
-	p.Quality[i] = float32(q)
+	// The proportions sum to 1, so sumSq lies in [1/classes, 1] and
+	// the score in [1/classes, 1]; the clamp only absorbs rounding.
+	p.Quality[i] = float32(min(1/sumSq/float64(len(props)), 1))
 }
 
-// dirichletInto is Stream.Dirichlet without the allocation: a
-// symmetric Dirichlet draw written into the caller's scratch.
-func dirichletInto(s *rng.Stream, alpha float64, out []float64) {
-	sum := 0.0
-	for i := range out {
-		g := s.Gamma(alpha)
-		out[i] = g
-		sum += g
+// Proportions replays device i's keyed stream and returns its Dirichlet
+// class proportions, indexed by class id, or nil for an IID device.
+func (p *Packed) Proportions(i int) []float64 {
+	props := make([]float64, p.Classes)
+	if _, nonIID := p.draw(rng.New(deviceKey(p.seed, i)), props); !nonIID {
+		return nil
 	}
-	if sum == 0 {
-		for i := range out {
-			out[i] = 0
-		}
-		out[s.IntN(len(out))] = 1
-		return
-	}
-	for i := range out {
-		out[i] /= sum
-	}
+	return props
 }
 
 func fullMask(buckets int) uint64 {

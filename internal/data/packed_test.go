@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-
-	"autofl/internal/rng"
 )
 
 // atProcs returns f() computed under runtime.GOMAXPROCS(n), the
@@ -86,8 +84,7 @@ func TestPackedIIDDevices(t *testing.T) {
 	}
 }
 
-// meanQuality averages the per-device quality — the packed analogue of
-// MeanIIDQuality.
+// meanQuality averages the per-device quality.
 func meanQuality(p *Packed) float64 {
 	total := 0.0
 	for _, q := range p.Quality {
@@ -97,33 +94,87 @@ func meanQuality(p *Packed) float64 {
 }
 
 // TestPackedNonIIDStatistics checks the packed realization against the
-// sequential Partition's distribution: same scenario, same scale of
-// mean quality and sparse per-device coverage. The two are independent
-// realizations, so the comparison is statistical, not byte-wise.
+// scenario distribution: the mean quality lies within 0.05 of an
+// independent realization's, and per-device coverage is sparse. The
+// reference means (0.6035, 0.4061, 0.2083) come from a sequential
+// partition that drew the devices from one stream, at the same seed,
+// size, class count and mean sample count, with an exact non-IID
+// count.
 func TestPackedNonIIDStatistics(t *testing.T) {
 	const n, classes = 5000, 10
-	p := PackedPartition(9, NonIID100, n, classes, 500)
-	legacy := Partition(rng.New(9), NonIID100, n, classes, 500)
+	for _, c := range []struct {
+		sc   Scenario
+		want float64
+	}{{NonIID50, 0.6035}, {NonIID75, 0.4061}, {NonIID100, 0.2083}} {
+		p := PackedPartition(9, c.sc, n, classes, 500)
+		if got := meanQuality(p); got < c.want-0.05 || got > c.want+0.05 {
+			t.Errorf("%s: mean quality %v, want %v ± 0.05", c.sc.Name, got, c.want)
+		}
+		// Dirichlet(0.1) concentrates mass on few classes: every device
+		// covers at least one class, and mean coverage sits well below
+		// full.
+		totalBits := 0
+		for i := 0; i < n; i++ {
+			c := bits.OnesCount64(p.Mask[i])
+			if c == 0 {
+				t.Fatalf("device %d has an empty mask", i)
+			}
+			totalBits += c
+			if p.Quality[i] <= 0 {
+				t.Fatalf("device %d: non-positive quality %v", i, p.Quality[i])
+			}
+		}
+		if mean := float64(totalBits) / n; mean > 0.8*classes {
+			t.Errorf("%s: mean class coverage %v of %d classes — not concentrated", c.sc.Name, mean, classes)
+		}
+	}
+}
 
-	pq, lq := meanQuality(p), MeanIIDQuality(legacy)
-	if diff := pq - lq; diff < -0.05 || diff > 0.05 {
-		t.Errorf("mean quality: packed %v vs legacy %v", pq, lq)
-	}
-	// Dirichlet(0.1) concentrates mass on few classes: every device
-	// covers at least one class, and mean coverage sits well below full.
-	totalBits := 0
-	for i := 0; i < n; i++ {
-		c := bits.OnesCount64(p.Mask[i])
-		if c == 0 {
-			t.Fatalf("device %d has an empty mask", i)
+// TestPackedProportionsRoundTrip pins Proportions to the generator:
+// for every device of a NonIID75 partition, at 10 classes and at 1,000
+// (past the mask's 64-bucket fold), the replayed proportions reduce to
+// the stored Mask, ClassFrac and Quality bit for bit, and an IID
+// device replays nil.
+func TestPackedProportionsRoundTrip(t *testing.T) {
+	for _, gen := range generators {
+		for _, classes := range []int{10, 1000} {
+			p := gen(12, NonIID75, 400, classes, 500)
+			iid := 0
+			for i := 0; i < p.Len(); i++ {
+				props := p.Proportions(i)
+				if props == nil {
+					iid++
+					if p.Mask[i] != fullMask(p.Buckets) || p.ClassFrac[i] != 1 || p.Quality[i] != 1 {
+						t.Fatalf("%d classes, device %d: nil proportions on a non-IID device", classes, i)
+					}
+					continue
+				}
+				var mask uint64
+				present, best, sumSq := 0, 0, 0.0
+				for c, pr := range props {
+					sumSq += pr * pr
+					if pr > props[best] {
+						best = c
+					}
+					if pr*float64(p.Samples[i]) >= 1 {
+						present++
+						mask |= 1 << classBucket(c, classes)
+					}
+				}
+				if present == 0 {
+					present, mask = 1, 1<<classBucket(best, classes)
+				}
+				frac := float32(present) / float32(classes)
+				q := float32(min(1/sumSq/float64(classes), 1))
+				if p.Mask[i] != mask || p.ClassFrac[i] != frac || p.Quality[i] != q {
+					t.Fatalf("%d classes, device %d: replay gives mask %#x frac %v quality %v, stored %#x %v %v",
+						classes, i, mask, frac, q, p.Mask[i], p.ClassFrac[i], p.Quality[i])
+				}
+			}
+			if iid == 0 || iid == p.Len() {
+				t.Errorf("%d classes: %d of %d devices IID, want a mix", classes, iid, p.Len())
+			}
 		}
-		totalBits += c
-		if p.Quality[i] <= 0 {
-			t.Fatalf("device %d: non-positive quality %v (0 is the unset sentinel)", i, p.Quality[i])
-		}
-	}
-	if mean := float64(totalBits) / n; mean > 0.8*classes {
-		t.Errorf("mean class coverage %v of %d classes — not concentrated", mean, classes)
 	}
 }
 
@@ -152,19 +203,5 @@ func TestPackedMemoryBytes(t *testing.T) {
 	p := PackedPartition(1, IdealIID, n, 10, 500)
 	if got, want := p.MemoryBytes(), n*20; got != want {
 		t.Errorf("MemoryBytes = %d, want %d (20 B/device)", got, want)
-	}
-}
-
-// TestDeviceDataQualityOverride pins the Quality field the packed
-// candidate view feeds through DeviceData: set, it short-circuits
-// IIDQuality; zero keeps the legacy proportions path.
-func TestDeviceDataQualityOverride(t *testing.T) {
-	d := DeviceData{Quality: 0.25}
-	if got := d.IIDQuality(); got != 0.25 {
-		t.Errorf("explicit quality: IIDQuality = %v, want 0.25", got)
-	}
-	iid := DeviceData{IID: true}
-	if got := iid.IIDQuality(); got != 1 {
-		t.Errorf("IID device: IIDQuality = %v, want 1", got)
 	}
 }

@@ -184,9 +184,11 @@ func RealFedAvgValidation(o Options) *Figure {
 	}
 	run := func(sc data.Scenario, sel fedavg.Selector, label string) float64 {
 		cfg := fedavg.DefaultConfig()
-		cfg.Data = sc
 		cfg.Seed = o.Seed + 1
-		tr, err := fedavg.NewTrainer(cfg)
+		// 40 devices holding 80 samples each on average, drawn with
+		// the trainer's seed, as the engine draws its exhaustive fleet.
+		part := data.ExactPackedPartition(cfg.Seed, sc, 40, cfg.Spec.Classes, 80)
+		tr, err := fedavg.NewTrainer(cfg, part)
 		if err != nil {
 			f.Notes = append(f.Notes, err.Error())
 			return 0

@@ -3,12 +3,17 @@
 // internal/nn. It exists to validate the learning-side behaviour the
 // paper's evaluation depends on — partial participation, local epochs,
 // and Dirichlet non-IID degradation — with real gradients rather than
-// the analytic model of internal/sim.
+// the analytic model of internal/sim. The trainer trains on a
+// data.Packed, the partition the simulation engine steps on: client i
+// holds device i's sample count and replayed class proportions, so a
+// trainer built from Engine.PackedData trains the engine's devices.
 package fedavg
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"autofl/internal/data"
 	"autofl/internal/nn"
@@ -95,21 +100,20 @@ func (p *Problem) Sample(s *rng.Stream, n int, proportions []float64) *Dataset {
 	return &Dataset{X: x, Labels: labels}
 }
 
-// ClientData materializes per-device datasets from a partition
-// produced by data.Partition: IID devices sample uniformly, non-IID
-// devices sample by their Dirichlet proportions.
-func (p *Problem) ClientData(s *rng.Stream, partition []data.DeviceData) []*Dataset {
-	out := make([]*Dataset, len(partition))
-	for i := range partition {
-		out[i] = p.Sample(s, partition[i].Samples, partition[i].Proportions)
+// ClientData materializes per-device datasets from a partition: IID
+// devices sample uniformly, non-IID devices sample by their Dirichlet
+// proportions.
+func (p *Problem) ClientData(s *rng.Stream, part *data.Packed) []*Dataset {
+	out := make([]*Dataset, part.Len())
+	for i := range out {
+		out[i] = p.Sample(s, int(part.Samples[i]), part.Proportions(i))
 	}
 	return out
 }
 
 // LocalTrain runs E epochs of minibatch SGD on a client dataset
 // starting from the given flat parameters, returning the updated
-// parameters. It is the client-side step of Fig 2 (step 3), shared by
-// the in-process trainer and the TCP clients.
+// parameters. It is the client-side step of Fig 2 (step 3).
 func LocalTrain(model *nn.MLP, params []float64, ds *Dataset, epochs, batch int, lr float64, s *rng.Stream) ([]float64, error) {
 	if err := model.SetParams(params); err != nil {
 		return nil, err
@@ -143,12 +147,6 @@ func LocalTrain(model *nn.MLP, params []float64, ds *Dataset, epochs, batch int,
 // Config drives an in-process federated training run.
 type Config struct {
 	Spec SyntheticSpec
-	// Devices is the client population size.
-	Devices int
-	// Data is the heterogeneity scenario.
-	Data data.Scenario
-	// SamplesPerDevice is the mean local dataset size.
-	SamplesPerDevice int
 	// K, Epochs, Batch are FedAvg's per-round parameters.
 	K, Epochs, Batch int
 	// LR is the client learning rate.
@@ -165,67 +163,68 @@ type Config struct {
 // tens of rounds.
 func DefaultConfig() Config {
 	return Config{
-		Spec:             DefaultSynthetic(),
-		Devices:          40,
-		Data:             data.IdealIID,
-		SamplesPerDevice: 80,
-		K:                8,
-		Epochs:           2,
-		Batch:            16,
-		LR:               0.1,
-		TestSamples:      1000,
-		Hidden:           32,
-		Seed:             1,
+		Spec:        DefaultSynthetic(),
+		K:           8,
+		Epochs:      2,
+		Batch:       16,
+		LR:          0.1,
+		TestSamples: 1000,
+		Hidden:      32,
+		Seed:        1,
 	}
 }
 
 // Trainer runs FedAvg rounds in process.
 type Trainer struct {
 	cfg     Config
-	problem *Problem
+	part    *data.Packed
 	clients []*Dataset
-	// Partition records each client's class assignment.
-	Partition []data.DeviceData
-	test      *Dataset
-	global    *nn.MLP
-	scratch   *nn.MLP
-	rng       *rng.Stream
+	test    *Dataset
+	global  *nn.MLP
+	scratch *nn.MLP
+	rng     *rng.Stream
 }
 
-// NewTrainer partitions data and initializes the global model.
-func NewTrainer(cfg Config) (*Trainer, error) {
-	if cfg.Devices <= 0 || cfg.K <= 0 {
-		return nil, fmt.Errorf("fedavg: need positive Devices and K")
+// NewTrainer materializes one client per device of the partition and
+// initializes the global model. The partition's class count must match
+// the synthetic problem's.
+func NewTrainer(cfg Config, part *data.Packed) (*Trainer, error) {
+	switch {
+	case part == nil || part.Len() == 0:
+		return nil, fmt.Errorf("fedavg: need a non-empty partition")
+	case cfg.K <= 0:
+		return nil, fmt.Errorf("fedavg: need positive K, got %d", cfg.K)
+	case part.Classes != cfg.Spec.Classes:
+		return nil, fmt.Errorf("fedavg: partition has %d classes, problem %d", part.Classes, cfg.Spec.Classes)
 	}
 	root := rng.New(cfg.Seed)
 	problem := NewProblem(cfg.Spec, root.Fork())
-	partition := data.Partition(root.Fork(), cfg.Data, cfg.Devices, cfg.Spec.Classes, cfg.SamplesPerDevice)
-	clients := problem.ClientData(root.Fork(), partition)
+	clients := problem.ClientData(root.Fork(), part)
 	test := problem.Sample(root.Fork(), cfg.TestSamples, nil)
 	global := nn.NewMLP(root.Fork(), cfg.Spec.Dim, cfg.Hidden, cfg.Spec.Classes)
 	return &Trainer{
-		cfg:       cfg,
-		problem:   problem,
-		clients:   clients,
-		Partition: partition,
-		test:      test,
-		global:    global,
-		scratch:   global.Clone(),
-		rng:       root.Fork(),
+		cfg:     cfg,
+		part:    part,
+		clients: clients,
+		test:    test,
+		global:  global,
+		scratch: global.Clone(),
+		rng:     root.Fork(),
 	}, nil
 }
 
 // Accuracy evaluates the global model on the held-out test set.
 func (t *Trainer) Accuracy() float64 { return t.global.Accuracy(t.test.X, t.test.Labels) }
 
-// Selector picks the participant client indices for a round.
-type Selector func(round int, partition []data.DeviceData) []int
+// Selector picks the participant client indices for a round; client i
+// is device i of the partition.
+type Selector func(round int, part *data.Packed) []int
 
 // RandomSelector is the FedAvg baseline: K uniform clients.
 func RandomSelector(k int, seed uint64) Selector {
 	s := rng.New(seed)
-	return func(round int, partition []data.DeviceData) []int {
-		return s.Sample(len(partition), k)
+	return func(round int, part *data.Packed) []int {
+		return s.Sample(part.Len(), k)
 	}
 }
 
@@ -233,35 +232,21 @@ func RandomSelector(k int, seed uint64) Selector {
 // the selection a converged AutoFL controller settles on under data
 // heterogeneity.
 func QualitySelector(k int) Selector {
-	return func(round int, partition []data.DeviceData) []int {
-		type scored struct {
-			idx int
-			q   float64
+	return func(round int, part *data.Packed) []int {
+		idx := make([]int, part.Len())
+		for i := range idx {
+			idx[i] = i
 		}
-		all := make([]scored, len(partition))
-		for i := range partition {
-			all[i] = scored{i, partition[i].IIDQuality()}
-		}
-		for i := 1; i < len(all); i++ { // insertion sort, stable enough
-			for j := i; j > 0 && all[j].q > all[j-1].q; j-- {
-				all[j], all[j-1] = all[j-1], all[j]
-			}
-		}
-		if k > len(all) {
-			k = len(all)
-		}
-		out := make([]int, k)
-		for i := 0; i < k; i++ {
-			out[i] = all[i].idx
-		}
-		return out
+		// Stable, so equal qualities keep device order.
+		slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(part.Quality[b], part.Quality[a]) })
+		return idx[:min(k, len(idx))]
 	}
 }
 
 // Round executes one aggregation round with the given selector and
 // returns the post-round test accuracy.
 func (t *Trainer) Round(round int, sel Selector) (float64, error) {
-	indices := sel(round, t.Partition)
+	indices := sel(round, t.part)
 	globalParams := t.global.Params()
 	var vectors [][]float64
 	var weights []float64

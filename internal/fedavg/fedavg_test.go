@@ -4,17 +4,28 @@ import (
 	"testing"
 
 	"autofl/internal/data"
+	"autofl/internal/device"
+	"autofl/internal/policy"
 	"autofl/internal/rng"
+	"autofl/internal/sim"
 	"autofl/internal/tensor"
+	"autofl/internal/workload"
 )
 
-func TestIIDFedAvgConverges(t *testing.T) {
-	cfg := DefaultConfig()
-	tr, err := NewTrainer(cfg)
+// newTrainer builds a trainer on a 40-device partition of the scenario
+// with 80 samples per device on average, drawn with the config's seed.
+func newTrainer(t *testing.T, cfg Config, sc data.Scenario) *Trainer {
+	t.Helper()
+	tr, err := NewTrainer(cfg, data.ExactPackedPartition(cfg.Seed, sc, 40, cfg.Spec.Classes, 80))
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := tr.Run(40, RandomSelector(cfg.K, 2))
+	return tr
+}
+
+func TestIIDFedAvgConverges(t *testing.T) {
+	cfg := DefaultConfig()
+	trace, err := newTrainer(t, cfg, data.IdealIID).Run(40, RandomSelector(cfg.K, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,13 +43,8 @@ func TestNonIIDConvergesSlower(t *testing.T) {
 	// clients slow and degrade convergence relative to IID.
 	run := func(sc data.Scenario) []float64 {
 		cfg := DefaultConfig()
-		cfg.Data = sc
 		cfg.Seed = 3
-		tr, err := NewTrainer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trace, err := tr.Run(40, RandomSelector(cfg.K, 4))
+		trace, err := newTrainer(t, cfg, sc).Run(40, RandomSelector(cfg.K, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,13 +71,8 @@ func TestQualitySelectionBeatsRandomUnderHeterogeneity(t *testing.T) {
 	// trains better than random selection — with real gradients.
 	run := func(sel Selector, seed uint64) float64 {
 		cfg := DefaultConfig()
-		cfg.Data = data.NonIID75
 		cfg.Seed = seed
-		tr, err := NewTrainer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trace, err := tr.Run(40, sel)
+		trace, err := newTrainer(t, cfg, data.NonIID75).Run(40, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,8 +96,7 @@ func TestTrainerDeterminism(t *testing.T) {
 	run := func() []float64 {
 		cfg := DefaultConfig()
 		cfg.Seed = 9
-		tr, _ := NewTrainer(cfg)
-		trace, _ := tr.Run(5, RandomSelector(cfg.K, 10))
+		trace, _ := newTrainer(t, cfg, data.IdealIID).Run(5, RandomSelector(cfg.K, 10))
 		return trace
 	}
 	a, b := run(), run()
@@ -109,10 +109,7 @@ func TestTrainerDeterminism(t *testing.T) {
 
 func TestLocalTrainImprovesLocalFit(t *testing.T) {
 	cfg := DefaultConfig()
-	tr, err := NewTrainer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := newTrainer(t, cfg, data.IdealIID)
 	ds := tr.clients[0]
 	model := tr.global.Clone()
 	before := model.Accuracy(ds.X, ds.Labels)
@@ -131,7 +128,7 @@ func TestLocalTrainImprovesLocalFit(t *testing.T) {
 
 func TestLocalTrainEmptyDataset(t *testing.T) {
 	cfg := DefaultConfig()
-	tr, _ := NewTrainer(cfg)
+	tr := newTrainer(t, cfg, data.IdealIID)
 	model := tr.global.Clone()
 	empty := &Dataset{X: tensor.New(0, cfg.Spec.Dim), Labels: nil}
 	params, err := LocalTrain(model, tr.global.Params(), empty, 2, 8, 0.1, rng.New(1))
@@ -144,13 +141,12 @@ func TestLocalTrainEmptyDataset(t *testing.T) {
 }
 
 func TestRoundWithBadSelector(t *testing.T) {
-	cfg := DefaultConfig()
-	tr, _ := NewTrainer(cfg)
-	_, err := tr.Round(0, func(round int, p []data.DeviceData) []int { return []int{-1} })
+	tr := newTrainer(t, DefaultConfig(), data.IdealIID)
+	_, err := tr.Round(0, func(round int, p *data.Packed) []int { return []int{-1} })
 	if err == nil {
 		t.Error("invalid client index should error")
 	}
-	acc, err := tr.Round(0, func(round int, p []data.DeviceData) []int { return nil })
+	acc, err := tr.Round(0, func(round int, p *data.Packed) []int { return nil })
 	if err != nil || acc < 0 {
 		t.Error("empty selection should be a no-op round")
 	}
@@ -158,9 +154,80 @@ func TestRoundWithBadSelector(t *testing.T) {
 
 func TestNewTrainerValidation(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Devices = 0
-	if _, err := NewTrainer(cfg); err == nil {
-		t.Error("zero devices should error")
+	part := data.ExactPackedPartition(1, data.NonIID50, 10, cfg.Spec.Classes, 80)
+	noK := cfg
+	noK.K = 0
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		part *data.Packed
+	}{
+		{"nil partition", cfg, nil},
+		{"zero devices", cfg, data.ExactPackedPartition(1, data.NonIID50, 0, cfg.Spec.Classes, 80)},
+		{"zero K", noK, part},
+		{"class count mismatch", cfg, data.ExactPackedPartition(1, data.NonIID50, 10, cfg.Spec.Classes+1, 80)},
+	} {
+		if _, err := NewTrainer(c.cfg, c.part); err == nil {
+			t.Errorf("%s should error", c.name)
+		}
+	}
+	if _, err := NewTrainer(cfg, part); err != nil {
+		t.Errorf("valid partition: %v", err)
+	}
+}
+
+// TestTrainerOnEnginePartition trains on the partition the engine
+// steps on: a trainer built from an exhaustive (Sample == N) engine's
+// PackedData holds, for every device i, a client with device i's
+// sample count, and the engine's first-round view row i reports the
+// same samples, class fraction and quality.
+func TestTrainerOnEnginePartition(t *testing.T) {
+	pop, err := device.NewPopulation(6, 14, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := sim.NewEngine(sim.Config{
+		Workload:   workload.CNNMNIST(),
+		Params:     workload.S3,
+		Population: pop,
+		Sample:     pop.Len(),
+		Data:       data.NonIID75,
+		Env:        sim.EnvIdeal(),
+		Seed:       21,
+		MaxRounds:  10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := eng.PackedData()
+	tr, err := NewTrainer(DefaultConfig(), part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, _ := eng.RunRound(policy.NewRandom(22), 0, 0)
+	if len(tr.clients) != part.Len() || len(ctx.Devices) != part.Len() {
+		t.Fatalf("%d clients and %d view rows for %d devices", len(tr.clients), len(ctx.Devices), part.Len())
+	}
+	nonIID := 0
+	for i := 0; i < part.Len(); i++ {
+		if got, want := tr.clients[i].Len(), int(part.Samples[i]); got != want {
+			t.Errorf("client %d: %d samples, device has %d", i, got, want)
+		}
+		row := ctx.Devices[i]
+		if row.Device.ID != i {
+			t.Fatalf("view row %d holds device %d", i, row.Device.ID)
+		}
+		d := row.Data
+		if d.Samples != int(part.Samples[i]) || d.ClassFraction != float64(part.ClassFrac[i]) || d.Quality != float64(part.Quality[i]) {
+			t.Errorf("view row %d: samples %d frac %v quality %v, partition %d %v %v",
+				i, d.Samples, d.ClassFraction, d.Quality, part.Samples[i], part.ClassFrac[i], part.Quality[i])
+		}
+		if part.Proportions(i) != nil {
+			nonIID++
+		}
+	}
+	if want := int(float64(part.Len())*0.75 + 0.5); nonIID != want {
+		t.Errorf("%d non-IID clients, want %d", nonIID, want)
 	}
 }
 

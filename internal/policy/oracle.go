@@ -32,7 +32,7 @@ func memberScore(ctx *sim.RoundContext, idx int) float64 {
 	comp, comm := ctx.Estimate(idx, device.CPU, -1)
 	total := comp + comm
 	energy := ctx.EstimateEnergy(idx, device.CPU, -1, total)
-	q := ctx.Devices[idx].Data.IIDQuality()
+	q := ctx.Devices[idx].Data.Quality
 	return math.Pow(q, 3) / (energy * total)
 }
 
@@ -109,7 +109,7 @@ func evaluateCluster(ctx *sim.RoundContext, members []int, sc *oracleScratch) cl
 			risk := ctx.DropRisk(idx, device.CPU, -1, deadline)
 			w := (1 - risk) * float64(ctx.Params.E) * float64(d.Samples)
 			mass += w
-			qualMass += w * d.IIDQuality()
+			qualMass += w * d.Quality
 			base := ctx.EstimateEnergy(idx, device.CPU, -1, times[i])
 			waste := base * (deadline/times[i] - 1)
 			keptEnergy += base + risk*waste

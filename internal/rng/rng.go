@@ -68,7 +68,14 @@ func (s *Stream) Normal(mean, sigma float64) float64 {
 // are Gaussian in the field but cannot be negative.
 func (s *Stream) ClampedNormal(mean, sigma, lo, hi float64) float64 {
 	v := s.Normal(mean, sigma)
-	return math.Min(hi, math.Max(lo, v))
+	// Branches: math.Max and math.Min are calls on amd64.
+	if v < lo {
+		v = lo
+	}
+	if v > hi {
+		v = hi
+	}
+	return v
 }
 
 // Gamma returns a Gamma(shape, 1) variate using the Marsaglia–Tsang
@@ -104,30 +111,26 @@ func (s *Stream) Gamma(shape float64) float64 {
 	}
 }
 
-// Dirichlet returns a draw from a symmetric Dirichlet distribution with
-// n components and concentration alpha. Smaller alpha concentrates the
-// mass in fewer components — the paper uses alpha = 0.1 to model
-// strongly non-IID class distributions.
-func (s *Stream) Dirichlet(alpha float64, n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	p := make([]float64, n)
+// Dirichlet fills p with a draw from a symmetric Dirichlet
+// distribution with len(p) components and concentration alpha. Smaller
+// alpha concentrates the mass in fewer components — the paper uses
+// alpha = 0.1 to model strongly non-IID class distributions.
+func (s *Stream) Dirichlet(alpha float64, p []float64) {
 	sum := 0.0
 	for i := range p {
 		g := s.Gamma(alpha)
 		p[i] = g
 		sum += g
 	}
-	if sum == 0 {
-		// Degenerate draw: put all mass on one random component.
-		p[s.IntN(n)] = 1
-		return p
+	if sum == 0 && len(p) > 0 {
+		// Degenerate draw (every component is 0): put all mass on one
+		// random component.
+		p[s.IntN(len(p))] = 1
+		return
 	}
 	for i := range p {
 		p[i] /= sum
 	}
-	return p
 }
 
 // Categorical returns an index drawn with probability proportional to

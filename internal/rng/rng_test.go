@@ -121,7 +121,8 @@ func TestGammaNonPositiveShape(t *testing.T) {
 func TestDirichletSumsToOne(t *testing.T) {
 	s := New(13)
 	for i := 0; i < 100; i++ {
-		p := s.Dirichlet(0.1, 10)
+		p := make([]float64, 10)
+		s.Dirichlet(0.1, p)
 		sum := 0.0
 		for _, v := range p {
 			if v < 0 {
@@ -143,7 +144,8 @@ func TestDirichletConcentration(t *testing.T) {
 	avgMax := func(alpha float64) float64 {
 		total := 0.0
 		for i := 0; i < 500; i++ {
-			p := s.Dirichlet(alpha, 10)
+			p := make([]float64, 10)
+			s.Dirichlet(alpha, p)
 			mx := 0.0
 			for _, v := range p {
 				mx = math.Max(mx, v)
@@ -160,10 +162,9 @@ func TestDirichletConcentration(t *testing.T) {
 
 func TestDirichletEdgeCases(t *testing.T) {
 	s := New(19)
-	if got := s.Dirichlet(0.1, 0); got != nil {
-		t.Errorf("Dirichlet with n=0 = %v, want nil", got)
-	}
-	p := s.Dirichlet(0.1, 1)
+	s.Dirichlet(0.1, nil) // n = 0 draws nothing
+	p := make([]float64, 1)
+	s.Dirichlet(0.1, p)
 	if len(p) != 1 || math.Abs(p[0]-1) > 1e-9 {
 		t.Errorf("Dirichlet with n=1 = %v, want [1]", p)
 	}
@@ -245,7 +246,8 @@ func TestDirichletProperty(t *testing.T) {
 	f := func(alphaRaw uint8, nRaw uint8) bool {
 		alpha := 0.05 + float64(alphaRaw)/32.0
 		n := 1 + int(nRaw)%32
-		p := s.Dirichlet(alpha, n)
+		p := make([]float64, n)
+		s.Dirichlet(alpha, p)
 		if len(p) != n {
 			return false
 		}

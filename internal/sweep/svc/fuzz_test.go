@@ -3,10 +3,14 @@ package svc
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzJobSpec decodes bytes the way handleSubmit does and runs the
@@ -99,6 +103,78 @@ func FuzzReplayJournal(f *testing.F) {
 			if g, _ := json.Marshal(got); !bytes.Equal(g, want) {
 				t.Fatalf("pending after compaction = %s, want %s", g, want)
 			}
+		}
+	})
+}
+
+// FuzzHTTP sends arbitrary methods, paths and query strings to one
+// service's handler, which holds a finished job and a canceled one.
+// Every reply carries a status the Handler doc lists, never 500, and
+// every error reply's body is the {"error": ...} envelope. POST bodies
+// are FuzzJobSpec's ground; here every request has an empty body.
+func FuzzHTTP(f *testing.F) {
+	s, err := New(Config{Runners: fakeRunners})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { s.Close() })
+	done, err := s.Submit(JobSpec{Grid: testGrid(3), Rounds: 10})
+	if err != nil {
+		f.Fatal(err)
+	}
+	canceled, err := s.Submit(JobSpec{Grid: testGrid(4), Rounds: 10})
+	if err != nil {
+		f.Fatal(err)
+	}
+	s.Cancel(canceled.ID)
+	for _, id := range []string{done.ID, canceled.ID} {
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+			st, err := s.Status(id)
+			if err != nil {
+				f.Fatal(err)
+			}
+			if st.State != StateQueued && st.State != StateRunning {
+				break
+			}
+			if time.Now().After(deadline) {
+				f.Fatalf("job %s still %s", id, st.State)
+			}
+		}
+	}
+	h := s.Handler()
+	documented := map[int]bool{200: true, 202: true, 301: true, 400: true, 404: true, 405: true, 409: true, 429: true, 503: true}
+
+	for _, method := range []string{"GET", "POST", "DELETE", "PUT", "HEAD", "OPTIONS", "CONNECT"} {
+		for _, path := range []string{"/v1/sweeps", "/v1/sweeps/" + done.ID, "/v1/sweeps/" + canceled.ID + "/result",
+			"/v1/workers", "/v1/healthz", "/v1/metrics", "/", "/v1//sweeps/../x"} {
+			f.Add(method, path, "")
+		}
+	}
+	f.Add("GET", "/v1/sweeps/"+done.ID+"/result", "format=csv")
+	f.Add("GET", "/v1/sweeps/"+done.ID+"/result", "format=xml&format=json")
+	f.Add("GET", "/v1/sweeps/job-999999/result", "%zz")
+
+	f.Fuzz(func(t *testing.T, method, path, query string) {
+		u := url.URL{Scheme: "http", Host: "svc", Path: path, RawQuery: query}
+		req, err := http.NewRequest(method, u.String(), nil)
+		if err != nil {
+			return // not a request a client can send
+		}
+		req.Body = http.NoBody // as a server hands its handlers
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if !documented[rec.Code] {
+			t.Fatalf("%s %q ?%q: status %d is not documented", method, path, query, rec.Code)
+		}
+		if rec.Code < 400 {
+			return
+		}
+		var env map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Fatalf("%s %q ?%q: %d body %q is not JSON: %v", method, path, query, rec.Code, rec.Body, err)
+		}
+		if msg, ok := env["error"].(string); !ok || msg == "" || len(env) != 1 {
+			t.Fatalf("%s %q ?%q: %d body %q is not the error envelope", method, path, query, rec.Code, rec.Body)
 		}
 	})
 }

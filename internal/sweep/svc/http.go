@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 
 	"autofl/internal/sweep/dist"
 )
@@ -27,19 +28,43 @@ const maxSpecBytes = 1 << 20
 //
 // Errors are {"error": "..."} JSON with the obvious codes: 400 bad
 // spec (undecodable, past the grid-size or horizon limit, or repeating
-// an axis value), 404 unknown job, 409 result not ready, 429 queue
-// full, 503 draining. Result bytes are exactly the engine's WriteJSON/WriteCSV
-// output — byte-identical to a serial local run of the same grid.
+// an axis value), 404 unknown job or route, 405 known route asked with
+// another method (with an Allow header), 409 result not ready, 429
+// queue full, 503 draining. A path that is not clean (a doubled slash,
+// a dot segment) is redirected with 301 to its cleaned form. Result
+// bytes are exactly the engine's WriteJSON/WriteCSV output —
+// byte-identical to a serial local run of the same grid.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sweeps", s.handleSubmit)
-	mux.HandleFunc("GET /v1/sweeps", s.handleList)
-	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleStatus)
-	mux.HandleFunc("GET /v1/sweeps/{id}/result", s.handleResult)
-	mux.HandleFunc("DELETE /v1/sweeps/{id}", s.handleCancel)
-	mux.HandleFunc("GET /v1/workers", s.handleWorkers)
-	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
+	allow := map[string][]string{}
+	handle := func(method, path string, h http.HandlerFunc) {
+		mux.HandleFunc(method+" "+path, h)
+		if method == http.MethodGet {
+			allow[path] = append(allow[path], http.MethodHead)
+		}
+		allow[path] = append(allow[path], method)
+	}
+	handle("POST", "/v1/sweeps", s.handleSubmit)
+	handle("GET", "/v1/sweeps", s.handleList)
+	handle("GET", "/v1/sweeps/{id}", s.handleStatus)
+	handle("GET", "/v1/sweeps/{id}/result", s.handleResult)
+	handle("DELETE", "/v1/sweeps/{id}", s.handleCancel)
+	handle("GET", "/v1/workers", s.handleWorkers)
+	handle("GET", "/v1/healthz", s.handleHealthz)
+	handle("GET", "/v1/metrics", s.handleMetrics)
+	// The mux's own 404 and 405 replies are plain text; these
+	// method-less patterns, less specific than every route above,
+	// answer in the error envelope instead.
+	for path, methods := range allow {
+		allowed := strings.Join(methods, ", ")
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Allow", allowed)
+			writeJSON(w, http.StatusMethodNotAllowed, apiError{Error: fmt.Sprintf("method %s not allowed (allow %s)", r.Method, allowed)})
+		})
+	}
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusNotFound, apiError{Error: fmt.Sprintf("no route %s", r.URL.Path)})
+	})
 	return mux
 }
 
